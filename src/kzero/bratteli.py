@@ -41,7 +41,6 @@ Matrix = tuple[tuple[int, ...], ...]
 __all__ = [
     "MatrixAlgebraList",
     "BratteliDiagram",
-    "BrattelliDiagram",
     "StationaryDiagram",
     "DimensionGroup",
     "PFData",
@@ -72,7 +71,7 @@ class UnsupportedDiagramError(ValueError):
 # -- matrix helpers ------------------------------------------------------------
 
 
-def _as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
+def _to_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     mat = tuple(tuple(int(x) for x in row) for row in rows)
     if not mat or any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("matrix rows must be nonempty and of equal length")
@@ -160,7 +159,7 @@ class BratteliDiagram:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
-        object.__setattr__(self, "multiplicities", tuple(_as_matrix(m) for m in self.multiplicities))
+        object.__setattr__(self, "multiplicities", tuple(_to_matrix(m) for m in self.multiplicities))
         if len(self.multiplicities) != len(self.levels) - 1:
             raise ValueError("need exactly one multiplicity matrix per consecutive level pair")
         for i, b in enumerate(self.multiplicities):
@@ -179,10 +178,6 @@ class BratteliDiagram:
         return tuple(out)
 
 
-# alternate spelling kept for callers that double the l
-BrattelliDiagram = BratteliDiagram
-
-
 @dataclass(frozen=True)
 class StationaryDiagram:
     """One square multiplicity matrix repeated from a seed level.
@@ -199,7 +194,7 @@ class StationaryDiagram:
     seed_traces: Optional[tuple[QuadElement, ...]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "B", _as_matrix(self.B))
+        object.__setattr__(self, "B", _to_matrix(self.B))
         n = len(self.B)
         if any(len(row) != n for row in self.B):
             raise ValueError("stationary multiplicity matrix must be square")
@@ -377,7 +372,7 @@ def pf_data(s: StationaryDiagram, tol: Fraction = Fraction(1, 10 ** 8)) -> PFDat
     if not _is_primitive(b):
         raise NotPrimitiveError(f"matrix {b} is not primitive")
     if len(b) == 2:
-        return _pf_exact_2x2(b)
+        return _pf_exact_2x2(s)
     return _pf_certified(b, tol)
 
 
@@ -395,8 +390,8 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return m, d * n
 
 
-def _pf_exact_2x2(b: Matrix) -> PFData:
-    (b00, b01), (b10, b11) = b
+def _pf_exact_2x2(s: StationaryDiagram) -> PFData:
+    (b00, b01), (b10, b11) = s.B
     tr = b00 + b11
     det = b00 * b11 - b01 * b10
     disc = tr * tr - 4 * det
@@ -408,7 +403,12 @@ def _pf_exact_2x2(b: Matrix) -> PFData:
         lam = Fraction(tr + r, 2)
         v1: Union[QuadElement, Fraction] = (lam - b11) / b01
     else:
-        m, d = _square_free_split(disc)
+        # a diagram built from a continued fraction carries its field D in its
+        # traces, and then disc = m^2 * D; only hand-built diagrams are factored
+        d = s.seed_traces[0].D if s.seed_traces is not None else 0
+        m = isqrt(disc // d) if d else 0
+        if m * m * d != disc:
+            m, d = _square_free_split(disc)
         lam = QuadElement(Fraction(tr, 2), Fraction(m, 2), d)
         v1 = (lam - b11) / Fraction(b01)
     return PFData(lam, (v1, Fraction(1) if isinstance(v1, Fraction) else QuadElement.rational(1, d)))
@@ -448,7 +448,7 @@ def stationary_k0(s: StationaryDiagram) -> DimensionGroup:
     """
     n = len(s.B)
     if n == 2 and _is_primitive(s.B):
-        data = _pf_exact_2x2(s.B)
+        data = _pf_exact_2x2(s)
         if isinstance(data.eigenvalue, QuadElement):
             det = s.B[0][0] * s.B[1][1] - s.B[0][1] * s.B[1][0]
             if det not in (1, -1):

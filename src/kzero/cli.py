@@ -23,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
@@ -43,12 +43,6 @@ class CommandResult:
     parameters: dict
     status: str
     payload: dict
-
-
-@dataclass
-class _Table:
-    columns: tuple[str, ...] = ()
-    rows: list[tuple] = field(default_factory=list)
 
 
 class _CacheBox:
@@ -81,11 +75,24 @@ def _parse_s(text: str) -> complex:
 
 
 def _fmt(x: object) -> str:
+    if x is None:
+        return "-"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
         return f"{x:.15g}"
+    if isinstance(x, list):
+        # a list is one comma-separated cell; a list of lists joins its rows with ';'
+        return (";" if any(isinstance(v, list) for v in x) else ",").join(map(_fmt, x))
     return str(x)
+
+
+def _rows(payload: dict, *columns: str, **cells: object) -> list[tuple]:
+    """TSV header plus one row read from the payload by column name.
+
+    `cells` gives the value of a column whose TSV form is not its payload entry.
+    """
+    return [columns, tuple(cells[c] if c in cells else payload[c] for c in columns)]
 
 
 def _resolve_curve(args: argparse.Namespace) -> elliptic.CurveQ:
@@ -96,7 +103,7 @@ def _resolve_curve(args: argparse.Namespace) -> elliptic.CurveQ:
     return elliptic.CurveQ(args.a4, args.a6)
 
 
-# -- handlers (return parameters, status, payload, table) -------------------------
+# -- handlers (return parameters, status, payload, TSV rows with header) -------------
 
 
 def _cmd_contfrac(args, box):
@@ -115,11 +122,8 @@ def _cmd_contfrac(args, box):
         "preperiod": list(cf.preperiod),
         "period": list(cf.period),
     }
-    table = _Table(
-        ("D", "preperiod", "period"),
-        [(args.D, ",".join(map(str, cf.preperiod)), ",".join(map(str, cf.period)))],
-    )
-    return {"D": args.D}, ("pass" if ok else "fail"), payload, table
+    rows = _rows(payload, "D", "preperiod", "period")
+    return {"D": args.D}, ("pass" if ok else "fail"), payload, rows
 
 
 def _cmd_unit(args, box):
@@ -132,11 +136,7 @@ def _cmd_unit(args, box):
         "norm": res.norm,
         "stable": stable,
     }
-    table = _Table(
-        ("D", "epsilon", "norm", "stable"),
-        [(args.D, str(res.epsilon), res.norm, _fmt(stable))],
-    )
-    return {"D": args.D}, ("pass" if ok else "fail"), payload, table
+    return {"D": args.D}, ("pass" if ok else "fail"), payload, _rows(payload, *payload)
 
 
 def _cmd_omega(args, box):
@@ -147,23 +147,15 @@ def _cmd_omega(args, box):
         "trace": str(w.trace()),
         "norm": str(w.norm()),
     }
-    table = _Table(
-        ("D", "omega", "trace", "norm"),
-        [(args.D, str(w), str(w.trace()), str(w.norm()))],
-    )
-    return {"D": args.D}, "pass", payload, table
+    return {"D": args.D}, "pass", payload, _rows(payload, *payload)
 
 
 def _cmd_dimgroup(args, box):
     if args.uhf_p is not None:
         diagram = bratteli.uhf_diagram(args.uhf_p, args.depth)
-        sizes = [lv.sizes[0] for lv in diagram.levels]
-        payload = {"uhf_p": args.uhf_p, "depth": args.depth, "sizes": sizes}
-        table = _Table(
-            ("p", "depth", "sizes"),
-            [(args.uhf_p, args.depth, ",".join(map(str, sizes)))],
-        )
-        return {"uhf_p": args.uhf_p, "depth": args.depth}, "pass", payload, table
+        params = {"uhf_p": args.uhf_p, "depth": args.depth}
+        payload = {**params, "sizes": [lv.sizes[0] for lv in diagram.levels]}
+        return params, "pass", payload, _rows(payload, "p", "depth", "sizes", p=payload["uhf_p"])
     if args.D is None:
         raise ValueError("give either --D or --uhf-p")
     w = quadfield.omega_of(args.D)
@@ -172,66 +164,42 @@ def _cmd_dimgroup(args, box):
     lam = bratteli.pf_data(diagram).eigenvalue
     shift_ok = bratteli.shift_action_check(diagram)
     assert group.real_embedding is not None
-    gens = [str(g) for g in group.real_embedding.generators]
     payload = {
         "D": args.D,
         "seed": list(diagram.seed.sizes),
         "matrix": [list(r) for r in diagram.B],
         "period": diagram.period_length,
         "lambda": str(lam),
-        "embedding": gens,
+        "embedding": [str(g) for g in group.real_embedding.generators],
         "shift_check": shift_ok,
     }
-    table = _Table(
-        ("D", "seed", "matrix", "period", "lambda", "embedding", "shift_check"),
-        [(
-            args.D,
-            ",".join(map(str, diagram.seed.sizes)),
-            ";".join(",".join(map(str, r)) for r in diagram.B),
-            diagram.period_length,
-            str(lam),
-            " ; ".join(gens),
-            _fmt(shift_ok),
-        )],
-    )
-    return {"D": args.D}, ("pass" if shift_ok else "fail"), payload, table
+    rows = _rows(payload, *payload, embedding=" ; ".join(payload["embedding"]))
+    return {"D": args.D}, ("pass" if shift_ok else "fail"), payload, rows
 
 
 def _cmd_tower(args, box):
     tower = groupalg.cyclic_tower(args.p, args.depth)
     similar = groupalg.self_similarity_check(tower, args.window)
-    orders = [lv.order for lv in tower.levels]
+    params = {"p": args.p, "depth": args.depth, "window": args.window}
     payload = {
-        "p": args.p,
-        "depth": args.depth,
-        "window": args.window,
-        "level_orders": orders,
+        **params,
+        "level_orders": [lv.order for lv in tower.levels],
         "self_similar": similar,
     }
-    table = _Table(
-        ("p", "depth", "window", "level_orders", "self_similar"),
-        [(args.p, args.depth, args.window, ",".join(map(str, orders)), _fmt(similar))],
-    )
-    params = {"p": args.p, "depth": args.depth, "window": args.window}
-    return params, ("pass" if similar else "fail"), payload, table
+    return params, ("pass" if similar else "fail"), payload, _rows(payload, *payload)
 
 
 def _cmd_sl2(args, box):
     profile = groupalg.sl2_degree_profile(args.p)
-    counts: dict[int, int] = {}
-    for d in profile.degrees:
-        counts[d] = counts.get(d, 0) + 1
+    degrees = list(profile.degrees)
     payload = {
         "p": args.p,
         "order": profile.order,
-        "class_count": len(profile.degrees),
-        "degrees": list(profile.degrees),
+        "class_count": len(degrees),
+        "degrees": degrees,
     }
-    table = _Table(
-        ("degree", "multiplicity"),
-        [(d, counts[d]) for d in sorted(counts)],
-    )
-    return {"p": args.p}, "pass", payload, table
+    rows = [("degree", "multiplicity"), *((d, degrees.count(d)) for d in sorted(set(degrees)))]
+    return {"p": args.p}, "pass", payload, rows
 
 
 def _cmd_count(args, box):
@@ -243,13 +211,9 @@ def _cmd_count(args, box):
         count = args.p + 1 - data.a_p
     else:
         count = elliptic.count_points_extension(curve, args.p, args.r, box.get())
-    payload = {"a4": curve.a4, "a6": curve.a6, "p": args.p, "r": args.r, "count": count}
-    table = _Table(
-        ("a4", "a6", "p", "r", "count"),
-        [(curve.a4, curve.a6, args.p, args.r, count)],
-    )
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p, "r": args.r}
-    return params, "pass", payload, table
+    payload = {**params, "count": count}
+    return params, "pass", payload, _rows(payload, *payload)
 
 
 def _cmd_ap(args, box):
@@ -257,38 +221,29 @@ def _cmd_ap(args, box):
     data = elliptic.trace_of_frobenius(curve, args.p, box.get())
     if not data.good:
         raise elliptic.BadReductionError(f"p = {args.p} is bad for this curve")
-    payload = {"a4": curve.a4, "a6": curve.a6, "p": args.p, "ap": data.a_p}
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p}
-    if args.D is not None:
-        other = elliptic.hecke_ap_cm(args.D, args.p)
-        agree = other == data.a_p
-        payload.update({"ap_norm_form": other, "match": agree})
-        table = _Table(
-            ("p", "ap_point_count", "ap_norm_form", "match"),
-            [(args.p, data.a_p, other, _fmt(agree))],
-        )
-        params["D"] = args.D
-        return params, ("pass" if agree else "fail"), payload, table
-    table = _Table(("p", "ap"), [(args.p, data.a_p)])
-    return params, "pass", payload, table
+    payload = {**params, "ap": data.a_p}
+    if args.D is None:
+        return params, "pass", payload, _rows(payload, "p", "ap")
+    other = elliptic.hecke_ap_cm(args.D, args.p)
+    payload.update({"ap_norm_form": other, "match": other == data.a_p})
+    columns = ("p", "ap_point_count", "ap_norm_form", "match")
+    rows = _rows(payload, *columns, ap_point_count=payload["ap"])
+    params["D"] = args.D
+    return params, ("pass" if payload["match"] else "fail"), payload, rows
 
 
 def _cmd_zeta_local(args, box):
     curve = _resolve_curve(args)
     zeta = elliptic.weil_zeta_local(curve, args.p)
+    params = {"a4": curve.a4, "a6": curve.a6, "p": args.p}
     payload = {
-        "a4": curve.a4,
-        "a6": curve.a6,
-        "p": args.p,
+        **params,
         "ap": zeta.a_p,
         "numerator": list(zeta.numerator),
         "factor": str(zeta),
     }
-    table = _Table(
-        ("p", "ap", "numerator", "factor"),
-        [(args.p, zeta.a_p, ",".join(map(str, zeta.numerator)), str(zeta))],
-    )
-    return {"a4": curve.a4, "a6": curve.a6, "p": args.p}, "pass", payload, table
+    return params, "pass", payload, _rows(payload, "p", "ap", "numerator", "factor")
 
 
 def _cmd_lfun(args, box):
@@ -310,17 +265,6 @@ def _cmd_lfun(args, box):
         "value_im": float(approx.value.imag),
         "factor_count": len(approx.factors),
     }
-    table = _Table(
-        ("which", "s", "bound", "value_re", "value_im", "factors"),
-        [(
-            args.which,
-            _fmt(args.s.real) + ("," + _fmt(args.s.imag) if args.s.imag else ""),
-            args.bound,
-            _fmt(float(approx.value.real)),
-            _fmt(float(approx.value.imag)),
-            len(approx.factors),
-        )],
-    )
     params = {"which": args.which, "s": _fmt(args.s.real), "bound": args.bound}
     if args.s.imag:
         params["s_im"] = _fmt(args.s.imag)
@@ -328,22 +272,21 @@ def _cmd_lfun(args, box):
         params["D"] = args.D
     if args.which == "auto":
         params["i"] = args.i
-    return params, ("pass" if ok else "fail"), payload, table
+    rows = _rows(
+        payload, "which", "s", "bound", "value_re", "value_im", "factors",
+        s=params["s"] + ("," + params["s_im"] if "s_im" in params else ""),
+        factors=payload["factor_count"],
+    )
+    return params, ("pass" if ok else "fail"), payload, rows
 
 
 def _cmd_match(args, box):
     report = lfunction.local_factor_match(args.D, args.bound, box.get())
-    table = _Table(("p", "ap_motivic", "ap_automorphic", "match"))
-    for row in report.rows:
-        table.rows.append((row.p, row.ap_motivic, row.ap_automorphic, _fmt(row.match)))
-    payload = {
-        "D": args.D,
-        "bound": args.bound,
-        "primes": len(report.rows),
-        "mismatches": list(report.mismatches),
-    }
-    status = "pass" if not report.mismatches else "fail"
-    return {"D": args.D, "bound": args.bound}, status, payload, table
+    params = {"D": args.D, "bound": args.bound}
+    payload = {**params, "primes": len(report.rows), "mismatches": list(report.mismatches)}
+    rows = [("p", "ap_motivic", "ap_automorphic", "match")]
+    rows += [(r.p, r.ap_motivic, r.ap_automorphic, r.match) for r in report.rows]
+    return params, ("pass" if not report.mismatches else "fail"), payload, rows
 
 
 def _cmd_prop3(args, box):
@@ -356,12 +299,9 @@ def _cmd_prop3(args, box):
         "residual": residual,
         "tol": args.tol,
     }
-    table = _Table(
-        ("D", "s", "bound", "residual", "tol", "ok"),
-        [(args.D, _fmt(args.s.real), args.bound, _fmt(residual), _fmt(args.tol), _fmt(ok))],
-    )
     params = {"D": args.D, "s": _fmt(args.s.real), "bound": args.bound}
-    return params, ("pass" if ok else "fail"), payload, table
+    rows = _rows(payload, *payload, "ok", s=params["s"], ok=ok)
+    return params, ("pass" if ok else "fail"), payload, rows
 
 
 def _cmd_coherence(args, box):
@@ -374,11 +314,7 @@ def _cmd_coherence(args, box):
         )
     ok = es and stable and (g_ok is not False)
     payload = {"D": args.D, "effros_shen": es, "unit_stable": stable, "g_coherence": g_ok}
-    table = _Table(
-        ("D", "effros_shen", "unit_stable", "g_coherence"),
-        [(args.D, _fmt(es), _fmt(stable), "-" if g_ok is None else _fmt(g_ok))],
-    )
-    return {"D": args.D}, ("pass" if ok else "fail"), payload, table
+    return {"D": args.D}, ("pass" if ok else "fail"), payload, _rows(payload, *payload)
 
 
 def _cmd_adelic(args, box):
@@ -399,14 +335,13 @@ def _cmd_adelic(args, box):
             "period": seed.period_length,
         },
     }
-    table = _Table(rows=[tuple(line.split("\t")) for line in serialized.splitlines()])
     params = {
         "ramified": ",".join(map(str, sorted(spec.ramified))) or "-",
         "bound": args.bound,
         "depth": args.depth,
         "D": args.D,
     }
-    return params, "pass", payload, table
+    return params, "pass", payload, [line.split("\t") for line in serialized.splitlines()]
 
 
 # -- parser and driver -------------------------------------------------------------
@@ -493,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(result: CommandResult, table: _Table, fmt: str, out: TextIO) -> None:
+def _emit(result: CommandResult, rows: Sequence[Sequence], fmt: str, out: TextIO) -> None:
     if fmt == "json":
         doc = {
             "command": result.command,
@@ -506,9 +441,7 @@ def _emit(result: CommandResult, table: _Table, fmt: str, out: TextIO) -> None:
     out.write(f"# kzero {result.command} v1\n")
     if result.parameters:
         out.write("# " + " ".join(f"{k}={v}" for k, v in sorted(result.parameters.items())) + "\n")
-    if table.columns:
-        out.write("\t".join(table.columns) + "\n")
-    for row in table.rows:
+    for row in rows:
         out.write("\t".join(_fmt(x) for x in row) + "\n")
     out.write(f"# status {result.status}\n")
 
@@ -520,21 +453,21 @@ def run(argv: Sequence[str], stdout: Optional[TextIO] = None) -> tuple[CommandRe
     args = parser.parse_args(list(argv))
     box = _CacheBox(args.cache or os.environ.get(_CACHE_ENV) or _DEFAULT_CACHE)
     try:
-        parameters, status, payload, table = args.handler(args, box)
+        parameters, status, payload, rows = args.handler(args, box)
     except AssertionError as exc:
         result = CommandResult(args.command, {}, "fail", {"message": str(exc)})
-        _emit(result, _Table(), args.format, out)
+        _emit(result, (), args.format, out)
         print(f"kzero {args.command}: invariant failed: {exc}", file=sys.stderr)
         return result, 1
     except (ValueError, ArithmeticError, elliptic.CalibrationError) as exc:
         result = CommandResult(args.command, {}, "error", {"message": str(exc)})
-        _emit(result, _Table(), args.format, out)
+        _emit(result, (), args.format, out)
         print(f"kzero {args.command}: {exc}", file=sys.stderr)
         return result, 2
     finally:
         box.flush()
     result = CommandResult(args.command, parameters, status, payload)
-    _emit(result, table, args.format, out)
+    _emit(result, rows, args.format, out)
     return result, 0 if status == "pass" else 1
 
 

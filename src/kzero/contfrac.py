@@ -68,16 +68,6 @@ def partial_quotients(cf: PeriodicCF, count: int) -> Iterator[int]:
             emitted += 1
 
 
-def _primitive_period(word: tuple[int, ...]) -> tuple[int, ...]:
-    # collapse w = u^k to u; state tracking already yields a primitive cycle,
-    # this is a cheap guard against ever publishing a padded one
-    n = len(word)
-    for d in range(1, n):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
-
-
 def expand(x: QuadElement) -> PeriodicCF:
     """Continued fraction of a real quadratic irrational, exact.
 
@@ -103,7 +93,7 @@ def expand(x: QuadElement) -> PeriodicCF:
         period = period[1:] + period[:1]
     else:
         preperiod = tuple(quots[:start])
-    return PeriodicCF(preperiod, _primitive_period(period))
+    return PeriodicCF(preperiod, period)
 
 
 def convergents(cf: PeriodicCF, count: int) -> list[Convergent]:

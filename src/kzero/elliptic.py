@@ -138,35 +138,45 @@ def count_points_fp(c: CurveQ, p: int) -> int:
     return p + 1 + int(_chi_table(p)[f].sum())
 
 
-def trace_of_frobenius(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> FrobeniusData:
-    """a_p = p + 1 - |E(F_p)| at good p; a bad prime yields a good=False record."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 2 or discriminant(c) % p == 0:
-        return FrobeniusData(p, False, None)
-    if cache is not None:
-        hit = cache.lookup(c.a4, c.a6, p)
-        if hit is not None:
-            return FrobeniusData(p, True, hit)
+def _good_ap(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> int:
+    """a_p = p + 1 - |E(F_p)| at a good prime; a bad prime is an error.
+
+    p is checked once: by `count_points_fp` on a miss, here on a cache hit.
+    """
+    hit = cache.lookup(c.a4, c.a6, p) if cache is not None else None
+    if hit is not None:
+        _require_good(c, p)
+        return hit
     a_p = p + 1 - count_points_fp(c, p)
     assert a_p * a_p <= 4 * p, f"Hasse bound violated at p={p}"
     if cache is not None:
         cache.record(c.a4, c.a6, p, a_p)
-    return FrobeniusData(p, True, a_p)
+    return a_p
+
+
+def trace_of_frobenius(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> FrobeniusData:
+    """a_p = p + 1 - |E(F_p)| at good p; a bad prime yields a good=False record."""
+    try:
+        return FrobeniusData(p, True, _good_ap(c, p, cache))
+    except BadReductionError:
+        return FrobeniusData(p, False, None)
 
 
 def count_points_extension(c: CurveQ, p: int, r: int, cache: Optional["ApCache"] = None) -> int:
-    """|E(F_{p^r})| for r in {1, 2, 3} via the trace power sums.
+    """|E(F_{p^r})| for r in {1, 2, 3} via the trace power sums."""
+    if r not in (1, 2, 3):
+        raise ValueError("r must be 1, 2, or 3")
+    return _extension_count(c, p, _good_ap(c, p, cache), r)
+
+
+def _extension_count(c: CurveQ, p: int, a_p: int, r: int) -> int:
+    """|E(F_{p^r})| from a_p at a good prime.
 
     s_r = a_p s_{r-1} - p s_{r-2} with s_0 = 2, s_1 = a_p gives
     |E(F_{p^r})| = p^r + 1 - s_r.  The r = 2 value is additionally checked
-    against the independent brute-force enumeration of F_{p^2}.
+    against the independent brute-force enumeration of F_{p^2}, which keeps
+    its own check of p.
     """
-    if r not in (1, 2, 3):
-        raise ValueError("r must be 1, 2, or 3")
-    _require_good(c, p)
-    a_p = trace_of_frobenius(c, p, cache).a_p
-    assert a_p is not None
     s = [2, a_p]
     for _ in range(2, r + 1):
         s.append(a_p * s[-1] - p * s[-2])
@@ -205,9 +215,9 @@ def count_points_fp2_enumeration(c: CurveQ, p: int) -> int:
 
 
 def _smallest_nonresidue(p: int) -> int:
-    chi = _chi_table(p)
+    # Euler's criterion: n is a non-residue iff n^((p-1)/2) = -1 mod p
     for n in range(2, p):
-        if chi[n] == -1:
+        if pow(n, (p - 1) // 2, p) == p - 1:
             return n
     raise AssertionError(f"no non-residue below {p}")
 
@@ -280,25 +290,22 @@ def weil_zeta_local(c: CurveQ, p: int) -> LocalZeta:
     The formal log of the returned rational function is checked against
     |E(F_{p^r})| t^r / r through r = 3 before returning.
     """
-    _require_good(c, p)
-    a_p = trace_of_frobenius(c, p).a_p
-    assert a_p is not None
-    zeta = LocalZeta(p, a_p)
+    zeta = LocalZeta(p, _good_ap(c, p))
     logs = zeta.log_series(3)
     for r in (1, 2, 3):
-        expected = Fraction(count_points_extension(c, p, r), r)
+        expected = Fraction(_extension_count(c, p, zeta.a_p, r), r)
         assert logs[r] == expected, f"log coefficient t^{r} is {logs[r]}, expected {expected}"
     return zeta
 
 
 def frobenius_matrices(c: CurveQ, p: int) -> FrobeniusMatrices:
-    """Companion-matrix Frobenius actions; the Lefschetz sum is verified."""
-    _require_good(c, p)
-    a_p = trace_of_frobenius(c, p).a_p
-    assert a_p is not None
-    mats = FrobeniusMatrices(h0=((1,),), h1=((0, -p), (1, a_p)), h2=((p,),))
-    assert 1 - a_p + p == count_points_fp(c, p), f"Lefschetz identity fails at p={p}"
-    return mats
+    """Companion-matrix Frobenius actions at a good prime.
+
+    h1 has trace a_p, so the Lefschetz sum 1 - tr(h1) + p is |E(F_p)| by
+    construction; the count behind a_p is the Hasse-checked one.
+    """
+    a_p = _good_ap(c, p)
+    return FrobeniusMatrices(h0=((1,),), h1=((0, -p), (1, a_p)), h2=((p,),))
 
 
 # -- CM curves and the norm-form route --------------------------------------------

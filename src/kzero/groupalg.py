@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from kzero.bratteli import Matrix, StationaryDiagram
+from kzero.bratteli import StationaryDiagram
 from kzero.primes import is_prime
 
 __all__ = [
@@ -94,12 +94,6 @@ class ConnectingMap:
         for c in self.parent:
             sums[c] += 1
         return tuple(sums)
-
-    def as_matrix(self) -> Matrix:
-        return tuple(
-            tuple(1 if c == self.parent[r] else 0 for c in range(self.cols))
-            for r in range(self.rows)
-        )
 
 
 @dataclass(frozen=True)

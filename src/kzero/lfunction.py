@@ -108,13 +108,9 @@ def _fold(factors: tuple[LocalPolynomial, ...], s: complex) -> complex:
     return value
 
 
-def _as_complex(s: ComplexLike) -> complex:
-    return complex(s)
-
-
 def zeta_partial(s: ComplexLike, P: int) -> EulerProductApprox:
     """prod_{p <= P} (1 - p^{-s})^{-1}, valid for Re s > 1."""
-    z = _as_complex(s)
+    z = complex(s)
     if z.real <= 1:
         raise ConvergenceDomainError(f"zeta product needs Re s > 1, got {z.real}")
     factors = tuple(LocalPolynomial(p, (1, -1)) for p in sieve(P))
@@ -128,7 +124,7 @@ def motivic_l1_partial(
 
     Local factor (1 - a_p p^{-s} + p^{1-2s})^{-1}; valid for Re s > 3/2.
     """
-    z = _as_complex(s)
+    z = complex(s)
     if z.real <= 1.5:
         raise ConvergenceDomainError(f"motivic L1 needs Re s > 3/2, got {z.real}")
     factors = []
@@ -147,7 +143,7 @@ def automorphic_l_partial(D: int, i: int, s: ComplexLike, P: int) -> EulerProduc
     i = 1 the degree-2 product over good primes with a_p from the norm-form
     route (no point counting anywhere on this path).
     """
-    z = _as_complex(s)
+    z = complex(s)
     if i == 0:
         return zeta_partial(z, P)
     if i == 2:
@@ -218,7 +214,7 @@ def proposition3_check(
     norm-form route; the result is |motivic/automorphic - 1|.  Valid on the
     common half-plane Re s > 2.
     """
-    z = _as_complex(s)
+    z = complex(s)
     if z.real <= 2:
         raise ConvergenceDomainError(f"the factorization check needs Re s > 2, got {z.real}")
     curve = cm_curve_for(D)

@@ -8,7 +8,7 @@ far beyond anything this package touches.
 
 from __future__ import annotations
 
-__all__ = ["sieve", "is_prime", "primes_in"]
+__all__ = ["sieve", "is_prime"]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -48,8 +48,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, ascending."""
-    return [p for p in sieve(hi) if p >= lo]

@@ -30,9 +30,6 @@ __all__ = [
     "QuadElement",
     "FundamentalUnitResult",
     "is_squarefree",
-    "q_add",
-    "q_mul",
-    "q_norm",
     "omega_of",
     "fundamental_unit",
     "unit_stability_check",
@@ -222,21 +219,6 @@ class QuadElement:
         sign = "+" if self.b > 0 else "-"
         babs = root if abs(self.b) == 1 else f"{abs(self.b)}*{root}"
         return f"{self.a} {sign} {babs}"
-
-
-def q_add(x: QuadElement, y: QuadElement) -> QuadElement:
-    """Componentwise sum; x and y must live in the same field."""
-    return x + y
-
-
-def q_mul(x: QuadElement, y: QuadElement) -> QuadElement:
-    """Product (a1*a2 + b1*b2*D) + (a1*b2 + a2*b1)*sqrt(D)."""
-    return x * y
-
-
-def q_norm(x: QuadElement) -> Fraction:
-    """Field norm a^2 - b^2*D."""
-    return x.norm()
 
 
 class FundamentalUnitResult(NamedTuple):

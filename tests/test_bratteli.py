@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from kzero.bratteli import (
     BratteliDiagram,
-    BrattelliDiagram,
     DimensionGroup,
     MatrixAlgebraList,
     NotPrimitiveError,
@@ -64,10 +63,6 @@ def test_unital_steps():
     levels = (MatrixAlgebraList((1,)), MatrixAlgebraList((3,)), MatrixAlgebraList((7,)))
     d = BratteliDiagram(levels, (((3,),), ((2,),)))
     assert d.unital_steps() == (True, False)
-
-
-def test_alternate_spelling_is_same_class():
-    assert BrattelliDiagram is BratteliDiagram
 
 
 def test_stationary_validation():

@@ -236,20 +236,34 @@ def test_warm_cache_rerun_is_byte_identical(tmp_path):
 # -- console entry -------------------------------------------------------------------
 
 
-def test_module_execution(tmp_path):
+def run_child(tmp_path, *argv, timeout=None):
     # The child runs in tmp_path, where a relative PYTHONPATH entry (such as
     # "src") resolves to nothing; put the directory holding the imported
     # package first so the child runs exactly the code under test.
     package_root = str(Path(kzero.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero", "unit", "--D", "5"],
+    return subprocess.run(
+        [sys.executable, "-m", "kzero", *argv],
         capture_output=True,
         text=True,
         cwd=str(tmp_path),
         env=env,
+        timeout=timeout,
     )
+
+
+def test_module_execution(tmp_path):
+    proc = run_child(tmp_path, "unit", "--D", "5")
     assert proc.returncode == 0
     assert "1/2 + 1/2*sqrt(5)" in proc.stdout
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", (("dimgroup", "--D", "10007"), ("coherence", "--D", "433")))
+def test_large_discriminant_returns(tmp_path, argv):
+    # the fundamental unit of these fields is huge; the Perron eigenvalue must
+    # not be found by factoring the diagram's discriminant
+    proc = run_child(tmp_path, *argv, timeout=20)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("# status pass\n")

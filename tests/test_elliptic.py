@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kzero.elliptic import (
+    _chi_table,
+    _smallest_nonresidue,
     ApCache,
     BadReductionError,
     CalibrationError,
@@ -279,6 +281,21 @@ def test_hecke_inert_primes_vanish(d):
     for p in good_primes(c, 200):
         if p % modulus not in residues:
             assert hecke_ap_cm(d, p) == 0
+
+
+def test_smallest_nonresidue_by_euler_criterion():
+    for p in sieve(500)[1:]:
+        squares = {x * x % p for x in range(1, p)}
+        assert _smallest_nonresidue(p) == min(n for n in range(2, p) if n not in squares)
+
+
+def test_norm_form_route_builds_no_character_table():
+    # Tonelli finds its non-residue by Euler's criterion, so the norm-form
+    # route shares no character table with point counting
+    p = 1000033  # split for D = 1, and 1 mod 8 so Tonelli walks the 2-Sylow tower
+    before = _chi_table.cache_info().misses
+    hecke_ap_cm(1, p)
+    assert _chi_table.cache_info().misses == before
 
 
 # -- the a_p cache ------------------------------------------------------------------

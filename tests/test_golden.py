@@ -57,13 +57,14 @@ def render(command: str, fmt: str, cache: Path) -> tuple[str, int]:
 
 
 def test_readme_block_is_parsed():
-    assert len(readme_commands()) == 16
+    # an empty parse would make the pairing test below pass vacuously
+    assert readme_commands(), "no `kzero ...` lines found under README's Command line"
 
 
 @pytest.mark.parametrize("command", readme_commands())
 def test_readme_command_has_golden_pair(command):
     name = golden_name(command)
-    missing = [f"{name}.{fmt}" for fmt in ("tsv", "json") if not (GOLDEN / f"{name}.{fmt}").is_file()]
+    missing = [f for f in (f"{name}.tsv", f"{name}.json") if not (GOLDEN / f).is_file()]
     assert not missing, f"README command {command!r} has no golden file {missing}"
 
 

@@ -89,14 +89,6 @@ def test_connecting_map():
     m = ConnectingMap((0, 0, 1, 1, 2, 2), 3)
     assert m.rows == 6
     assert m.column_sums() == (2, 2, 2)
-    assert m.as_matrix() == (
-        (1, 0, 0),
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (0, 0, 1),
-    )
     with pytest.raises(ValueError):
         ConnectingMap((0, 3), 3)  # parent index out of range
     with pytest.raises(ValueError):

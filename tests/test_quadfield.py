@@ -10,9 +10,6 @@ from kzero.quadfield import (
     fundamental_unit,
     is_squarefree,
     omega_of,
-    q_add,
-    q_mul,
-    q_norm,
     unit_stability_check,
 )
 
@@ -181,13 +178,6 @@ def test_str_forms():
     assert str(QuadElement(0, 3, 7)) == "3*sqrt(7)"
     assert str(QuadElement.rational(4, 7)) == "4"
     assert str(QuadElement(2, -1, 3)) == "2 - sqrt(3)"
-
-
-def test_wrappers():
-    x, y = QuadElement(1, 1, 2), QuadElement(1, -1, 2)
-    assert q_add(x, y) == QuadElement(2, 0, 2)
-    assert q_mul(x, y) == QuadElement(-1, 0, 2)
-    assert q_norm(x) == Fraction(-1)
 
 
 # -- ring of integers ------------------------------------------------------------
