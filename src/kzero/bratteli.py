@@ -233,13 +233,15 @@ class DimensionGroup:
     """K0 data of a stationary diagram.
 
     `rank` and `matrix` present the inductive system (Z^rank --matrix--> ...);
-    `real_embedding` is the image in R when the diagram supports one, else
-    None and the group is presentation-only.
+    `real_embedding` is the image in R when the diagram supports one, and
+    `eigenvalue` the exact Perron eigenvalue it was built from; both are
+    None when the group is presentation-only.
     """
 
     rank: int
     matrix: Matrix
     real_embedding: Optional[RealModule]
+    eigenvalue: Optional[QuadElement] = None
 
 
 # -- operations ----------------------------------------------------------------
@@ -444,7 +446,7 @@ def stationary_k0(s: StationaryDiagram) -> DimensionGroup:
     finitely generated (denominators pile up), which this representation
     cannot carry: UnsupportedDiagramError.  Everything else (larger size,
     rational eigenvalue, non-primitive matrix) degrades to a presentation-only
-    group with real_embedding = None.
+    group with real_embedding and eigenvalue None.
     """
     n = len(s.B)
     if n == 2 and _is_primitive(s.B):
@@ -460,7 +462,7 @@ def stationary_k0(s: StationaryDiagram) -> DimensionGroup:
                 gens: tuple = s.seed_traces
             else:
                 gens = data.eigenvector
-            return DimensionGroup(2, s.B, RealModule.span(*gens))
+            return DimensionGroup(2, s.B, RealModule.span(*gens), data.eigenvalue)
     return DimensionGroup(n, s.B, None)
 
 
@@ -471,9 +473,8 @@ def shift_action_check(s: StationaryDiagram) -> bool:
     group = stationary_k0(s)
     if group.real_embedding is None:
         raise UnsupportedDiagramError("diagram has no real embedding to act on")
-    lam = pf_data(s).eigenvalue
-    assert isinstance(lam, QuadElement)
-    return module_equal(module_scale(group.real_embedding, lam), group.real_embedding)
+    module = group.real_embedding
+    return module_equal(module_scale(module, group.eigenvalue), module)
 
 
 # -- serialization ---------------------------------------------------------------

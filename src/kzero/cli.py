@@ -158,10 +158,8 @@ def _cmd_dimgroup(args, box):
         return params, "pass", payload, _rows(payload, "p", "depth", "sizes", p=payload["uhf_p"])
     if args.D is None:
         raise ValueError("give either --D or --uhf-p")
-    w = quadfield.omega_of(args.D)
-    diagram = bratteli.effros_shen(w - w.floor())
+    diagram = bratteli.effros_shen(quadfield.omega_of(args.D))
     group = bratteli.stationary_k0(diagram)
-    lam = bratteli.pf_data(diagram).eigenvalue
     shift_ok = bratteli.shift_action_check(diagram)
     assert group.real_embedding is not None
     payload = {
@@ -169,7 +167,7 @@ def _cmd_dimgroup(args, box):
         "seed": list(diagram.seed.sizes),
         "matrix": [list(r) for r in diagram.B],
         "period": diagram.period_length,
-        "lambda": str(lam),
+        "lambda": str(group.eigenvalue),
         "embedding": [str(g) for g in group.real_embedding.generators],
         "shift_check": shift_ok,
     }
@@ -319,8 +317,7 @@ def _cmd_coherence(args, box):
 
 def _cmd_adelic(args, box):
     ramified = [int(x) for x in args.ramified.split(",") if x.strip()] if args.ramified else []
-    w = quadfield.omega_of(args.D)
-    seed = bratteli.effros_shen(w - w.floor())
+    seed = bratteli.effros_shen(quadfield.omega_of(args.D))
     spec = groupalg.assemble_restricted_product(ramified, args.bound, seed, args.depth)
     serialized = groupalg.serialize_restricted_product(spec)
     payload = {
@@ -459,7 +456,7 @@ def run(argv: Sequence[str], stdout: Optional[TextIO] = None) -> tuple[CommandRe
         _emit(result, (), args.format, out)
         print(f"kzero {args.command}: invariant failed: {exc}", file=sys.stderr)
         return result, 1
-    except (ValueError, ArithmeticError, elliptic.CalibrationError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         result = CommandResult(args.command, {}, "error", {"message": str(exc)})
         _emit(result, (), args.format, out)
         print(f"kzero {args.command}: {exc}", file=sys.stderr)

@@ -277,8 +277,6 @@ def effros_shen_coherence(D: int) -> bool:
     """
     from kzero import bratteli  # deferred: bratteli imports this module
 
-    w = omega_of(D)
-    theta = w - w.floor()
-    group = bratteli.stationary_k0(bratteli.effros_shen(theta))
+    group = bratteli.stationary_k0(bratteli.effros_shen(omega_of(D)))
     assert group.real_embedding is not None
     return module_equal(group.real_embedding, k0_automorphic(D))

@@ -1,10 +1,17 @@
 """Periodic continued fractions of real quadratic irrationals, exactly.
 
-`expand` runs the floor-and-invert recursion x_{k+1} = 1/(x_k - a_k) with
-exact field arithmetic, so the complete quotients x_k are honest elements of
-Q(sqrt(D)) and the first repeated one marks the true minimal cycle; no
-floating-point heuristics are involved.  Lagrange's theorem guarantees the
-recursion enters a cycle.
+`expand` writes its input once as x_0 = (P + sqrt(d))/Q with integers P, Q
+and d, where Q divides d - P^2, and then runs the integer recurrence
+(Cohen, A Course in Computational Algebraic Number Theory, 5.7)
+
+    a_k = floor((P_k + sqrt(d))/Q_k),
+    P_{k+1} = a_k Q_k - P_k,  Q_{k+1} = (d - P_{k+1}^2)/Q_k,
+
+which keeps the divisibility, so every complete quotient x_k is again
+(P_k + sqrt(d))/Q_k with integer P_k, Q_k.  That form is unique, so the
+first repeated pair (P, Q) marks the true minimal cycle; no floating-point
+heuristics are involved.  Lagrange's theorem guarantees the recurrence
+enters a cycle.
 
 Representation convention: the leading partial quotient a_0 always sits in
 the preperiod, even for purely periodic numbers.  The golden ratio
@@ -16,6 +23,7 @@ the integer part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt, lcm
 from typing import Iterator
 
 from kzero.quadfield import QuadElement
@@ -77,15 +85,27 @@ def expand(x: QuadElement) -> PeriodicCF:
         raise ValueError("input is rational; expansion would terminate")
     if x.D < 0:
         raise ValueError("input is not real")
-    seen: dict[QuadElement, int] = {}
+    # x = (P + B*sqrt(D))/Q with integers and B > 0, i.e. (P + sqrt(d))/Q
+    Q = lcm(x.a.denominator, x.b.denominator)
+    P, B = int(x.a * Q), int(x.b * Q)
+    if B < 0:
+        P, B, Q = -P, -B, -Q
+    d = B * B * x.D
+    if (d - P * P) % Q:
+        # the recurrence needs Q | d - P^2; scaling by |Q| brings it about
+        P, Q, d = P * abs(Q), Q * abs(Q), d * Q * Q
+    root = isqrt(d)
+    seen: dict[tuple[int, int], int] = {}
     quots: list[int] = []
-    cur = x
-    while cur not in seen:
-        seen[cur] = len(quots)
-        a = cur.floor()
+    while (P, Q) not in seen:
+        seen[P, Q] = len(quots)
+        # sqrt(d) is irrational and lies in (root, root + 1), so for Q < 0 the
+        # floor is that of the interval's end (P + root + 1)/Q
+        a = (P + root + (Q < 0)) // Q
         quots.append(a)
-        cur = 1 / (cur - a)
-    start = seen[cur]
+        P = a * Q - P
+        Q = (d - P * P) // Q
+    start = seen[P, Q]
     period = tuple(quots[start:])
     if start == 0:
         # purely periodic: peel a_0 into the preperiod and rotate the cycle

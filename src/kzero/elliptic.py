@@ -12,10 +12,8 @@ The CM table carries one representative curve for each supported imaginary
 quadratic field Q(sqrt(-D)), D in {1, 2, 3}, and `hecke_ap_cm` recomputes
 a_p without any point counting: inert primes give 0, split primes are
 represented by the norm form a^2 + D b^2 (Cornacchia descent) and the unit
-ambiguity of the representation is resolved by a congruence normalization.
-For D = 1 the classical rule (a odd, a + b = 1 mod 4) is hard-coded; for
-D in {2, 3} one residual sign bit is calibrated once against the point
-count at the smallest good split prime and then applied uniformly.  p = 2
+ambiguity of the representation is resolved by a closed-form congruence
+rule for each D (see `hecke_ap_cm`), so the two routes share no code.  p = 2
 is always excluded, and every prime dividing the discriminant is bad.
 
 A small append-only text cache maps (a4, a6, p) to a_p so repeated CLI runs
@@ -43,7 +41,6 @@ __all__ = [
     "LocalZeta",
     "ApCache",
     "BadReductionError",
-    "CalibrationError",
     "discriminant",
     "good_primes",
     "count_points_fp",
@@ -62,10 +59,6 @@ __all__ = [
 
 class BadReductionError(ValueError):
     """Raised when a prime of bad reduction is used where a good one is required."""
-
-
-class CalibrationError(RuntimeError):
-    """Raised when the one-prime sign calibration matches neither candidate."""
 
 
 @dataclass(frozen=True)
@@ -388,51 +381,25 @@ def cornacchia(d: int, p: int) -> tuple[int, int]:
     return b, root
 
 
-_calibration_cache: dict[int, int] = {}
-
-
-def _calibrated_sign(D: int) -> int:
-    """One-bit normalization fixed at the smallest good split prime.
-
-    For D = 3 the bit is the residue class of a mod 3 that reproduces the
-    point count (stored as +1 for class 1, -1 for class 2); for D = 2 it is
-    a global sign on top of the congruence factors.  The chosen bit is
-    validated against the point-count trace at the calibration prime; if
-    neither candidate matches, calibration fails loudly.
-    """
-    if D in _calibration_cache:
-        return _calibration_cache[D]
-    curve = cm_curve_for(D)
-    p0 = next(p for p in sieve(200) if is_good(curve, p) and _is_split(D, p))
-    truth = trace_of_frobenius(curve, p0).a_p
-    for sign in (1, -1):
-        if _norm_form_ap(D, p0, sign) == truth:
-            _calibration_cache[D] = sign
-            return sign
-    raise CalibrationError(
-        f"neither sign at calibration prime {p0} matches the point count for D={D}"
-    )
-
-
-def _norm_form_ap(D: int, p: int, sign: int) -> int:
+def _norm_form_ap(D: int, p: int) -> int:
     a, b = cornacchia(D, p)
     if D == 3:
-        # sign +1 selects the representative with a = 1 mod 3, -1 the other class
-        cls = 1 if sign == 1 else 2
-        return 2 * (a if a % 3 == cls else -a)
+        return 2 * (a if a % 3 == 1 else -a)
     if D == 2:
         u = 1 if a % 8 in (1, 3) else -1
         v = 1 if b % 4 == 0 else -1
-        return sign * u * v * 2 * a
+        return u * v * 2 * a
     raise ValueError(f"no norm-form rule for D={D}")
 
 
 def hecke_ap_cm(D: int, p: int) -> int:
     """a_p of the CM table curve from the norm form alone, no point counting.
 
-    Inert primes give 0.  Split primes are written as a^2 + D b^2; the unit
-    ambiguity is fixed by the D = 1 classical rule (a odd, a + b = 1 mod 4,
-    answer 2a) or by the calibrated congruence normalization for D in {2,3}.
+    Inert primes give 0.  A split prime is written as a^2 + D b^2, and the
+    unit ambiguity is fixed by a closed-form congruence rule (Ireland-Rosen,
+    ch. 18) with answer 2a: for D = 1, a odd and a + b = 1 mod 4; for D = 2,
+    a carries the sign (+1 if a = 1, 3 mod 8 else -1)(+1 if b = 0 mod 4
+    else -1); for D = 3, a = 1 mod 3.
     """
     curve = cm_curve_for(D)
     _require_good(curve, p)
@@ -447,7 +414,7 @@ def hecke_ap_cm(D: int, p: int) -> int:
             a = -a
         assert (a + b) % 4 == 1
         return 2 * a
-    return _norm_form_ap(D, p, _calibrated_sign(D))
+    return _norm_form_ap(D, p)
 
 
 # -- persistent a_p cache ----------------------------------------------------------

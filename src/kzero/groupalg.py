@@ -233,8 +233,8 @@ def assemble_restricted_product(
     """Collect validated cyclic towers at every unramified prime up to p_bound.
 
     The ramified set must consist of primes; unramified primes get the
-    generic cyclic tower of the given depth, each revalidated before
-    inclusion.
+    generic cyclic tower of the given depth, which `cyclic_tower` has
+    validated.
     """
     ram = frozenset(int(p) for p in ramified)
     for p in sorted(ram):
@@ -244,9 +244,7 @@ def assemble_restricted_product(
     p = 2
     while p <= p_bound:
         if p not in ram:
-            tower = cyclic_tower(p, depth)
-            validate_tower(tower)
-            factors[p] = tower
+            factors[p] = cyclic_tower(p, depth)
         p += 1
         while p <= p_bound and not is_prime(p):
             p += 1

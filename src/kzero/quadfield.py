@@ -12,8 +12,8 @@ equality and arithmetic but not order.
 
 Besides the element type this module provides the distinguished generator
 omega of the ring of integers (``(1+sqrt(D))/2`` when D = 1 mod 4, else
-``sqrt(D)``), the fundamental unit computed by scanning continued-fraction
-convergents of omega, and the exact check that multiplication by the unit
+``sqrt(D)``), the fundamental unit read off one continued-fraction
+convergent of omega, and the exact check that multiplication by the unit
 maps Z + Z*omega onto itself.
 """
 
@@ -254,9 +254,10 @@ def _omega_poly(D: int) -> tuple[int, int]:
 def fundamental_unit(D: int) -> FundamentalUnitResult:
     """Smallest unit > 1 of the ring of integers of Q(sqrt(D)).
 
-    Scans the convergents p_k/q_k of omega through one full period of its
-    continued fraction; the first k with |norm(p_k - q_k*conj(omega))| = 1
-    yields the unit.  Pell theory guarantees a hit within the period.
+    omega's continued fraction is [a_0; a_1, ..., a_L repeated].  The
+    convergent p/q of index L - 1, the last before the period's final
+    quotient, gives the unit p - q*conj(omega), whose norm
+    p^2 - t*p*q + n*q^2 is +-1 (Pell theory).  The norm is checked.
     """
     _check_real_d(D)
     from kzero import contfrac  # deferred: contfrac builds on QuadElement
@@ -264,16 +265,15 @@ def fundamental_unit(D: int) -> FundamentalUnitResult:
     w = omega_of(D)
     t, n = _omega_poly(D)
     cf = contfrac.expand(w)
-    limit = len(cf.preperiod) + len(cf.period) + 1
-    for conv in contfrac.convergents(cf, limit):
-        p, q = conv.p, conv.q
-        unit_norm = p * p - t * p * q + n * q * q
-        if unit_norm in (1, -1):
-            # p - q*conj(omega) = (p - q*t) + q*omega > 1 since conj(omega) < 0
-            eps = QuadElement(Fraction(p - q * t), Fraction(0), D) + q * w
-            assert eps > 1
-            return FundamentalUnitResult(eps, unit_norm)
-    raise AssertionError(f"no unit found within one period for D={D}")
+    conv = contfrac.convergents(cf, len(cf.period))[-1]
+    p, q = conv.p, conv.q
+    unit_norm = p * p - t * p * q + n * q * q
+    if unit_norm not in (1, -1):
+        raise AssertionError(f"convergent {p}/{q} of omega gives no unit for D={D}")
+    # p - q*conj(omega) = (p - q*t) + q*omega > 1 since conj(omega) < 0
+    eps = QuadElement(Fraction(p - q * t), Fraction(0), D) + q * w
+    assert eps > 1
+    return FundamentalUnitResult(eps, unit_norm)
 
 
 def coordinates_in_order(x: QuadElement) -> tuple[Fraction, Fraction]:

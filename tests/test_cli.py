@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import kzero
+from kzero import bratteli, groupalg
 from kzero.cli import CommandResult, main, run
 
 
@@ -260,10 +261,46 @@ def test_module_execution(tmp_path):
     assert proc.stderr == ""
 
 
-@pytest.mark.parametrize("argv", (("dimgroup", "--D", "10007"), ("coherence", "--D", "433")))
+@pytest.mark.parametrize("argv", (
+    ("dimgroup", "--D", "10007"),
+    ("coherence", "--D", "433"),
+    ("unit", "--D", "9999991"),
+    ("contfrac", "--D", "9999991"),
+))
 def test_large_discriminant_returns(tmp_path, argv):
     # the fundamental unit of these fields is huge; the Perron eigenvalue must
-    # not be found by factoring the diagram's discriminant
+    # not be found by factoring the diagram's discriminant, and the continued
+    # fraction (period 8096 at 9999991) must not be walked in field elements
     proc = run_child(tmp_path, *argv, timeout=20)
     assert proc.returncode == 0
     assert proc.stdout.endswith("# status pass\n")
+
+
+def _count_calls(monkeypatch, module, *names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_dimgroup_computes_pf_data_once_per_group(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, bratteli, "_pf_exact_2x2", "_is_primitive")
+    _, code, _ = invoke("dimgroup", "--D", "7", "--cache", str(tmp_path / "c.tsv"))
+    assert code == 0
+    # one group for the payload and one inside the shift-action check
+    assert calls == {"_pf_exact_2x2": 2, "_is_primitive": 2}
+
+
+def test_adelic_validates_each_tower_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, groupalg, "validate_tower")
+    argv = ("adelic", "--ramified", "2,3", "--bound", "7", "--cache", str(tmp_path / "c.tsv"))
+    _, code, _ = invoke(*argv)
+    assert code == 0
+    # the unramified primes 5 and 7 get one tower each
+    assert calls == {"validate_tower": 2}

@@ -16,7 +16,13 @@ from kzero.coherence import (
     trace_cohomology_ecm,
     z_module,
 )
-from kzero.quadfield import QuadElement, fundamental_unit, is_squarefree, omega_of
+from kzero.quadfield import (
+    QuadElement,
+    fundamental_unit,
+    is_squarefree,
+    omega_of,
+    unit_stability_check,
+)
 
 SQUAREFREE = [d for d in range(2, 51) if is_squarefree(d)]
 
@@ -248,6 +254,15 @@ def test_g_coherence_negative_control():
 @pytest.mark.parametrize("d", SQUAREFREE)
 def test_effros_shen_coherence_small_d(d):
     assert effros_shen_coherence(d)
+
+
+def test_coherence_at_scale():
+    # every real quadratic field with square-free D <= 3000 (1823 fields)
+    fields = [d for d in range(2, 3001) if is_squarefree(d)]
+    assert len(fields) == 1823
+    for d in fields:
+        assert unit_stability_check(d), f"D={d}"
+        assert effros_shen_coherence(d), f"D={d}"
 
 
 def test_effros_shen_coherence_rejects_bad_d():

@@ -167,14 +167,23 @@ def test_convergents_count_validation():
 # -- expansion consistency: quotients reproduce the value -------------------------
 
 
-@pytest.mark.parametrize("d", SQUAREFREE[:25])
-def test_periodic_tail_is_fixed_point(d):
+# omega for small D, then inputs that need rescaling to (P + sqrt(d))/Q or
+# start with Q < 0
+TAIL_INPUTS = [pytest.param(omega_of(d), id=str(d)) for d in SQUAREFREE[:25]] + [
+    pytest.param(-QuadElement.sqrt_d(2), id="-sqrt2"),
+    pytest.param(QuadElement(Fraction(3, 2), Fraction(1, 2), 2), id="(3+sqrt2)over2"),
+    pytest.param(QuadElement(Fraction(1, 3), Fraction(-2, 3), 7), id="(1-2sqrt7)over3"),
+    pytest.param(QuadElement(Fraction(5, 7), Fraction(1, 11), 3), id="5over7+sqrt3over11"),
+]
+
+
+@pytest.mark.parametrize("w", TAIL_INPUTS)
+def test_periodic_tail_is_fixed_point(w):
     """The tail after the preperiod must satisfy the cycle equation exactly.
 
-    Walking floor-and-invert down the reported quotients from omega must
+    Walking floor-and-invert down the reported quotients from the input must
     land back on the same residual after one full period.
     """
-    w = omega_of(d)
     cf = expand(w)
     x = w
     seen = []

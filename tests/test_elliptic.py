@@ -9,7 +9,6 @@ from kzero.elliptic import (
     _smallest_nonresidue,
     ApCache,
     BadReductionError,
-    CalibrationError,
     CurveQ,
     LocalZeta,
     cm_curve_for,
@@ -27,6 +26,7 @@ from kzero.elliptic import (
     trace_of_frobenius,
     weil_zeta_local,
 )
+from kzero import elliptic
 from kzero.primes import sieve
 
 CURVE_D1 = CurveQ(-1, 0)  # y^2 = x^3 - x
@@ -271,6 +271,18 @@ def test_hecke_agrees_with_point_counts(d):
     c = cm_curve_for(d)
     for p in good_primes(c, 300):
         assert hecke_ap_cm(d, p) == trace_of_frobenius(c, p).a_p, f"D={d} p={p}"
+
+
+@pytest.mark.parametrize("d, p", ((2, 11), (3, 7)))
+def test_hecke_route_counts_no_points(monkeypatch, d, p):
+    # the norm-form route must not consult the point count it is compared with
+    expected = trace_of_frobenius(cm_curve_for(d), p).a_p
+    calls = []
+    for name in ("trace_of_frobenius", "count_points_fp"):
+        fn = getattr(elliptic, name)
+        monkeypatch.setattr(elliptic, name, lambda *a, fn=fn: calls.append(fn.__name__) or fn(*a))
+    assert hecke_ap_cm(d, p) == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))

@@ -239,6 +239,26 @@ def test_fundamental_unit_properties(d):
     assert u.denominator == 1 and v.denominator == 1
 
 
+def test_fundamental_unit_is_first_unit_convergent():
+    # reference: scan the convergents p/q of omega over one period for the
+    # first whose p - q*conj(omega) has norm +-1
+    from kzero.contfrac import convergents, expand
+
+    for d in range(2, 2000):
+        if not is_squarefree(d):
+            continue
+        w = omega_of(d)
+        t, n = (1, (1 - d) // 4) if d % 4 == 1 else (0, -d)
+        cf = expand(w)
+        for conv in convergents(cf, len(cf.preperiod) + len(cf.period) + 1):
+            p, q = conv.p, conv.q
+            norm = p * p - t * p * q + n * q * q
+            if norm in (1, -1):
+                break
+        expected = QuadElement(Fraction(p - q * t), Fraction(0), d) + q * w
+        assert fundamental_unit(d) == (expected, norm), f"D={d}"
+
+
 @pytest.mark.parametrize("d", SQUAREFREE)
 def test_unit_stability(d):
     assert unit_stability_check(d)
