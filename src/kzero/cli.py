@@ -13,8 +13,10 @@ cache is byte-identical.
 
 Frobenius traces computed along the way persist in an append-only TSV cache
 (default ./apcache.tsv, overridable with --cache or KZERO_AP_CACHE; the flag
-wins).  Only first occurrences are kept and flushes rewrite the file
-atomically, so the cache too is reproducible byte for byte.
+wins).  Every row is checked on load, and a bad one is a usage error naming
+path:line.  A flush appends only the rows the run added, so runs sharing a
+cache keep each other's rows, and a sequence of runs leaves a file that
+lists each key once, in first-seen order.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def _cmd_contfrac(args, box):
 
 def _cmd_unit(args, box):
     res = quadfield.fundamental_unit(args.D)
-    stable = quadfield.unit_stability_check(args.D)
+    stable = quadfield.stabilizes_order(res.epsilon)
     ok = abs(res.norm) == 1 and res.epsilon > 1 and stable
     payload = {
         "D": args.D,
@@ -450,19 +452,21 @@ def run(argv: Sequence[str], stdout: Optional[TextIO] = None) -> tuple[CommandRe
     args = parser.parse_args(list(argv))
     box = _CacheBox(args.cache or os.environ.get(_CACHE_ENV) or _DEFAULT_CACHE)
     try:
-        parameters, status, payload, rows = args.handler(args, box)
+        try:
+            parameters, status, payload, rows = args.handler(args, box)
+        finally:
+            box.flush()  # traces counted before a failure are kept too
     except AssertionError as exc:
         result = CommandResult(args.command, {}, "fail", {"message": str(exc)})
         _emit(result, (), args.format, out)
         print(f"kzero {args.command}: invariant failed: {exc}", file=sys.stderr)
         return result, 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # OSError: the cache file cannot be read or appended to
         result = CommandResult(args.command, {}, "error", {"message": str(exc)})
         _emit(result, (), args.format, out)
         print(f"kzero {args.command}: {exc}", file=sys.stderr)
         return result, 2
-    finally:
-        box.flush()
     result = CommandResult(args.command, parameters, status, payload)
     _emit(result, rows, args.format, out)
     return result, 0 if status == "pass" else 1

@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
+from kzero import elliptic
 from kzero.quadfield import QuadElement, is_squarefree, omega_of
 
 Scalar = Union[int, Fraction, QuadElement]
@@ -255,8 +256,6 @@ def trace_cohomology_ecm(D: int) -> TraceCohomology:
     Only table discriminants with D > 1 are supported; D = 1 has no real
     quadratic side to compare against.
     """
-    from kzero import elliptic  # deferred: avoid loading numpy for module algebra alone
-
     supported = [d for d in elliptic.cm_table_discriminants() if d > 1]
     if D not in supported:
         raise ValueError(f"unsupported discriminant {D}; supported: {supported}")

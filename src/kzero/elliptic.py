@@ -17,22 +17,24 @@ rule for each D (see `hecke_ap_cm`), so the two routes share no code.  p = 2
 is always excluded, and every prime dividing the discriminant is bad.
 
 A small append-only text cache maps (a4, a6, p) to a_p so repeated CLI runs
-are byte-identical and cheap.
+are byte-identical and cheap.  numpy is imported only where points are
+counted, so the rest of the package loads without it.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from kzero.primes import is_prime, sieve
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CurveQ",
@@ -108,6 +110,8 @@ def good_primes(c: CurveQ, bound: int) -> list[int]:
 
 @lru_cache(maxsize=512)
 def _chi_table(p: int) -> np.ndarray:
+    import numpy as np
+
     # chi[v] = quadratic character of v mod p; chi[0] = 0
     chi = np.full(p, -1, dtype=np.int8)
     squares = (np.arange(p, dtype=np.int64) ** 2) % p
@@ -125,6 +129,8 @@ def _require_good(c: CurveQ, p: int) -> None:
 
 def count_points_fp(c: CurveQ, p: int) -> int:
     """|E(F_p)| including the point at infinity, by the character sum over x."""
+    import numpy as np
+
     _require_good(c, p)
     x = np.arange(p, dtype=np.int64)
     f = (x * x % p * x + c.a4 % p * x + c.a6) % p
@@ -135,14 +141,17 @@ def _good_ap(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> int:
     """a_p = p + 1 - |E(F_p)| at a good prime; a bad prime is an error.
 
     p is checked once: by `count_points_fp` on a miss, here on a cache hit.
+    The Hasse bound is checked either way, so a corrupt cached a_p is caught.
     """
     hit = cache.lookup(c.a4, c.a6, p) if cache is not None else None
     if hit is not None:
         _require_good(c, p)
-        return hit
-    a_p = p + 1 - count_points_fp(c, p)
-    assert a_p * a_p <= 4 * p, f"Hasse bound violated at p={p}"
-    if cache is not None:
+        a_p = hit
+    else:
+        a_p = p + 1 - count_points_fp(c, p)
+    if a_p * a_p > 4 * p:  # raised, not asserted: a hit comes from a file
+        raise AssertionError(f"Hasse bound violated at p={p}")
+    if hit is None and cache is not None:
         cache.record(c.a4, c.a6, p, a_p)
     return a_p
 
@@ -190,6 +199,8 @@ def count_points_fp2_enumeration(c: CurveQ, p: int) -> int:
     of square roots of every field element is tabulated in one pass, then
     summed over the cubic's values.
     """
+    import numpy as np
+
     _require_good(c, p)
     n = _smallest_nonresidue(p)
     z0, z1 = np.meshgrid(np.arange(p, dtype=np.int64), np.arange(p, dtype=np.int64), indexing="ij")
@@ -420,63 +431,75 @@ def hecke_ap_cm(D: int, p: int) -> int:
 # -- persistent a_p cache ----------------------------------------------------------
 
 
+_INT = "(?:0|-?[1-9][0-9]*)"
+# rows of four canonical integers a4, a6, p >= 1, a_p, each ending in a newline
+_ROWS = re.compile(rf"(?:{_INT}\t{_INT}\t[1-9][0-9]*\t{_INT}\n)*")
+# a valid row split into its key text 'a4<TAB>a6<TAB>p' and its a_p text
+_KEY_AP = re.compile(r"(.*)\t(.*)\n")
+
+
 class ApCache:
     """Append-only TSV cache of Frobenius traces keyed by (a4, a6, p).
 
-    The file starts with the header line 'a4<TAB>a6<TAB>p<TAB>ap'.  Rows are
-    kept in first-seen order and duplicate keys resolve to the first
-    occurrence, so rewriting the file after a run that added nothing is
-    byte-identical.  Flushing writes the whole file atomically.
+    The file starts with the header line 'a4<TAB>a6<TAB>p<TAB>ap'.  Loading
+    reads the file once and checks every row: four integers in canonical
+    form with p >= 1, else a ValueError naming path:line.  Duplicate keys
+    resolve to the first occurrence.  A flush appends only the rows recorded
+    since the last one, in one write, so runs sharing a file keep each
+    other's rows, and the file of a sequence of runs lists every key once,
+    in first-seen order.
     """
 
     HEADER = "a4\ta6\tp\tap"
 
     def __init__(self, path: str):
         self.path = path
-        self._rows: list[tuple[int, int, int, int]] = []
-        self._index: dict[tuple[int, int, int], int] = {}
-        self._dirty = False
+        # key text 'a4<TAB>a6<TAB>p' -> a_p text, loaded and recorded rows alike
+        self._rows: dict[str, str] = {}
+        self._new: list[str] = []
         self._load()
 
     def _load(self) -> None:
-        if not os.path.exists(self.path):
+        try:
+            # latin-1 decodes any byte; the row pattern then admits only ASCII
+            with open(self.path, "r", encoding="latin-1") as fh:
+                text = fh.read()
+        except FileNotFoundError:
             return
-        with open(self.path, "r", encoding="ascii") as fh:
-            first = fh.readline().rstrip("\n")
-            if first and first != self.HEADER:
-                raise ValueError(f"{self.path} is not an a_p cache (bad header {first!r})")
-            for line in fh:
-                a4, a6, p, ap = (int(x) for x in line.rstrip("\n").split("\t"))
-                self._put(a4, a6, p, ap)
-        self._dirty = False
-
-    def _put(self, a4: int, a6: int, p: int, ap: int) -> None:
-        key = (a4, a6, p)
-        if key in self._index:
-            return
-        self._index[key] = ap
-        self._rows.append((a4, a6, p, ap))
+        first, _, body = text.partition("\n")
+        if text and not text.startswith(self.HEADER + "\n"):
+            raise ValueError(f"{self.path} is not an a_p cache (bad header {first!r})")
+        valid = _ROWS.match(body).end()
+        if valid != len(body):
+            line = 2 + body.count("\n", 0, valid)
+            row = body[valid:].partition("\n")[0]
+            raise ValueError(
+                f"{self.path}:{line}: bad a_p cache row {row!r}"
+                " (want four integers a4, a6, p >= 1, a_p and a newline)"
+            )
+        # reversed, so the first occurrence of a key is the one that stays
+        self._rows = dict(reversed(_KEY_AP.findall(body)))
 
     def lookup(self, a4: int, a6: int, p: int) -> Optional[int]:
-        return self._index.get((a4, a6, p))
+        ap = self._rows.get(f"{a4}\t{a6}\t{p}")
+        return None if ap is None else int(ap)
 
     def record(self, a4: int, a6: int, p: int, ap: int) -> None:
-        if (a4, a6, p) not in self._index:
-            self._put(a4, a6, p, ap)
-            self._dirty = True
+        key = f"{a4}\t{a6}\t{p}"
+        if key not in self._rows:
+            self._rows[key] = str(ap)
+            self._new.append(f"{key}\t{ap}\n")
 
     def flush(self) -> None:
-        if not self._dirty:
+        """Append the rows recorded since the last flush with one O_APPEND write."""
+        if not self._new:
             return
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        data = "".join(self._new)
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(self.HEADER + "\n")
-                for a4, a6, p, ap in self._rows:
-                    fh.write(f"{a4}\t{a6}\t{p}\t{ap}\n")
-            os.replace(tmp, self.path)
+            if os.fstat(fd).st_size == 0:  # new, or left empty: it gets the header
+                data = self.HEADER + "\n" + data
+            os.write(fd, data.encode("ascii"))
         finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        self._dirty = False
+            os.close(fd)
+        self._new.clear()

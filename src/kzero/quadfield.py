@@ -33,6 +33,7 @@ __all__ = [
     "omega_of",
     "fundamental_unit",
     "unit_stability_check",
+    "stabilizes_order",
 ]
 
 
@@ -285,15 +286,18 @@ def coordinates_in_order(x: QuadElement) -> tuple[Fraction, Fraction]:
 
 
 def unit_stability_check(D: int) -> bool:
-    """True iff eps*(Z + Z*omega) = Z + Z*omega exactly.
+    """True iff eps*(Z + Z*omega) = Z + Z*omega exactly, eps the fundamental unit."""
+    return stabilizes_order(fundamental_unit(D).epsilon)
+
+
+def stabilizes_order(eps: QuadElement) -> bool:
+    """True iff eps*(Z + Z*omega) = Z + Z*omega exactly, in eps's field.
 
     Expresses eps*1 and eps*omega in the basis {1, omega}; stability holds
     iff all four coordinates are integers and the change of basis has
     determinant +-1.
     """
-    _check_real_d(D)
-    w = omega_of(D)
-    eps = fundamental_unit(D).epsilon
+    w = omega_of(eps.D)
     c1 = coordinates_in_order(eps)
     c2 = coordinates_in_order(eps * w)
     coords = (*c1, *c2)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import kzero
-from kzero import bratteli, groupalg
+from kzero import bratteli, contfrac, groupalg, quadfield
 from kzero.cli import CommandResult, main, run
+from kzero.elliptic import hecke_ap_cm
+from kzero.primes import sieve
 
 
 def invoke(*argv):
@@ -234,22 +237,79 @@ def test_warm_cache_rerun_is_byte_identical(tmp_path):
     assert cold_json == warm_json
 
 
+def test_sequential_runs_leave_the_rewritten_file(tmp_path):
+    # appending flushes leave the bytes the whole-file rewrite used to leave:
+    # header, then each key once in first-seen order
+    cache = tmp_path / "c.tsv"
+    match = ("match", "--D", "1", "--bound", "1000", "--cache", str(cache))
+    rows = "".join(f"-1\t0\t{p}\t{hecke_ap_cm(1, p)}\n" for p in sieve(1000) if p > 2)
+    expected = "a4\ta6\tp\tap\n" + rows
+    assert invoke(*match)[1] == 0
+    assert cache.read_text() == expected
+    assert invoke("ap", "--D", "1", "--p", "1009", "--cache", str(cache))[1] == 0
+    expected += f"-1\t0\t1009\t{hecke_ap_cm(1, 1009)}\n"
+    assert cache.read_text() == expected
+    assert invoke(*match)[1] == 0
+    assert cache.read_text() == expected
+    # the SHA-256 of the file the rewriting cache wrote after these three runs
+    digest = "18ca61da4ed029f82cd766c8e325e15dc572499d722e1badc500672bbcc2ef8e"
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("curve", (("--D", "1"), ("--a4", "-1", "--a6", "0")))
+def test_cache_hit_outside_hasse_bound_exits_1(tmp_path, capsys, curve):
+    cache = tmp_path / "c.tsv"
+    cache.write_text("a4\ta6\tp\tap\n-1\t0\t97\t1000\n")
+    _, code, out = invoke("ap", *curve, "--p", "97", "--cache", str(cache))
+    assert code == 1
+    assert out.endswith("# status fail\n")
+    assert "Hasse bound violated at p=97" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", (
+    ("count", "--D", "1", "--p", "5"),
+    ("ap", "--D", "1", "--p", "13"),
+    ("lfun", "--which", "motivic", "--D", "1", "--s", "3", "--bound", "50"),
+    ("match", "--D", "1", "--bound", "50"),
+    ("prop3", "--D", "1", "--s", "3", "--bound", "50"),
+))
+def test_bad_cache_row_exits_2_naming_its_line(tmp_path, capsys, argv):
+    cache = tmp_path / "c.tsv"
+    cache.write_text("a4\ta6\tp\tap\n-1\t0\tx\t3\n")
+    _, code, out = invoke(*argv, "--cache", str(cache))
+    assert code == 2
+    assert out.endswith("# status error\n")
+    assert f"{cache}:2: bad a_p cache row" in capsys.readouterr().err
+    assert cache.read_text() == "a4\ta6\tp\tap\n-1\t0\tx\t3\n"
+
+
+def test_unreadable_cache_exits_2(tmp_path, capsys):
+    # a directory where the cache file should be
+    _, code, _ = invoke("ap", "--D", "1", "--p", "13", "--cache", str(tmp_path))
+    assert code == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 # -- console entry -------------------------------------------------------------------
 
 
-def run_child(tmp_path, *argv, timeout=None):
+def child_env():
     # The child runs in tmp_path, where a relative PYTHONPATH entry (such as
     # "src") resolves to nothing; put the directory holding the imported
     # package first so the child runs exactly the code under test.
     package_root = str(Path(kzero.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_child(tmp_path, *argv, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "kzero", *argv],
         capture_output=True,
         text=True,
         cwd=str(tmp_path),
-        env=env,
+        env=child_env(),
         timeout=timeout,
     )
 
@@ -304,3 +364,37 @@ def test_adelic_validates_each_tower_once(tmp_path, monkeypatch):
     assert code == 0
     # the unramified primes 5 and 7 get one tower each
     assert calls == {"validate_tower": 2}
+
+
+def test_unit_computes_the_fundamental_unit_once(tmp_path, monkeypatch):
+    units = _count_calls(monkeypatch, quadfield, "fundamental_unit")
+    expansions = _count_calls(monkeypatch, contfrac, "expand")
+    _, code, _ = invoke("unit", "--D", "2", "--cache", str(tmp_path / "c.tsv"))
+    assert code == 0
+    assert (units, expansions) == ({"fundamental_unit": 1}, {"expand": 1})
+
+
+NUMPY_PROBE = """
+import io, sys
+from kzero.cli import run
+
+def kzero(*argv):
+    assert run([*argv, "--cache", "c.tsv"], stdout=io.StringIO())[1] == 0
+
+kzero("coherence", "--D", "3")
+kzero("adelic", "--ramified", "2,3", "--bound", "7", "--D", "5")
+assert "numpy" not in sys.modules, "loaded without counting points"
+kzero("ap", "--D", "1", "--p", "13")
+assert "numpy" in sys.modules, "not loaded by a point count"
+"""
+
+
+def test_numpy_is_loaded_only_to_count_points(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        capture_output=True,
+        text=True,
+        cwd=str(tmp_path),
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -368,3 +369,70 @@ def test_cache_used_by_trace(tmp_path):
     poisoned = ApCache(str(path))
     poisoned.record(-1, 0, 97, 1)
     assert trace_of_frobenius(CURVE_D1, 97, poisoned).a_p == 1
+
+
+def test_cache_hit_outside_hasse_bound_is_caught(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_text("a4\ta6\tp\tap\n-1\t0\t97\t1000\n")
+    with pytest.raises(AssertionError, match="Hasse"):
+        trace_of_frobenius(CURVE_D1, 97, ApCache(str(path)))
+
+
+def test_cache_two_writers_keep_both_rows(tmp_path):
+    # both load the file before either flushes, as two concurrent runs do
+    path = tmp_path / "cache.tsv"
+    first, second = ApCache(str(path)), ApCache(str(path))
+    first.record(-1, 0, 5, -2)
+    second.record(0, 1, 7, -4)
+    first.flush()
+    second.flush()
+    again = ApCache(str(path))
+    assert again.lookup(-1, 0, 5) == -2
+    assert again.lookup(0, 1, 7) == -4
+    assert path.read_text().count(ApCache.HEADER) == 1
+
+
+def test_cache_flush_appends_only_new_rows(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_text("a4\ta6\tp\tap\n-1\t0\t5\t-2\n")
+    cache = ApCache(str(path))
+    cache.record(-1, 0, 5, -2)
+    cache.record(0, 1, 7, -4)
+    cache.flush()
+    assert path.read_text() == "a4\ta6\tp\tap\n-1\t0\t5\t-2\n0\t1\t7\t-4\n"
+
+
+def test_cache_duplicate_rows_resolve_to_first(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_text("a4\ta6\tp\tap\n-1\t0\t5\t-2\n0\t1\t7\t-4\n-1\t0\t5\t2\n")
+    assert ApCache(str(path)).lookup(-1, 0, 5) == -2
+
+
+def test_cache_file_left_empty_gets_header(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_text("")
+    cache = ApCache(str(path))
+    cache.record(-1, 0, 5, -2)
+    cache.flush()
+    assert path.read_text() == "a4\ta6\tp\tap\n-1\t0\t5\t-2\n"
+
+
+@pytest.mark.parametrize("body, line", (
+    pytest.param("-1\t0\tx\t3\n", 2, id="not-an-integer"),
+    pytest.param("-1\t0\t5\t-2\n0\t1\t7\n", 3, id="three-fields"),
+    pytest.param("-1\t0\t5\t-2\t9\n", 2, id="five-fields"),
+    pytest.param("-1\t0\t0\t0\n", 2, id="p-zero"),
+    pytest.param("-1\t0\t-5\t2\n", 2, id="p-negative"),
+    pytest.param("-1\t0\t05\t-2\n", 2, id="leading-zero"),
+    pytest.param("+1\t0\t5\t-2\n", 2, id="plus-sign"),
+    pytest.param("-0\t0\t5\t-2\n", 2, id="minus-zero"),
+    pytest.param("-1\t0\t5\t -2\n", 2, id="space"),
+    pytest.param("-1\t0\t5\t-2\n\n", 3, id="blank-line"),
+    pytest.param("-1\t0\t5\t-2\n0\t1\t7\t-4", 3, id="no-final-newline"),
+    pytest.param("-1\t0\t5\t\u0662\n", 2, id="non-ascii-digit"),
+))
+def test_cache_bad_row_names_its_line(tmp_path, body, line):
+    path = tmp_path / "cache.tsv"
+    path.write_text("a4\ta6\tp\tap\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: bad a_p cache row")):
+        ApCache(str(path))
