@@ -299,7 +299,7 @@ def period_fold(quotients: Sequence[int]) -> Matrix:
     return b
 
 
-def effros_shen(theta: QuadElement) -> StationaryDiagram:
+def effros_shen(theta: QuadElement, cf: Optional[contfrac.PeriodicCF] = None) -> StationaryDiagram:
     """Stationary diagram of the AF-algebra attached to a quadratic irrational.
 
     theta is reduced mod 1; its continued fraction [0; a_1, a_2, ...] becomes
@@ -313,13 +313,20 @@ def effros_shen(theta: QuadElement) -> StationaryDiagram:
     unital trace (q_c xi_{c-1} + q_{c-1} xi_c = 1) and they form a left
     Perron eigenvector of B, so the diagram's K0 image in R is
     Z*xi_{c-1} + Z*xi_c = Z + Z*theta on the nose.
+
+    A caller that already holds theta's expansion passes it as `cf`:
+    frac(theta) has the same complete quotients after the first, so its
+    expansion is theta's with a_0 replaced by 0.
     """
     if theta.b == 0:
         raise ValueError("theta must be irrational")
     if theta.D < 0:
         raise ValueError("theta must be real")
     frac_part = theta - theta.floor()
-    cf = contfrac.expand(frac_part)
+    if cf is None:
+        cf = contfrac.expand(frac_part)
+    else:
+        cf = contfrac.PeriodicCF((0, *cf.preperiod[1:]), cf.period)
     c = len(cf.preperiod)
     period = cf.period
     length = len(period)

@@ -35,6 +35,12 @@ __all__ = ["CommandResult", "run", "main"]
 
 _CACHE_ENV = "KZERO_AP_CACHE"
 _DEFAULT_CACHE = "./apcache.tsv"
+# The largest p each count accepts; a larger p is refused before any work.
+# On 2 vCPUs, baby-step giant-step takes about 0.4 s at p = 10^18 and grows
+# as p^(1/4) in time and memory; the F_{p^2} enumeration behind `count --r 2`
+# and `zeta-local` takes about 1 s at p = 10^4 and grows as p^2.
+_FP_MAX_P = 10 ** 18
+_FP2_MAX_P = 10 ** 4
 
 
 @dataclass
@@ -95,6 +101,12 @@ def _rows(payload: dict, *columns: str, **cells: object) -> list[tuple]:
     `cells` gives the value of a column whose TSV form is not its payload entry.
     """
     return [columns, tuple(cells[c] if c in cells else payload[c] for c in columns)]
+
+
+def _check_p(p: int, fp2: bool) -> None:
+    limit, count = (_FP2_MAX_P, "F_(p^2) enumeration") if fp2 else (_FP_MAX_P, "point count")
+    if p > limit:
+        raise ValueError(f"p = {p} is above the {count} limit p <= {limit}")
 
 
 def _resolve_curve(args: argparse.Namespace) -> elliptic.CurveQ:
@@ -203,6 +215,7 @@ def _cmd_sl2(args, box):
 
 
 def _cmd_count(args, box):
+    _check_p(args.p, args.r == 2)
     curve = _resolve_curve(args)
     if args.r == 1:
         data = elliptic.trace_of_frobenius(curve, args.p, box.get())
@@ -217,6 +230,7 @@ def _cmd_count(args, box):
 
 
 def _cmd_ap(args, box):
+    _check_p(args.p, False)
     curve = _resolve_curve(args)
     data = elliptic.trace_of_frobenius(curve, args.p, box.get())
     if not data.good:
@@ -234,6 +248,7 @@ def _cmd_ap(args, box):
 
 
 def _cmd_zeta_local(args, box):
+    _check_p(args.p, True)
     curve = _resolve_curve(args)
     zeta = elliptic.weil_zeta_local(curve, args.p)
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p}
@@ -305,8 +320,9 @@ def _cmd_prop3(args, box):
 
 
 def _cmd_coherence(args, box):
-    es = coherence.effros_shen_coherence(args.D)
-    stable = quadfield.unit_stability_check(args.D)
+    cf = contfrac.expand(quadfield.omega_of(args.D))  # one expansion serves both checks
+    es = coherence.effros_shen_coherence(args.D, cf)
+    stable = quadfield.stabilizes_order(quadfield.fundamental_unit(args.D, cf).epsilon)
     g_ok: Optional[bool] = None
     if args.D in elliptic.cm_table_discriminants() and args.D > 1:
         g_ok = coherence.g_coherence_check(

@@ -23,10 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from kzero import elliptic
 from kzero.quadfield import QuadElement, is_squarefree, omega_of
+
+if TYPE_CHECKING:
+    from kzero.contfrac import PeriodicCF
 
 Scalar = Union[int, Fraction, QuadElement]
 
@@ -267,15 +270,16 @@ def g_coherence_check(H: TraceCohomology, K0: RealModule) -> bool:
     return all(module_contains(K0, m) for m in H.modules)
 
 
-def effros_shen_coherence(D: int) -> bool:
+def effros_shen_coherence(D: int, cf: Optional[PeriodicCF] = None) -> bool:
     """True iff the Effros-Shen dimension group of frac(omega) equals Z+Z*omega.
 
     The diagram is built from the continued fraction of omega minus its
     integer part; its stationary K0 real embedding is then compared, as a
-    subgroup of R, with Z+Z*omega.  Exact arithmetic end to end.
+    subgroup of R, with Z+Z*omega.  Exact arithmetic end to end.  A caller
+    that already holds omega's expansion passes it as `cf`.
     """
     from kzero import bratteli  # deferred: bratteli imports this module
 
-    group = bratteli.stationary_k0(bratteli.effros_shen(omega_of(D)))
+    group = bratteli.stationary_k0(bratteli.effros_shen(omega_of(D), cf))
     assert group.real_embedding is not None
     return module_equal(group.real_embedding, k0_automorphic(D))

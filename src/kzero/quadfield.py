@@ -22,7 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+
+if TYPE_CHECKING:
+    from kzero.contfrac import PeriodicCF
 
 Rational = Union[int, Fraction]
 
@@ -252,20 +255,22 @@ def _omega_poly(D: int) -> tuple[int, int]:
     return 0, -D
 
 
-def fundamental_unit(D: int) -> FundamentalUnitResult:
+def fundamental_unit(D: int, cf: Optional[PeriodicCF] = None) -> FundamentalUnitResult:
     """Smallest unit > 1 of the ring of integers of Q(sqrt(D)).
 
     omega's continued fraction is [a_0; a_1, ..., a_L repeated].  The
     convergent p/q of index L - 1, the last before the period's final
     quotient, gives the unit p - q*conj(omega), whose norm
-    p^2 - t*p*q + n*q^2 is +-1 (Pell theory).  The norm is checked.
+    p^2 - t*p*q + n*q^2 is +-1 (Pell theory).  The norm is checked.  A caller
+    that already holds omega's expansion passes it as `cf`.
     """
     _check_real_d(D)
     from kzero import contfrac  # deferred: contfrac builds on QuadElement
 
     w = omega_of(D)
     t, n = _omega_poly(D)
-    cf = contfrac.expand(w)
+    if cf is None:
+        cf = contfrac.expand(w)
     conv = contfrac.convergents(cf, len(cf.period))[-1]
     p, q = conv.p, conv.q
     unit_norm = p * p - t * p * q + n * q * q

@@ -23,6 +23,7 @@ from kzero.bratteli import (
     uhf_diagram,
     uhf_k0_membership,
 )
+from kzero import contfrac
 from kzero.coherence import k0_automorphic, module_equal
 from kzero.quadfield import QuadElement, is_squarefree, omega_of
 
@@ -186,6 +187,14 @@ def test_effros_shen_sqrt7():
 def test_effros_shen_reduces_mod_one():
     w = omega_of(5)
     assert effros_shen(w).B == effros_shen(w - w.floor()).B
+
+
+def test_effros_shen_from_a_given_expansion():
+    # a caller holding theta's expansion gets the diagram it would build itself
+    thetas = [omega_of(d) for d in range(2, 300) if is_squarefree(d)]
+    thetas += [QuadElement(Fraction(a, 7), Fraction(b, 3), 13) for a in (-9, 0, 4) for b in (-2, 1, 5)]
+    for theta in thetas:
+        assert effros_shen(theta, contfrac.expand(theta)) == effros_shen(theta), theta
 
 
 def test_effros_shen_rejects_rational():

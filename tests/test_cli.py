@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import kzero
-from kzero import bratteli, contfrac, groupalg, quadfield
+from kzero import bratteli, cli, contfrac, elliptic, groupalg, quadfield
 from kzero.cli import CommandResult, main, run
 from kzero.elliptic import hecke_ap_cm
-from kzero.primes import sieve
+from kzero.primes import is_prime, sieve
 
 
 def invoke(*argv):
@@ -366,6 +366,14 @@ def test_adelic_validates_each_tower_once(tmp_path, monkeypatch):
     assert calls == {"validate_tower": 2}
 
 
+@pytest.mark.parametrize("d", (2, 3, 7))
+def test_coherence_expands_omega_once(tmp_path, monkeypatch, d):
+    expansions = _count_calls(monkeypatch, contfrac, "expand")
+    _, code, _ = invoke("coherence", "--D", str(d), "--cache", str(tmp_path / "c.tsv"))
+    assert code == 0
+    assert expansions == {"expand": 1}
+
+
 def test_unit_computes_the_fundamental_unit_once(tmp_path, monkeypatch):
     units = _count_calls(monkeypatch, quadfield, "fundamental_unit")
     expansions = _count_calls(monkeypatch, contfrac, "expand")
@@ -383,7 +391,8 @@ def kzero(*argv):
 
 kzero("coherence", "--D", "3")
 kzero("adelic", "--ramified", "2,3", "--bound", "7", "--D", "5")
-assert "numpy" not in sys.modules, "loaded without counting points"
+kzero("ap", "--D", "1", "--p", "10009")
+assert "numpy" not in sys.modules, "loaded without a character sum"
 kzero("ap", "--D", "1", "--p", "13")
 assert "numpy" in sys.modules, "not loaded by a point count"
 """
@@ -398,3 +407,77 @@ def test_numpy_is_loaded_only_to_count_points(tmp_path):
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# -- large primes and the input limits ---------------------------------------------
+
+
+def test_ap_near_a_billion_matches_the_norm_form(tmp_path):
+    p = 1000000009  # split for D = 2
+    result, code, _ = invoke("ap", "--D", "2", "--p", str(p), "--cache", str(tmp_path / "c.tsv"))
+    assert code == 0
+    assert result.payload["ap"] == hecke_ap_cm(2, p) != 0
+    assert result.payload["match"] is True
+
+
+@pytest.mark.parametrize("argv, count, limit", (
+    (("count", "--D", "1", "--r", "2"), "F_(p^2) enumeration", 10 ** 4),
+    (("zeta-local", "--D", "1"), "F_(p^2) enumeration", 10 ** 4),
+    (("count", "--D", "1"), "point count", 10 ** 18),
+    (("ap", "--D", "1"), "point count", 10 ** 18),
+))
+def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, count, limit):
+    assert limit == (cli._FP2_MAX_P if count.startswith("F_") else cli._FP_MAX_P)
+    p = next(q for q in range(limit + 1, 2 * limit) if is_prime(q))  # the first prime past it
+    calls = _count_calls(monkeypatch, elliptic, "count_points_fp", "count_points_fp2_enumeration")
+    cache = tmp_path / "c.tsv"
+    _, code, out = invoke(*argv, "--p", str(p), "--cache", str(cache))
+    assert code == 2
+    assert out.endswith("# status error\n")
+    assert f"p = {p} is above the {count} limit p <= {limit}" in capsys.readouterr().err
+    assert calls == {"count_points_fp": 0, "count_points_fp2_enumeration": 0}
+    assert not cache.exists()
+
+
+def test_ap_runs_at_the_largest_prime_within_the_limit(tmp_path):
+    p = next(q for q in range(cli._FP_MAX_P, 0, -1) if is_prime(q) and q % 4 == 1)
+    result, code, _ = invoke("ap", "--D", "1", "--p", str(p), "--cache", str(tmp_path / "c.tsv"))
+    assert code == 0
+    assert result.payload["match"] is True
+
+
+def test_fp2_count_runs_at_the_largest_prime_within_the_limit(tmp_path):
+    p = max(sieve(cli._FP2_MAX_P))
+    result, code, _ = invoke("count", "--D", "1", "--p", str(p), "--r", "2", "--cache", str(tmp_path / "c.tsv"))
+    assert code == 0
+    a = p + 1 - elliptic.count_points_fp(elliptic.cm_curve_for(1), p)
+    assert result.payload["count"] == p * p + 1 - (a * a - 2 * p)
+
+
+# the checks of results are raised, not asserted, so they hold under python -O
+BROKEN = {
+    "fp2": "elliptic.count_points_fp2_enumeration = lambda c, p: 0",
+    "exp-log": "elliptic.LocalZeta.log_series = lambda self, order: [0] * (order + 1)",
+}
+
+
+@pytest.mark.parametrize("broken, argv", (
+    ("fp2", ("count", "--D", "1", "--p", "5", "--r", "2")),
+    ("fp2", ("zeta-local", "--D", "1", "--p", "5")),
+    ("exp-log", ("zeta-local", "--D", "1", "--p", "5")),
+))
+def test_invariants_survive_python_O(tmp_path, broken, argv):
+    code = (
+        "import sys\n"
+        "from kzero import cli, elliptic\n"
+        "if __debug__: sys.exit('asserts are on: run this under python -O')\n"
+        f"{BROKEN[broken]}\n"
+        f"sys.exit(cli.run({[*argv, '--cache', 'c.tsv']!r})[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, cwd=str(tmp_path), env=child_env(),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.endswith("# status fail\n")
+    assert "invariant failed" in proc.stderr

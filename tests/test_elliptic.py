@@ -311,6 +311,64 @@ def test_norm_form_route_builds_no_character_table():
     assert _chi_table.cache_info().misses == before
 
 
+# -- baby-step giant-step and the F_{p^2} oracle ------------------------------------
+
+ROUTE_CURVES = (cm_curve_for(1), cm_curve_for(2), cm_curve_for(3), CurveQ(-3, 5))
+
+
+def test_bsgs_agrees_with_the_character_sum_up_to_20000(monkeypatch):
+    cases = [(c, p) for p in sieve(20000) if p > elliptic._BSGS_MIN_P
+             for c in ROUTE_CURVES if is_good(c, p)]
+    before = _chi_table.cache_info().misses
+    bsgs = [count_points_fp(c, p) for c, p in cases]
+    assert _chi_table.cache_info().misses == before  # none of them took the character sum
+    monkeypatch.setattr(elliptic, "_BSGS_MIN_P", 20000)  # now every one does
+    wrong = [(c.a4, c.a6, p) for (c, p), n in zip(cases, bsgs) if count_points_fp(c, p) != n]
+    assert wrong == []
+
+
+def test_count_above_the_crossover_builds_no_character_table():
+    before = _chi_table.cache_info().misses
+    assert count_points_fp(CURVE_D1, 10007) == 10007 + 1 - trace_of_frobenius(CURVE_D1, 10007).a_p
+    assert _chi_table.cache_info().misses == before
+
+
+def test_bsgs_shares_no_helper_with_the_norm_form_route(monkeypatch):
+    calls = []
+    for name in ("tonelli", "cornacchia", "_smallest_nonresidue", "hecke_ap_cm"):
+        fn = getattr(elliptic, name)
+        monkeypatch.setattr(elliptic, name, lambda *a, fn=fn: calls.append(fn.__name__) or fn(*a))
+    for c in ROUTE_CURVES:
+        for p in (1009, 10009, 1000033):  # 1000033 = 1 mod 8: Tonelli would walk its tower
+            count_points_fp(c, p)
+    assert calls == []
+    elliptic.hecke_ap_cm(1, 1000033)  # the wrappers do see the norm-form route's calls
+    assert calls == ["hecke_ap_cm", "cornacchia", "tonelli", "_smallest_nonresidue"]
+
+
+def _fp2_meshgrid(c, p):
+    """The F_{p^2} count as first written: all p^2 elements in one array."""
+    import numpy as np
+
+    n = _smallest_nonresidue(p)
+    z0, z1 = np.meshgrid(np.arange(p, dtype=np.int64), np.arange(p, dtype=np.int64), indexing="ij")
+    z0, z1 = z0.ravel(), z1.ravel()
+    sq0 = (z0 * z0 + n * (z1 * z1 % p)) % p
+    sq1 = 2 * z0 * z1 % p
+    roots = np.bincount(sq0 + p * sq1, minlength=p * p)
+    x3_0 = (sq0 * z0 + n * (sq1 * z1 % p)) % p
+    x3_1 = (sq0 * z1 + sq1 * z0) % p
+    f0 = (x3_0 + c.a4 % p * z0 + c.a6) % p
+    f1 = (x3_1 + c.a4 % p * z1) % p
+    return int(roots[f0 + p * f1].sum()) + 1
+
+
+def test_fp2_oracle_agrees_with_the_meshgrid_reference():
+    for c in ROUTE_CURVES:
+        for p in good_primes(c, 200):
+            assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p), (c, p)
+
+
 # -- the a_p cache ------------------------------------------------------------------
 
 
