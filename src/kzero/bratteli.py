@@ -314,19 +314,18 @@ def effros_shen(theta: QuadElement, cf: Optional[contfrac.PeriodicCF] = None) ->
     Perron eigenvector of B, so the diagram's K0 image in R is
     Z*xi_{c-1} + Z*xi_c = Z + Z*theta on the nose.
 
-    A caller that already holds theta's expansion passes it as `cf`:
-    frac(theta) has the same complete quotients after the first, so its
-    expansion is theta's with a_0 replaced by 0.
+    frac(theta) has the same complete quotients as theta after the first,
+    so its expansion is theta's with a_0 replaced by 0 (expand keeps a_0 in
+    the preperiod, and frac(theta) < 1 is never purely periodic). A caller
+    that already holds theta's expansion passes it as `cf`.
     """
     if theta.b == 0:
         raise ValueError("theta must be irrational")
     if theta.D < 0:
         raise ValueError("theta must be real")
     frac_part = theta - theta.floor()
-    if cf is None:
-        cf = contfrac.expand(frac_part)
-    else:
-        cf = contfrac.PeriodicCF((0, *cf.preperiod[1:]), cf.period)
+    full = contfrac.expand(theta) if cf is None else cf
+    cf = contfrac.PeriodicCF((0, *full.preperiod[1:]), full.period)
     c = len(cf.preperiod)
     period = cf.period
     length = len(period)

@@ -190,11 +190,14 @@ def test_effros_shen_reduces_mod_one():
 
 
 def test_effros_shen_from_a_given_expansion():
-    # a caller holding theta's expansion gets the diagram it would build itself
+    # theta's expansion with a_0 set to 0 is exactly the expansion of frac(theta)
     thetas = [omega_of(d) for d in range(2, 300) if is_squarefree(d)]
     thetas += [QuadElement(Fraction(a, 7), Fraction(b, 3), 13) for a in (-9, 0, 4) for b in (-2, 1, 5)]
     for theta in thetas:
-        assert effros_shen(theta, contfrac.expand(theta)) == effros_shen(theta), theta
+        frac_part = theta - theta.floor()
+        full, own = contfrac.expand(theta), contfrac.expand(frac_part)
+        assert own == contfrac.PeriodicCF((0, *full.preperiod[1:]), full.period), theta
+        assert effros_shen(theta, full) == effros_shen(theta) == effros_shen(frac_part), theta
 
 
 def test_effros_shen_rejects_rational():
