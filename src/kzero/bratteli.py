@@ -44,10 +44,8 @@ __all__ = [
     "StationaryDiagram",
     "DimensionGroup",
     "PFData",
-    "PFInterval",
     "NotPrimitiveError",
     "UnsupportedDiagramError",
-    "propagate_dimensions",
     "uhf_diagram",
     "uhf_k0_membership",
     "effros_shen",
@@ -55,8 +53,6 @@ __all__ = [
     "pf_data",
     "stationary_k0",
     "shift_action_check",
-    "serialize_stationary",
-    "parse_stationary",
 ]
 
 
@@ -80,50 +76,16 @@ def _to_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     return mat
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise ValueError("matrix shapes do not compose")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
 def _mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
     if len(a[0]) != len(v):
         raise ValueError(f"matrix is {len(a)}x{len(a[0])} but vector has length {len(v)}")
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def _is_primitive(b: Matrix) -> bool:
-    """Wielandt test: B is primitive iff B^(n^2-2n+2) is strictly positive."""
-    n = len(b)
-    if any(len(row) != n for row in b):
-        raise ValueError("primitivity is defined for square matrices")
-    reach = tuple(tuple(1 if x else 0 for x in row) for row in b)
-    power = n * n - 2 * n + 2
-    acc: Matrix | None = None
-    base = reach
-    e = power
-    while e:
-        if e & 1:
-            acc = base if acc is None else _bool_mul(acc, base)
-        base = _bool_mul(base, base)
-        e >>= 1
-    assert acc is not None
-    return all(all(row) for row in acc)
-
-
-def _bool_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(b)
-    return tuple(
-        tuple(1 if any(a[i][k] and b[k][j] for k in range(n)) else 0 for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    """2x2 primitivity (B^2 > 0): the blocks feed each other and one feeds itself."""
+    (b00, b01), (b10, b11) = b
+    return b01 > 0 and b10 > 0 and (b00 > 0 or b11 > 0)
 
 
 # -- diagram types -------------------------------------------------------------
@@ -140,18 +102,14 @@ class MatrixAlgebraList:
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise ValueError("block sizes must be a nonempty list of positive integers")
 
-    @property
-    def total_dimension(self) -> int:
-        return sum(s * s for s in self.sizes)
-
 
 @dataclass(frozen=True)
 class BratteliDiagram:
     """Levels of block sizes joined by partial multiplicity matrices.
 
     Matrix i has shape (blocks at level i+1) x (blocks at level i) and must
-    satisfy sizes_{i+1} >= B_i * sizes_i componentwise; steps where equality
-    holds are the unital embeddings, recorded by `unital_steps`.
+    satisfy sizes_{i+1} >= B_i * sizes_i componentwise; a step where equality
+    holds is a unital embedding.
     """
 
     levels: tuple[MatrixAlgebraList, ...]
@@ -170,12 +128,6 @@ class BratteliDiagram:
             grown = _mat_vec(b, lo.sizes)
             if any(g > s for g, s in zip(grown, hi.sizes)):
                 raise ValueError(f"embedding at step {i} does not fit: {grown} !<= {hi.sizes}")
-
-    def unital_steps(self) -> tuple[bool, ...]:
-        out = []
-        for i, b in enumerate(self.multiplicities):
-            out.append(_mat_vec(b, self.levels[i].sizes) == self.levels[i + 1].sizes)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -209,24 +161,6 @@ class StationaryDiagram:
             if any(t.sign() <= 0 for t in self.seed_traces):
                 raise ValueError("trace values must be strictly positive")
 
-    def as_bratteli(self, steps: int) -> BratteliDiagram:
-        """Unfold `steps` applications of B into an explicit diagram."""
-        if steps < 0:
-            raise ValueError("steps must be nonnegative")
-        levels = [self.seed]
-        for _ in range(steps):
-            levels.append(MatrixAlgebraList(_mat_vec(self.B, levels[-1].sizes)))
-        return BratteliDiagram(tuple(levels), (self.B,) * steps)
-
-    def telescoped(self, k: int) -> "StationaryDiagram":
-        """Merge k consecutive steps into one (matrix B^k, same seed)."""
-        if k < 1:
-            raise ValueError("telescoping factor must be >= 1")
-        b = _identity(len(self.B))
-        for _ in range(k):
-            b = _mat_mul(self.B, b)
-        return StationaryDiagram(b, self.seed, self.period_length * k, self.seed_traces)
-
 
 @dataclass(frozen=True)
 class DimensionGroup:
@@ -245,19 +179,6 @@ class DimensionGroup:
 
 
 # -- operations ----------------------------------------------------------------
-
-
-def propagate_dimensions(d: BratteliDiagram, v: Sequence[int]) -> tuple[int, ...]:
-    """Push a level-0 dimension vector through every multiplicity matrix."""
-    vec = tuple(int(x) for x in v)
-    if len(vec) != len(d.levels[0].sizes):
-        raise ValueError(f"vector length {len(vec)} does not match level 0 size "
-                         f"{len(d.levels[0].sizes)}")
-    if any(x < 0 for x in vec):
-        raise ValueError("dimension vector entries must be nonnegative")
-    for b in d.multiplicities:
-        vec = _mat_vec(b, vec)
-    return vec
 
 
 def uhf_diagram(p: int, depth: int) -> BratteliDiagram:
@@ -280,10 +201,6 @@ def uhf_k0_membership(p: int, x: Union[int, Fraction]) -> bool:
     return d == 1
 
 
-def _block(a: int) -> Matrix:
-    return ((a, 1), (1, 0))
-
-
 def period_fold(quotients: Sequence[int]) -> Matrix:
     """Product of the elementary blocks [[a,1],[1,0]] over one period.
 
@@ -293,10 +210,11 @@ def period_fold(quotients: Sequence[int]) -> Matrix:
     """
     if not quotients or any(a < 1 for a in quotients):
         raise ValueError("period quotients must be positive")
-    b = _identity(2)
+    (p, q), (r, s) = (1, 0), (0, 1)
     for a in quotients:
-        b = _mat_mul(_block(a), b)
-    return b
+        # block(a) @ [[p, q], [r, s]]
+        (p, q), (r, s) = (a * p + r, a * q + s), (p, q)
+    return (p, q), (r, s)
 
 
 def effros_shen(theta: QuadElement, cf: Optional[contfrac.PeriodicCF] = None) -> StationaryDiagram:
@@ -346,42 +264,31 @@ def _xi(theta: QuadElement, conv: contfrac.Convergent) -> QuadElement:
     value = theta * conv.q - conv.p
     if conv.index % 2 == 1:
         value = -value
-    assert value.sign() > 0
+    if value.sign() <= 0:  # raised, not asserted: it must survive python -O
+        raise AssertionError(f"trace {value} at convergent {conv.index} is not positive")
     return value
-
-
-class PFInterval(NamedTuple):
-    """Certified enclosure lo <= lambda <= hi with exact rational endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 class PFData(NamedTuple):
     """Perron eigenvalue and a positive left eigenvector.
 
-    2x2 matrices get an exact eigenvalue (QuadElement, or Fraction when the
-    characteristic discriminant is a perfect square) and an exact eigenvector
-    normalized to last coordinate 1.  Larger matrices get a PFInterval from
-    the Collatz-Wielandt bounds and the final rational iterate.
+    The eigenvalue is exact (QuadElement, or Fraction when the characteristic
+    discriminant is a perfect square), and so is the eigenvector, normalized
+    to last coordinate 1.
     """
 
-    eigenvalue: Union[QuadElement, Fraction, PFInterval]
+    eigenvalue: Union[QuadElement, Fraction]
     eigenvector: tuple
 
 
-def pf_data(s: StationaryDiagram, tol: Fraction = Fraction(1, 10 ** 8)) -> PFData:
-    """Perron-Frobenius data of the stationary matrix; rejects non-primitive B."""
-    b = s.B
-    if not _is_primitive(b):
-        raise NotPrimitiveError(f"matrix {b} is not primitive")
-    if len(b) == 2:
-        return _pf_exact_2x2(s)
-    return _pf_certified(b, tol)
+def pf_data(s: StationaryDiagram) -> PFData:
+    """Perron-Frobenius data of a 2x2 stationary matrix; rejects non-primitive B."""
+    n = len(s.B)
+    if n != 2:
+        raise UnsupportedDiagramError(f"Perron-Frobenius data needs a 2x2 matrix, got {n}x{n}")
+    if not _is_primitive(s.B):
+        raise NotPrimitiveError(f"matrix {s.B} is not primitive")
+    return _pf_exact_2x2(s)
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
@@ -404,7 +311,8 @@ def _pf_exact_2x2(s: StationaryDiagram) -> PFData:
     det = b00 * b11 - b01 * b10
     disc = tr * tr - 4 * det
     # primitive 2x2 implies b01 > 0 and a simple dominant root, so disc > 0
-    assert disc > 0 and b01 > 0
+    if not (disc > 0 and b01 > 0):  # raised, not asserted: it must survive python -O
+        raise AssertionError(f"matrix {s.B} has no simple dominant root")
     r = isqrt(disc)
     lam: Union[QuadElement, Fraction]
     if r * r == disc:
@@ -420,24 +328,6 @@ def _pf_exact_2x2(s: StationaryDiagram) -> PFData:
         lam = QuadElement(Fraction(tr, 2), Fraction(m, 2), d)
         v1 = (lam - b11) / Fraction(b01)
     return PFData(lam, (v1, Fraction(1) if isinstance(v1, Fraction) else QuadElement.rational(1, d)))
-
-
-def _pf_certified(b: Matrix, tol: Fraction) -> PFData:
-    n = len(b)
-    x = [Fraction(1)] * n
-    lo, hi = Fraction(0), Fraction(10 ** 9)
-    for _ in range(10_000):
-        # left iteration: y_j = sum_i x_i B_ij
-        y = [sum(x[i] * b[i][j] for i in range(n)) for j in range(n)]
-        ratios = [y[j] / x[j] for j in range(n)]
-        lo, hi = min(ratios), max(ratios)
-        if hi - lo < tol:
-            break
-        top = max(y)
-        x = [(v / top).limit_denominator(10 ** 12) for v in y]
-        if any(v <= 0 for v in x):  # limit_denominator can touch 0 only if y did
-            raise AssertionError("positive iterate degenerated")
-    return PFData(PFInterval(lo, hi), tuple(x))
 
 
 def stationary_k0(s: StationaryDiagram) -> DimensionGroup:
@@ -482,36 +372,3 @@ def shift_action_check(s: StationaryDiagram) -> bool:
     module = group.real_embedding
     return module_equal(module_scale(module, group.eigenvalue), module)
 
-
-# -- serialization ---------------------------------------------------------------
-
-
-def serialize_stationary(s: StationaryDiagram) -> str:
-    """Text record of seed sizes, matrix rows, and period length; bit-exact."""
-    lines = ["seed\t" + "\t".join(str(x) for x in s.seed.sizes)]
-    for row in s.B:
-        lines.append("row\t" + "\t".join(str(x) for x in row))
-    lines.append(f"period\t{s.period_length}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_stationary(text: str) -> StationaryDiagram:
-    """Inverse of serialize_stationary (trace data is not serialized)."""
-    seed: MatrixAlgebraList | None = None
-    rows: list[tuple[int, ...]] = []
-    period = 1
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        tag, *fields = line.split("\t")
-        if tag == "seed":
-            seed = MatrixAlgebraList(tuple(int(x) for x in fields))
-        elif tag == "row":
-            rows.append(tuple(int(x) for x in fields))
-        elif tag == "period":
-            period = int(fields[0])
-        else:
-            raise ValueError(f"unknown record tag {tag!r}")
-    if seed is None or not rows:
-        raise ValueError("record must contain a seed line and at least one row")
-    return StationaryDiagram(tuple(rows), seed, period)

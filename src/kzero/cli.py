@@ -35,12 +35,17 @@ __all__ = ["CommandResult", "run", "main"]
 
 _CACHE_ENV = "KZERO_AP_CACHE"
 _DEFAULT_CACHE = "./apcache.tsv"
-# The largest p each count accepts; a larger p is refused before any work.
-# On 2 vCPUs, baby-step giant-step takes about 0.4 s at p = 10^18 and grows
-# as p^(1/4) in time and memory; the F_{p^2} enumeration behind `count --r 2`
-# and `zeta-local` takes about 1 s at p = 10^4 and grows as p^2.
-_FP_MAX_P = 10 ** 18
-_FP2_MAX_P = 10 ** 4
+# What each sized input bounds: (the input, its largest value).  A larger
+# value is refused with exit 2 before any work.  Timed at the limit on 2 vCPUs:
+_LIMITS = {
+    "point count": ("p", 10 ** 18),  # ap, count: 0.4 s, growing as p^(1/4)
+    "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 1 s, as p^2
+    "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: prop3 33 s, 65 MB
+    "tower": ("p^depth", 10 ** 6),  # tower: 0.9 s and 75 MB
+    "restricted product": ("bound^(depth+1)", 10 ** 6),  # adelic: 0.8 s
+    "UHF chain": ("p^depth", 10 ** 100),  # dimgroup --uhf-p: 0.2 s
+    "SL2 degree list": ("p", 10 ** 6),  # sl2: 0.6 s
+}
 
 
 @dataclass
@@ -103,10 +108,12 @@ def _rows(payload: dict, *columns: str, **cells: object) -> list[tuple]:
     return [columns, tuple(cells[c] if c in cells else payload[c] for c in columns)]
 
 
-def _check_p(p: int, fp2: bool) -> None:
-    limit, count = (_FP2_MAX_P, "F_(p^2) enumeration") if fp2 else (_FP_MAX_P, "point count")
-    if p > limit:
-        raise ValueError(f"p = {p} is above the {count} limit p <= {limit}")
+def _check_limit(what: str, value: int, exp: int = 1) -> None:
+    """Refuse value^exp past the limit of `what`, without computing a larger power."""
+    name, limit = _LIMITS[what]
+    if exp >= 1 and ((abs(value) > 1 and exp > limit.bit_length()) or value ** exp > limit):
+        shown = value if exp == 1 else f"{value}^{exp}"
+        raise ValueError(f"{name} = {shown} is above the {what} limit {name} <= {limit}")
 
 
 def _resolve_curve(args: argparse.Namespace) -> elliptic.CurveQ:
@@ -166,6 +173,7 @@ def _cmd_omega(args, box):
 
 def _cmd_dimgroup(args, box):
     if args.uhf_p is not None:
+        _check_limit("UHF chain", args.uhf_p, args.depth)
         diagram = bratteli.uhf_diagram(args.uhf_p, args.depth)
         params = {"uhf_p": args.uhf_p, "depth": args.depth}
         payload = {**params, "sizes": [lv.sizes[0] for lv in diagram.levels]}
@@ -190,6 +198,7 @@ def _cmd_dimgroup(args, box):
 
 
 def _cmd_tower(args, box):
+    _check_limit("tower", args.p, args.depth)
     tower = groupalg.cyclic_tower(args.p, args.depth)
     similar = groupalg.self_similarity_check(tower, args.window)
     params = {"p": args.p, "depth": args.depth, "window": args.window}
@@ -202,6 +211,7 @@ def _cmd_tower(args, box):
 
 
 def _cmd_sl2(args, box):
+    _check_limit("SL2 degree list", args.p)
     profile = groupalg.sl2_degree_profile(args.p)
     degrees = list(profile.degrees)
     payload = {
@@ -215,7 +225,7 @@ def _cmd_sl2(args, box):
 
 
 def _cmd_count(args, box):
-    _check_p(args.p, args.r == 2)
+    _check_limit("F_(p^2) enumeration" if args.r == 2 else "point count", args.p)
     curve = _resolve_curve(args)
     if args.r == 1:
         data = elliptic.trace_of_frobenius(curve, args.p, box.get())
@@ -230,7 +240,7 @@ def _cmd_count(args, box):
 
 
 def _cmd_ap(args, box):
-    _check_p(args.p, False)
+    _check_limit("point count", args.p)
     curve = _resolve_curve(args)
     data = elliptic.trace_of_frobenius(curve, args.p, box.get())
     if not data.good:
@@ -248,7 +258,7 @@ def _cmd_ap(args, box):
 
 
 def _cmd_zeta_local(args, box):
-    _check_p(args.p, True)
+    _check_limit("F_(p^2) enumeration", args.p)
     curve = _resolve_curve(args)
     zeta = elliptic.weil_zeta_local(curve, args.p)
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p}
@@ -262,6 +272,7 @@ def _cmd_zeta_local(args, box):
 
 
 def _cmd_lfun(args, box):
+    _check_limit("prime sieve", args.bound)
     if args.which == "zeta":
         approx = lfunction.zeta_partial(args.s, args.bound)
     elif args.which == "motivic":
@@ -296,6 +307,7 @@ def _cmd_lfun(args, box):
 
 
 def _cmd_match(args, box):
+    _check_limit("prime sieve", args.bound)
     report = lfunction.local_factor_match(args.D, args.bound, box.get())
     params = {"D": args.D, "bound": args.bound}
     payload = {**params, "primes": len(report.rows), "mismatches": list(report.mismatches)}
@@ -305,6 +317,7 @@ def _cmd_match(args, box):
 
 
 def _cmd_prop3(args, box):
+    _check_limit("prime sieve", args.bound)
     residual = lfunction.proposition3_check(args.D, args.s, args.bound, box.get())
     ok = residual < args.tol
     payload = {
@@ -334,6 +347,7 @@ def _cmd_coherence(args, box):
 
 
 def _cmd_adelic(args, box):
+    _check_limit("restricted product", args.bound, args.depth + 1)
     ramified = [int(x) for x in args.ramified.split(",") if x.strip()] if args.ramified else []
     seed = bratteli.effros_shen(quadfield.omega_of(args.D))
     spec = groupalg.assemble_restricted_product(ramified, args.bound, seed, args.depth)

@@ -103,11 +103,6 @@ def discriminant(c: CurveQ) -> int:
     return -16 * (4 * c.a4 ** 3 + 27 * c.a6 ** 2)
 
 
-def is_good(c: CurveQ, p: int) -> bool:
-    """Good reduction: p prime, p does not divide the discriminant (so p != 2)."""
-    return is_prime(p) and discriminant(c) % p != 0
-
-
 def good_primes(c: CurveQ, bound: int) -> list[int]:
     delta = discriminant(c)
     return [p for p in sieve(bound) if delta % p != 0]
@@ -571,7 +566,8 @@ def hecke_ap_cm(D: int, p: int) -> int:
         # b is even, so exactly one sign of a satisfies the congruence
         if (a + b) % 4 != 1:
             a = -a
-        assert (a + b) % 4 == 1
+        if (a + b) % 4 != 1:  # raised, not asserted: it must survive python -O
+            raise AssertionError(f"no sign of a = {a} gives a + b = 1 mod 4 at p = {p}")
         return 2 * a
     return _norm_form_ap(D, p)
 

@@ -102,7 +102,8 @@ def _fold(factors: tuple[LocalPolynomial, ...], s: complex) -> complex:
     value = 1 + 0j
     last = 0
     for poly in factors:
-        assert poly.p > last, "factors must be in ascending prime order"
+        if poly.p <= last:  # raised, not asserted: it must survive python -O
+            raise AssertionError("factors must be in ascending prime order")
         last = poly.p
         value *= 1 / poly.value_at(s)
     return value
@@ -158,7 +159,8 @@ def automorphic_l_partial(D: int, i: int, s: ComplexLike, P: int) -> EulerProduc
     factors = []
     for p in good_primes(curve, P):
         a_p = hecke_ap_cm(D, p)
-        assert a_p * a_p <= 4 * p, f"Hasse bound violated by norm-form a_p at {p}"
+        if a_p * a_p > 4 * p:  # raised, not asserted: it must survive python -O
+            raise AssertionError(f"Hasse bound violated by norm-form a_p at {p}")
         factors.append(LocalPolynomial(p, (1, -a_p, p)))
     factors = tuple(factors)
     return EulerProductApprox(z, P, factors, _fold(factors, z))

@@ -6,7 +6,7 @@ ones).  No floating point is used anywhere in this module: order comparisons,
 floors and norms are decided by exact integer arithmetic, which is what makes
 the module-membership questions downstream decidable.
 
-The real embedding fixes sqrt(D) as the positive root throughout, so `<, <=`
+The real embedding fixes sqrt(D) as the positive root throughout, so `<, >`
 and `floor` have one coherent meaning for D > 0.  Imaginary elements support
 equality and arithmetic but not order.
 
@@ -79,16 +79,8 @@ class QuadElement:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def of(a: Rational, b: Rational, D: int) -> "QuadElement":
-        return QuadElement(Fraction(a), Fraction(b), D)
-
-    @staticmethod
     def rational(a: Rational, D: int) -> "QuadElement":
         return QuadElement(Fraction(a), Fraction(0), D)
-
-    @staticmethod
-    def sqrt_d(D: int) -> "QuadElement":
-        return QuadElement(Fraction(0), Fraction(1), D)
 
     def _coerce(self, other: object) -> "QuadElement":
         if isinstance(other, QuadElement):
@@ -110,9 +102,6 @@ class QuadElement:
     def __sub__(self, other: object) -> "QuadElement":
         o = self._coerce(other)
         return QuadElement(self.a - o.a, self.b - o.b, self.D)
-
-    def __rsub__(self, other: object) -> "QuadElement":
-        return self._coerce(other) - self
 
     def __neg__(self) -> "QuadElement":
         return QuadElement(-self.a, -self.b, self.D)
@@ -140,23 +129,11 @@ class QuadElement:
 
     # -- field-theoretic data ------------------------------------------------
 
-    def conjugate(self) -> "QuadElement":
-        return QuadElement(self.a, -self.b, self.D)
-
     def norm(self) -> Fraction:
         return self.a * self.a - self.b * self.b * self.D
 
     def trace(self) -> Fraction:
         return 2 * self.a
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
 
     # -- order structure (real fields only) ----------------------------------
 
@@ -178,14 +155,8 @@ class QuadElement:
     def __lt__(self, other: object) -> bool:
         return (self - self._coerce(other)).sign() < 0
 
-    def __le__(self, other: object) -> bool:
-        return (self - self._coerce(other)).sign() <= 0
-
     def __gt__(self, other: object) -> bool:
         return (self - self._coerce(other)).sign() > 0
-
-    def __ge__(self, other: object) -> bool:
-        return (self - self._coerce(other)).sign() >= 0
 
     def floor(self) -> int:
         """Exact floor under the real embedding."""
@@ -207,11 +178,6 @@ class QuadElement:
         if num % r == 0:
             return num // r - 1
         return num // r
-
-    def __float__(self) -> float:
-        if self.b != 0 and self.D < 0:
-            raise ValueError("imaginary element has no real value")
-        return float(self.a) + float(self.b) * self.D ** 0.5
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -278,7 +244,8 @@ def fundamental_unit(D: int, cf: Optional[PeriodicCF] = None) -> FundamentalUnit
         raise AssertionError(f"convergent {p}/{q} of omega gives no unit for D={D}")
     # p - q*conj(omega) = (p - q*t) + q*omega > 1 since conj(omega) < 0
     eps = QuadElement(Fraction(p - q * t), Fraction(0), D) + q * w
-    assert eps > 1
+    if not eps > 1:  # raised, not asserted: it must survive python -O
+        raise AssertionError(f"unit {eps} of D={D} is not > 1")
     return FundamentalUnitResult(eps, unit_norm)
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,15 +10,12 @@ from kzero.bratteli import (
     MatrixAlgebraList,
     NotPrimitiveError,
     PFData,
-    PFInterval,
     StationaryDiagram,
     UnsupportedDiagramError,
+    _is_primitive,
     effros_shen,
-    parse_stationary,
     period_fold,
     pf_data,
-    propagate_dimensions,
-    serialize_stationary,
     shift_action_check,
     stationary_k0,
     uhf_diagram,
@@ -41,8 +39,7 @@ def golden_diagram():
 
 
 def test_matrix_algebra_list():
-    m = MatrixAlgebraList((2, 3))
-    assert m.total_dimension == 13
+    assert MatrixAlgebraList([2, 3]).sizes == (2, 3)
     with pytest.raises(ValueError):
         MatrixAlgebraList(())
     with pytest.raises(ValueError):
@@ -60,12 +57,6 @@ def test_diagram_shape_validation():
         BratteliDiagram(levels, (((1, 1),),))  # wrong shape
 
 
-def test_unital_steps():
-    levels = (MatrixAlgebraList((1,)), MatrixAlgebraList((3,)), MatrixAlgebraList((7,)))
-    d = BratteliDiagram(levels, (((3,),), ((2,),)))
-    assert d.unital_steps() == (True, False)
-
-
 def test_stationary_validation():
     seed = MatrixAlgebraList((1, 1))
     StationaryDiagram(GOLDEN_B, seed)
@@ -79,41 +70,14 @@ def test_stationary_validation():
         StationaryDiagram(GOLDEN_B, seed, seed_traces=(QuadElement(-1, 0, 5),) * 2)
 
 
-def test_as_bratteli_unfolds():
-    d = golden_diagram().as_bratteli(4)
-    assert [lv.sizes for lv in d.levels] == [(1, 1), (2, 1), (3, 2), (5, 3), (8, 5)]
-    assert all(d.unital_steps())
-
-
-def test_telescoped():
-    s = golden_diagram()
-    t = s.telescoped(2)
-    assert t.B == ((2, 1), (1, 1))
-    assert t.period_length == 2 * s.period_length
-    assert t.seed == s.seed
-    assert t.seed_traces == s.seed_traces
-    with pytest.raises(ValueError):
-        s.telescoped(0)
-
-
-def test_propagate_dimensions():
-    d = uhf_diagram(3, 4)
-    assert propagate_dimensions(d, (1,)) == (81,)
-    g = golden_diagram().as_bratteli(3)
-    assert propagate_dimensions(g, (1, 0)) == (3, 2)
-    with pytest.raises(ValueError):
-        propagate_dimensions(g, (1,))
-    with pytest.raises(ValueError):
-        propagate_dimensions(g, (-1, 0))
-
-
 # -- UHF ---------------------------------------------------------------------------
 
 
 def test_uhf_diagram_shape():
     d = uhf_diagram(5, 3)
     assert [lv.sizes for lv in d.levels] == [(1,), (5,), (25,), (125,)]
-    assert all(d.unital_steps())
+    # every step is unital: each level is p times the one below
+    assert all(hi.sizes[0] == 5 * lo.sizes[0] for lo, hi in zip(d.levels, d.levels[1:]))
     with pytest.raises(ValueError):
         uhf_diagram(4, 3)
     with pytest.raises(ValueError):
@@ -248,26 +212,21 @@ def test_pf_rejects_non_primitive():
         pf_data(StationaryDiagram(((1, 1), (0, 1)), seed))  # reducible
 
 
-def test_pf_certified_interval_3x3():
-    b = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
-    diag = StationaryDiagram(b, MatrixAlgebraList((1, 1, 1)))
-    lam, vec = pf_data(diag)
-    assert isinstance(lam, PFInterval)
-    assert lam.lo <= 2 <= lam.hi
-    assert lam.width <= Fraction(2, 10 ** 8)
-    assert len(vec) == 3 and all(v > 0 for v in vec)
+def test_pf_data_is_for_2x2_matrices_only():
+    # a 3x3 matrix is refused before primitivity is asked, primitive or not
+    for b in (((1, 1, 0), (0, 1, 1), (1, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        with pytest.raises(UnsupportedDiagramError):
+            pf_data(StationaryDiagram(b, MatrixAlgebraList((1, 1, 1))))
+    with pytest.raises(UnsupportedDiagramError):
+        pf_data(StationaryDiagram(((2,),), MatrixAlgebraList((1,))))
 
 
-def test_pf_certified_interval_respects_tol():
-    b = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
-    diag = StationaryDiagram(b, MatrixAlgebraList((1, 1, 1)))
-    wide = pf_data(diag, tol=Fraction(1, 100)).eigenvalue
-    narrow = pf_data(diag, tol=Fraction(1, 10 ** 10)).eigenvalue
-    assert narrow.width <= wide.width
-
-
-def test_pf_interval_width():
-    assert PFInterval(Fraction(1), Fraction(3, 2)).width == Fraction(1, 2)
+def test_is_primitive_matches_a_positive_square():
+    # brute force: B is primitive iff B^2 is entrywise positive (Wielandt bound for n = 2)
+    for entries in itertools.product(range(4), repeat=4):
+        b = (entries[:2], entries[2:])
+        square = [[sum(b[i][k] * b[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+        assert _is_primitive(b) == all(x > 0 for row in square for x in row), b
 
 
 def cf_words():
@@ -280,8 +239,6 @@ def test_pf_eigen_equation_exact_on_folds(word):
     b = period_fold(word)
     diag = StationaryDiagram(b, MatrixAlgebraList((1,) * len(b)))
     lam, vec = pf_data(diag)
-    if isinstance(lam, PFInterval):
-        return
     for j in range(len(b)):
         lhs = sum((vec[i] * b[i][j] for i in range(len(b))), start=lam * 0)
         assert lhs == lam * vec[j]
@@ -342,10 +299,11 @@ def test_stationary_k0_three_by_three_presentation_only():
 
 
 def test_telescoping_preserves_the_module():
+    # three steps of B merged into one: the matrix B^3 over three periods
     s = golden_diagram()
-    a = stationary_k0(s).real_embedding
-    b = stationary_k0(s.telescoped(3)).real_embedding
-    assert module_equal(a, b)
+    cube = StationaryDiagram(period_fold([1] * 3), s.seed, 3 * s.period_length, s.seed_traces)
+    assert cube.B == ((3, 2), (2, 1))
+    assert module_equal(stationary_k0(s).real_embedding, stationary_k0(cube).real_embedding)
 
 
 # -- shift action -------------------------------------------------------------------
@@ -366,37 +324,3 @@ def test_shift_action_unsupported_diagram():
     with pytest.raises(UnsupportedDiagramError):
         shift_action_check(diag)
 
-
-# -- serialization ------------------------------------------------------------------
-
-
-def test_serialize_golden():
-    s = StationaryDiagram(GOLDEN_B, MatrixAlgebraList((1, 1)))
-    text = serialize_stationary(s)
-    assert text == "seed\t1\t1\nrow\t1\t1\nrow\t1\t0\nperiod\t1\n"
-
-
-def test_serialize_parse_roundtrip():
-    for s in (
-        StationaryDiagram(GOLDEN_B, MatrixAlgebraList((1, 1))),
-        StationaryDiagram(((11, 6), (9, 5)), MatrixAlgebraList((2, 3)), period_length=4),
-    ):
-        back = parse_stationary(serialize_stationary(s))
-        assert back.B == s.B
-        assert back.seed == s.seed
-        assert back.period_length == s.period_length
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_stationary("nonsense\t1\n")
-    with pytest.raises(ValueError):
-        parse_stationary("")
-
-
-@given(cf_words())
-@settings(max_examples=40)
-def test_roundtrip_on_folds(word):
-    s = StationaryDiagram(period_fold(word), MatrixAlgebraList((1, 1)), len(word))
-    back = parse_stationary(serialize_stationary(s))
-    assert (back.B, back.seed, back.period_length) == (s.B, s.seed, s.period_length)

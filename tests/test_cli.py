@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kzero
-from kzero import bratteli, cli, contfrac, elliptic, groupalg, quadfield
+from kzero import bratteli, cli, contfrac, elliptic, groupalg, lfunction, quadfield
 from kzero.cli import CommandResult, main, run
 from kzero.elliptic import hecke_ap_cm
 from kzero.primes import is_prime, sieve
@@ -420,34 +420,67 @@ def test_ap_near_a_billion_matches_the_norm_form(tmp_path):
     assert result.payload["match"] is True
 
 
-@pytest.mark.parametrize("argv, count, limit", (
-    (("count", "--D", "1", "--r", "2"), "F_(p^2) enumeration", 10 ** 4),
-    (("zeta-local", "--D", "1"), "F_(p^2) enumeration", 10 ** 4),
-    (("count", "--D", "1"), "point count", 10 ** 18),
-    (("ap", "--D", "1"), "point count", 10 ** 18),
-))
-def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, count, limit):
-    assert limit == (cli._FP2_MAX_P if count.startswith("F_") else cli._FP_MAX_P)
-    p = next(q for q in range(limit + 1, 2 * limit) if is_prime(q))  # the first prime past it
-    calls = _count_calls(monkeypatch, elliptic, "count_points_fp", "count_points_fp2_enumeration")
+# the library entry points behind the limited inputs; none may run past a limit
+WORK = (
+    (elliptic, ("count_points_fp", "count_points_fp2_enumeration")),
+    (lfunction, ("zeta_partial", "local_factor_match", "proposition3_check")),
+    (groupalg, ("cyclic_tower", "sl2_degree_profile", "assemble_restricted_product")),
+    (bratteli, ("uhf_diagram",)),
+)
+
+
+def _refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    counts = [_count_calls(monkeypatch, module, *names) for module, names in WORK]
     cache = tmp_path / "c.tsv"
-    _, code, out = invoke(*argv, "--p", str(p), "--cache", str(cache))
+    _, code, out = invoke(*argv, "--cache", str(cache))
     assert code == 2
     assert out.endswith("# status error\n")
-    assert f"p = {p} is above the {count} limit p <= {limit}" in capsys.readouterr().err
-    assert calls == {"count_points_fp": 0, "count_points_fp2_enumeration": 0}
+    assert all(c == dict.fromkeys(c, 0) for c in counts), counts
     assert not cache.exists()
+    return capsys.readouterr().err
+
+
+# a power's exponent (depth) is set so the limited value is the option given last
+@pytest.mark.parametrize("argv, count, limit", (
+    (("count", "--D", "1", "--r", "2", "--p"), "F_(p^2) enumeration", 10 ** 4),
+    (("zeta-local", "--D", "1", "--p"), "F_(p^2) enumeration", 10 ** 4),
+    (("count", "--D", "1", "--p"), "point count", 10 ** 18),
+    (("ap", "--D", "1", "--p"), "point count", 10 ** 18),
+    (("lfun", "--which", "zeta", "--s", "2", "--bound"), "prime sieve", 10 ** 6),
+    (("match", "--D", "1", "--bound"), "prime sieve", 10 ** 6),
+    (("prop3", "--D", "1", "--s", "3", "--bound"), "prime sieve", 10 ** 6),
+    (("tower", "--depth", "1", "--p"), "tower", 10 ** 6),
+    (("adelic", "--depth", "0", "--bound"), "restricted product", 10 ** 6),
+    pytest.param(("dimgroup", "--depth", "1", "--uhf-p"), "UHF chain", 10 ** 100, id="argv9-UHF chain-10^100"),
+    (("sl2", "--p"), "SL2 degree list", 10 ** 6),
+))
+def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, count, limit):
+    name, table_limit = cli._LIMITS[count]
+    assert table_limit == limit
+    p = next(q for q in range(limit + 1, 2 * limit) if is_prime(q))  # the first prime past it
+    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, (*argv, str(p)))
+    assert f"{name} = {p} is above the {count} limit {name} <= {limit}" in err
+
+
+@pytest.mark.parametrize("argv, message", (
+    (("tower", "--p", "13", "--depth", "8"), "p^depth = 13^8 is above the tower limit"),
+    (("tower", "--p", "3", "--depth", str(10 ** 9)), f"p^depth = 3^{10 ** 9} is above the tower limit"),
+    (("adelic", "--bound", "101"), "bound^(depth+1) = 101^3 is above the restricted product limit"),
+    (("dimgroup", "--uhf-p", "2", "--depth", "333"), "p^depth = 2^333 is above the UHF chain limit"),
+))
+def test_a_power_above_its_limit_is_refused_unevaluated(tmp_path, capsys, monkeypatch, argv, message):
+    assert message in _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
 
 
 def test_ap_runs_at_the_largest_prime_within_the_limit(tmp_path):
-    p = next(q for q in range(cli._FP_MAX_P, 0, -1) if is_prime(q) and q % 4 == 1)
+    p = next(q for q in range(cli._LIMITS["point count"][1], 0, -1) if is_prime(q) and q % 4 == 1)
     result, code, _ = invoke("ap", "--D", "1", "--p", str(p), "--cache", str(tmp_path / "c.tsv"))
     assert code == 0
     assert result.payload["match"] is True
 
 
 def test_fp2_count_runs_at_the_largest_prime_within_the_limit(tmp_path):
-    p = max(sieve(cli._FP2_MAX_P))
+    p = max(sieve(cli._LIMITS["F_(p^2) enumeration"][1]))
     result, code, _ = invoke("count", "--D", "1", "--p", str(p), "--r", "2", "--cache", str(tmp_path / "c.tsv"))
     assert code == 0
     a = p + 1 - elliptic.count_points_fp(elliptic.cm_curve_for(1), p)
@@ -458,6 +491,7 @@ def test_fp2_count_runs_at_the_largest_prime_within_the_limit(tmp_path):
 BROKEN = {
     "fp2": "elliptic.count_points_fp2_enumeration = lambda c, p: 0",
     "exp-log": "elliptic.LocalZeta.log_series = lambda self, order: [0] * (order + 1)",
+    "hasse": "lfunction.hecke_ap_cm = lambda D, p: 2 * p",
 }
 
 
@@ -465,11 +499,12 @@ BROKEN = {
     ("fp2", ("count", "--D", "1", "--p", "5", "--r", "2")),
     ("fp2", ("zeta-local", "--D", "1", "--p", "5")),
     ("exp-log", ("zeta-local", "--D", "1", "--p", "5")),
+    ("hasse", ("lfun", "--which", "auto", "--D", "1", "--s", "3", "--bound", "50")),
 ))
 def test_invariants_survive_python_O(tmp_path, broken, argv):
     code = (
         "import sys\n"
-        "from kzero import cli, elliptic\n"
+        "from kzero import cli, elliptic, lfunction\n"
         "if __debug__: sys.exit('asserts are on: run this under python -O')\n"
         f"{BROKEN[broken]}\n"
         f"sys.exit(cli.run({[*argv, '--cache', 'c.tsv']!r})[1])\n"

@@ -28,7 +28,7 @@ SQUAREFREE = [d for d in range(2, 51) if is_squarefree(d)]
 
 
 def sqrt2():
-    return QuadElement.sqrt_d(2)
+    return QuadElement(0, 1, 2)
 
 
 # -- construction and basis -------------------------------------------------------
@@ -49,13 +49,13 @@ def test_rational_module_has_no_field():
 
 def test_rational_quad_elements_are_field_agnostic():
     # a QuadElement with b = 0 carries no field information
-    m = RealModule.span(QuadElement.rational(2, 7), QuadElement.sqrt_d(3))
+    m = RealModule.span(QuadElement.rational(2, 7), QuadElement(0, 1, 3))
     assert m.D == 3
 
 
 def test_mixed_fields_rejected():
     with pytest.raises(ValueError):
-        RealModule.span(QuadElement.sqrt_d(2), QuadElement.sqrt_d(3))
+        RealModule.span(QuadElement(0, 1, 2), QuadElement(0, 1, 3))
 
 
 def test_too_many_generators_rejected():
@@ -122,8 +122,8 @@ def test_index_two_sublattice():
 
 
 def test_incomparable_fields_raise():
-    a = RealModule.span(Fraction(1), QuadElement.sqrt_d(2))
-    b = RealModule.span(Fraction(1), QuadElement.sqrt_d(3))
+    a = RealModule.span(Fraction(1), QuadElement(0, 1, 2))
+    b = RealModule.span(Fraction(1), QuadElement(0, 1, 3))
     with pytest.raises(IncomparableFieldsError):
         module_contains(a, b)
     with pytest.raises(IncomparableFieldsError):

@@ -39,7 +39,7 @@ def test_partial_quotients_stream():
 
 
 def test_expand_sqrt2():
-    cf = expand(QuadElement.sqrt_d(2))
+    cf = expand(QuadElement(0, 1, 2))
     assert cf.preperiod == (1,)
     assert cf.period == (2,)
 
@@ -51,13 +51,13 @@ def test_expand_golden_ratio():
 
 
 def test_expand_sqrt3():
-    cf = expand(QuadElement.sqrt_d(3))
+    cf = expand(QuadElement(0, 1, 3))
     assert cf.preperiod == (1,)
     assert cf.period == (1, 2)
 
 
 def test_expand_sqrt7():
-    cf = expand(QuadElement.sqrt_d(7))
+    cf = expand(QuadElement(0, 1, 7))
     assert cf.preperiod == (2,)
     assert cf.period == (1, 1, 1, 4)
 
@@ -77,7 +77,7 @@ def test_expand_with_nontrivial_preperiod():
 
 
 def test_expand_negative_value():
-    cf = expand(-QuadElement.sqrt_d(2))
+    cf = expand(-QuadElement(0, 1, 2))
     assert cf.preperiod[0] == -2
 
 
@@ -100,7 +100,7 @@ def test_expand_period_is_minimal():
 
 
 def test_convergents_sqrt2():
-    cf = expand(QuadElement.sqrt_d(2))
+    cf = expand(QuadElement(0, 1, 2))
     got = convergents(cf, 5)
     assert got == [
         Convergent(0, 1, 1),
@@ -119,7 +119,7 @@ def test_convergents_golden():
 
 
 def test_convergent_determinant_alternates():
-    cf = expand(QuadElement.sqrt_d(7))
+    cf = expand(QuadElement(0, 1, 7))
     cs = convergents(cf, 10)
     for left, right in zip(cs, cs[1:]):
         det = right.p * left.q - left.p * right.q
@@ -170,7 +170,7 @@ def test_convergents_count_validation():
 # omega for small D, then inputs that need rescaling to (P + sqrt(d))/Q or
 # start with Q < 0
 TAIL_INPUTS = [pytest.param(omega_of(d), id=str(d)) for d in SQUAREFREE[:25]] + [
-    pytest.param(-QuadElement.sqrt_d(2), id="-sqrt2"),
+    pytest.param(-QuadElement(0, 1, 2), id="-sqrt2"),
     pytest.param(QuadElement(Fraction(3, 2), Fraction(1, 2), 2), id="(3+sqrt2)over2"),
     pytest.param(QuadElement(Fraction(1, 3), Fraction(-2, 3), 7), id="(1-2sqrt7)over3"),
     pytest.param(QuadElement(Fraction(5, 7), Fraction(1, 11), 3), id="5over7+sqrt3over11"),

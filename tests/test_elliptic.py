@@ -22,7 +22,6 @@ from kzero.elliptic import (
     frobenius_matrices,
     good_primes,
     hecke_ap_cm,
-    is_good,
     tonelli,
     trace_of_frobenius,
     weil_zeta_local,
@@ -49,8 +48,6 @@ def test_singular_curve_rejected():
 
 
 def test_good_primes():
-    assert not is_good(CURVE_D1, 2)
-    assert is_good(CURVE_D1, 3)
     assert good_primes(CURVE_D1, 20) == [3, 5, 7, 11, 13, 17, 19]
     c3 = cm_curve_for(3)  # y^2 = x^3 + 1, disc -432
     assert good_primes(c3, 20) == [5, 7, 11, 13, 17, 19]
@@ -84,9 +81,8 @@ def test_counts_match_naive_loop():
         return pts
 
     for c in (CURVE_D1, cm_curve_for(2), cm_curve_for(3), CurveQ(2, 3)):
-        for p in (3, 5, 7, 11, 13, 17):
-            if is_good(c, p):
-                assert count_points_fp(c, p) == naive(c, p)
+        for p in good_primes(c, 17):
+            assert count_points_fp(c, p) == naive(c, p)
 
 
 def test_trace_golden():
@@ -130,7 +126,7 @@ def test_fp2_enumeration_direct():
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_extension_count_group_order_divisibility(p):
     # E(F_p) is a subgroup of E(F_{p^2})
-    if is_good(CURVE_D1, p):
+    if p in good_primes(CURVE_D1, p):
         n1 = count_points_extension(CURVE_D1, p, 1)
         n2 = count_points_extension(CURVE_D1, p, 2)
         assert n2 % n1 == 0
@@ -317,8 +313,7 @@ ROUTE_CURVES = (cm_curve_for(1), cm_curve_for(2), cm_curve_for(3), CurveQ(-3, 5)
 
 
 def test_bsgs_agrees_with_the_character_sum_up_to_20000(monkeypatch):
-    cases = [(c, p) for p in sieve(20000) if p > elliptic._BSGS_MIN_P
-             for c in ROUTE_CURVES if is_good(c, p)]
+    cases = [(c, p) for c in ROUTE_CURVES for p in good_primes(c, 20000) if p > elliptic._BSGS_MIN_P]
     before = _chi_table.cache_info().misses
     bsgs = [count_points_fp(c, p) for c, p in cases]
     assert _chi_table.cache_info().misses == before  # none of them took the character sum
