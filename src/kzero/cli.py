@@ -199,8 +199,7 @@ def _cmd_dimgroup(args, box):
 
 def _cmd_tower(args, box):
     _check_limit("tower", args.p, args.depth)
-    tower = groupalg.cyclic_tower(args.p, args.depth)
-    similar = groupalg.self_similarity_check(tower, args.window)
+    tower, similar = groupalg.self_similar_tower(args.p, args.depth, args.window)
     params = {"p": args.p, "depth": args.depth, "window": args.window}
     payload = {
         **params,

@@ -588,18 +588,26 @@ class ApCache:
     The file starts with the header line 'a4<TAB>a6<TAB>p<TAB>ap'.  Loading
     reads the file once and checks every row: four integers in canonical
     form with p >= 1, else a ValueError naming path:line.  Duplicate keys
-    resolve to the first occurrence.  A flush appends only the rows recorded
-    since the last one, in one write, so runs sharing a file keep each
-    other's rows, and the file of a sequence of runs lists every key once,
-    in first-seen order.
+    resolve to the first occurrence.  The key index is built only when a
+    second key is asked for: the first lookup is one scan of the checked
+    text, so a single-prime command never pays for the index.  A flush
+    appends only the rows recorded since the last one, in one write under an
+    exclusive lock, so runs sharing a file keep each other's rows, exactly
+    one of them writes the header, and the file of a sequence of runs lists
+    every key once, in first-seen order.
     """
 
     HEADER = "a4\ta6\tp\tap"
 
     def __init__(self, path: str):
         self.path = path
-        # key text 'a4<TAB>a6<TAB>p' -> a_p text, loaded and recorded rows alike
+        # key text 'a4<TAB>a6<TAB>p' -> a_p text: the rows recorded since the
+        # load, and the loaded rows once the index is built
         self._rows: dict[str, str] = {}
+        # the checked file text while its rows are not yet indexed
+        self._text: Optional[str] = None
+        self._scanned = False
+        self._missed: Optional[str] = None  # the key the first lookup's scan missed
         self._new: list[str] = []
         self._load()
 
@@ -610,26 +618,49 @@ class ApCache:
                 text = fh.read()
         except FileNotFoundError:
             return
-        first, _, body = text.partition("\n")
-        if text and not text.startswith(self.HEADER + "\n"):
+        if not text:
+            return
+        if not text.startswith(self.HEADER + "\n"):
+            first = text.partition("\n")[0]
             raise ValueError(f"{self.path} is not an a_p cache (bad header {first!r})")
-        valid = _ROWS.match(body).end()
-        if valid != len(body):
-            line = 2 + body.count("\n", 0, valid)
-            row = body[valid:].partition("\n")[0]
+        valid = _ROWS.match(text, len(self.HEADER) + 1).end()
+        if valid != len(text):
+            line = 1 + text.count("\n", 0, valid)
+            row = text[valid:].partition("\n")[0]
             raise ValueError(
                 f"{self.path}:{line}: bad a_p cache row {row!r}"
                 " (want four integers a4, a6, p >= 1, a_p and a newline)"
             )
-        # reversed, so the first occurrence of a key is the one that stays
-        self._rows = dict(reversed(_KEY_AP.findall(body)))
+        self._text = text
+
+    def _index(self) -> None:
+        assert self._text is not None
+        # reversed, so the first occurrence of a key is the one that stays;
+        # the rows recorded since the load hold keys the file lacks
+        self._rows = dict(reversed(_KEY_AP.findall(self._text, len(self.HEADER) + 1))) | self._rows
+        self._text = None
 
     def lookup(self, a4: int, a6: int, p: int) -> Optional[int]:
-        ap = self._rows.get(f"{a4}\t{a6}\t{p}")
+        key = f"{a4}\t{a6}\t{p}"
+        if self._text is not None:
+            if not self._scanned:
+                # the header ends in a newline, so every row starts after one
+                # and the first match is the key's first occurrence
+                self._scanned = True
+                at = self._text.find(f"\n{key}\t")
+                if at < 0:
+                    self._missed = key
+                    return None
+                at += len(key) + 2
+                return int(self._text[at : self._text.index("\n", at)])
+            self._index()
+        ap = self._rows.get(key)
         return None if ap is None else int(ap)
 
     def record(self, a4: int, a6: int, p: int, ap: int) -> None:
         key = f"{a4}\t{a6}\t{p}"
+        if self._text is not None and key != self._missed:
+            self._index()
         if key not in self._rows:
             self._rows[key] = str(ap)
             self._new.append(f"{key}\t{ap}\n")
@@ -638,9 +669,13 @@ class ApCache:
         """Append the rows recorded since the last flush with one O_APPEND write."""
         if not self._new:
             return
+        import fcntl  # POSIX only, so imported where it is used
+
         data = "".join(self._new)
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
+            # held until close: two runs creating the file at once write one header
+            fcntl.flock(fd, fcntl.LOCK_EX)
             if os.fstat(fd).st_size == 0:  # new, or left empty: it gets the header
                 data = self.HEADER + "\n" + data
             os.write(fd, data.encode("ascii"))

@@ -43,6 +43,7 @@ __all__ = [
     "cyclic_tower",
     "validate_tower",
     "self_similarity_check",
+    "self_similar_tower",
     "assemble_restricted_product",
     "serialize_restricted_product",
 ]
@@ -198,6 +199,20 @@ def _segment_root_codes(maps: list[ConnectingMap], intern: dict[tuple, int]) -> 
     return codes
 
 
+def _check_window(depth: int, window: int) -> None:
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if depth < window + 1:
+        raise ValueError(f"tower depth {depth} is too shallow for window {window}")
+
+
+def _shift_similar(t: ProfiniteTower, window: int) -> bool:
+    intern: dict[tuple, int] = {}
+    shifted = _segment_root_codes(list(t.connecting[1 : window + 1]), intern)
+    base = _segment_root_codes(list(t.connecting[0:window]), intern)
+    return sorted(shifted) == sorted(base * t.prime)
+
+
 def self_similarity_check(t: ProfiniteTower, window: int) -> bool:
     """Shift-by-one self-similarity of the tower over a window of levels.
 
@@ -205,14 +220,18 @@ def self_similarity_check(t: ProfiniteTower, window: int) -> bool:
     permutation, to p disjoint copies of levels [0, window].  Isomorphism of
     these forests is decided by comparing canonical code multisets.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if t.depth < window + 1:
-        raise ValueError(f"tower depth {t.depth} is too shallow for window {window}")
-    intern: dict[tuple, int] = {}
-    shifted = _segment_root_codes(list(t.connecting[1 : window + 1]), intern)
-    base = _segment_root_codes(list(t.connecting[0:window]), intern)
-    return sorted(shifted) == sorted(base * t.prime)
+    _check_window(t.depth, window)
+    return _shift_similar(t, window)
+
+
+def self_similar_tower(p: int, depth: int, window: int) -> tuple[ProfiniteTower, bool]:
+    """`cyclic_tower(p, depth)` and its `self_similarity_check` over `window`.
+
+    The window is checked against the depth before any level is built.
+    """
+    _check_window(depth, window)
+    tower = cyclic_tower(p, depth)
+    return tower, _shift_similar(tower, window)
 
 
 @dataclass(frozen=True)

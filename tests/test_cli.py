@@ -283,6 +283,33 @@ def test_bad_cache_row_exits_2_naming_its_line(tmp_path, capsys, argv):
     assert cache.read_text() == "a4\ta6\tp\tap\n-1\t0\tx\t3\n"
 
 
+def test_single_prime_commands_never_index_the_cache(tmp_path, monkeypatch):
+    # about 6.8k rows, as the heavy benchmark operations leave: three CM curves to 2e4
+    cache = tmp_path / "c.tsv"
+    rows = [
+        f"{c.a4}\t{c.a6}\t{p}\t{hecke_ap_cm(D, p)}\n"
+        for D in (2, 3, 1)
+        for c in [elliptic.cm_curve_for(D)]
+        for p in elliptic.good_primes(c, 20000)
+    ]
+    assert len(rows) > 6500
+    cache.write_text("a4\ta6\tp\tap\n" + "".join(rows))
+    calls = _count_calls(monkeypatch, elliptic.ApCache, "_index")
+    for argv in (
+        ("ap", "--D", "1", "--p", "10009"),  # a hit
+        ("ap", "--D", "1", "--p", "20011"),  # a miss, recorded
+        ("count", "--D", "1", "--p", "20011"),  # a hit on the row just appended
+        ("count", "--D", "1", "--p", "101", "--r", "2"),
+    ):
+        _, code, _ = invoke(*argv, "--cache", str(cache))
+        assert code == 0, argv
+    assert calls == {"_index": 0}
+    assert cache.read_text().endswith(f"-1\t0\t20011\t{hecke_ap_cm(1, 20011)}\n")
+    _, code, _ = invoke("match", "--D", "1", "--bound", "20000", "--cache", str(cache))
+    assert code == 0
+    assert calls == {"_index": 1}
+
+
 def test_unreadable_cache_exits_2(tmp_path, capsys):
     # a directory where the cache file should be
     _, code, _ = invoke("ap", "--D", "1", "--p", "13", "--cache", str(tmp_path))
@@ -467,6 +494,9 @@ def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypa
     (("tower", "--p", "3", "--depth", str(10 ** 9)), f"p^depth = 3^{10 ** 9} is above the tower limit"),
     (("adelic", "--bound", "101"), "bound^(depth+1) = 101^3 is above the restricted product limit"),
     (("dimgroup", "--uhf-p", "2", "--depth", "333"), "p^depth = 2^333 is above the UHF chain limit"),
+    # a window the depth cannot hold is refused before any level is built
+    (("tower", "--p", "997", "--depth", "2"), "tower depth 2 is too shallow for window 3"),
+    (("tower", "--p", "3", "--depth", "4", "--window", "0"), "window must be >= 1"),
 ))
 def test_a_power_above_its_limit_is_refused_unevaluated(tmp_path, capsys, monkeypatch, argv, message):
     assert message in _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)

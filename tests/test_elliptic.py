@@ -1,6 +1,11 @@
+import itertools
 import os
 import re
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -459,6 +464,72 @@ def test_cache_duplicate_rows_resolve_to_first(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("a4\ta6\tp\tap\n-1\t0\t5\t-2\n0\t1\t7\t-4\n-1\t0\t5\t2\n")
     assert ApCache(str(path)).lookup(-1, 0, 5) == -2
+
+
+# near-miss keys: one key is a prefix, suffix or sign flip of another
+_A4S, _A6S, _PS = ("1", "-1", "11"), ("0", "10"), ("13", "113", "137")
+
+
+@given(st.lists(
+    st.tuples(st.sampled_from(_A4S), st.sampled_from(_A6S), st.sampled_from(_PS), st.integers(-99, 99)),
+    max_size=24,
+))
+@settings(max_examples=60, deadline=None)
+def test_cache_first_lookup_agrees_with_the_index(rows):
+    body = "".join(f"{a4}\t{a6}\t{p}\t{ap}\n" for a4, a6, p, ap in rows)
+    first_seen: dict[tuple[int, int, int], int] = {}
+    for a4, a6, p, ap in rows:
+        first_seen.setdefault((int(a4), int(a6), int(p)), ap)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.tsv")
+        with open(path, "w") as fh:
+            fh.write("a4\ta6\tp\tap\n" + body)
+        for a4, a6, p in itertools.product(_A4S, _A6S, _PS):
+            key = (int(a4), int(a6), int(p))
+            cache = ApCache(path)
+            scanned = cache.lookup(*key)
+            cache.lookup(0, 0, 1)  # a second key builds the index
+            assert cache._text is None
+            assert scanned == cache.lookup(*key) == first_seen.get(key)
+
+
+def test_cache_writers_creating_one_file_at_once_write_one_header(tmp_path):
+    # each child loads the absent file and records its rows, then all flush together
+    path = tmp_path / "cache.tsv"
+    script = (
+        "import sys\n"
+        "from kzero.elliptic import ApCache\n"
+        "cache = ApCache(sys.argv[1])\n"
+        "for p in range(1, 41): cache.record(int(sys.argv[2]), 0, p, 0)\n"
+        "print('ready', flush=True)\n"
+        "sys.stdin.read()\n"
+        "cache.flush()\n"
+    )
+    package_root = str(Path(elliptic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", script, str(path), str(k)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        for k in range(6)
+    ]
+    try:
+        for child in children:
+            assert child.stdout.readline() == "ready\n"
+        for child in children:  # released together: each is blocked reading stdin
+            child.stdin.close()
+        for child in children:
+            assert child.wait(timeout=60) == 0
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+            child.stdin.close()
+            child.stdout.close()
+    lines = path.read_text().splitlines()
+    assert lines.count(ApCache.HEADER) == 1 and lines[0] == ApCache.HEADER
+    assert sorted(lines[1:]) == sorted(f"{k}\t0\t{p}\t0" for k in range(6) for p in range(1, 41))
 
 
 def test_cache_file_left_empty_gets_header(tmp_path):
