@@ -40,10 +40,12 @@ _DEFAULT_CACHE = "./apcache.tsv"
 _LIMITS = {
     "point count": ("p", 10 ** 18),  # ap, count: 0.4 s, growing as p^(1/4)
     "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 1 s, as p^2
-    "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: prop3 33 s, 65 MB
+    "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: 19 s at most, 70 MB
     "tower": ("p^depth", 10 ** 6),  # tower: 0.9 s and 75 MB
     "restricted product": ("bound^(depth+1)", 10 ** 6),  # adelic: 0.8 s
     "UHF chain": ("p^depth", 10 ** 100),  # dimgroup --uhf-p: 0.2 s
+    # dimgroup --uhf-p: 0.01 s; Miller-Rabin is proven below 3.2 * 10^23 only (see primes)
+    "UHF prime": ("p", 10 ** 18),
     "SL2 degree list": ("p", 10 ** 6),  # sl2: 0.6 s
 }
 
@@ -174,6 +176,7 @@ def _cmd_omega(args, box):
 def _cmd_dimgroup(args, box):
     if args.uhf_p is not None:
         _check_limit("UHF chain", args.uhf_p, args.depth)
+        _check_limit("UHF prime", args.uhf_p)
         diagram = bratteli.uhf_diagram(args.uhf_p, args.depth)
         params = {"uhf_p": args.uhf_p, "depth": args.depth}
         payload = {**params, "sizes": [lv.sizes[0] for lv in diagram.levels]}

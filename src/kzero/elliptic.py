@@ -135,6 +135,11 @@ def count_points_fp(c: CurveQ, p: int) -> int:
     (`_bsgs_order`), whose cost grows as p^(1/4).
     """
     _require_good(c, p)
+    return _point_count(c, p)
+
+
+def _point_count(c: CurveQ, p: int) -> int:
+    # count_points_fp's body, at a p the caller knows is a good prime
     if p > _BSGS_MIN_P:
         return _bsgs_order(c.a4 % p, c.a6 % p, p)
     import numpy as np
@@ -273,17 +278,15 @@ def _bsgs_order(a4: int, a6: int, p: int) -> int:
 
 
 def _good_ap(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> int:
-    """a_p = p + 1 - |E(F_p)| at a good prime; a bad prime is an error.
+    """a_p = p + 1 - |E(F_p)| at a p the caller knows is a good prime.
 
-    p is checked once: by `count_points_fp` on a miss, here on a cache hit.
-    The Hasse bound is checked either way, so a corrupt cached a_p is caught.
+    p is not checked here.  The public entries check it with `_require_good`
+    before calling; `lfunction`'s Euler products and trace match take it from
+    `good_primes`, which only yields good primes.  The Hasse bound is checked
+    on a hit and on a miss, so a corrupt cached a_p is caught.
     """
     hit = cache.lookup(c.a4, c.a6, p) if cache is not None else None
-    if hit is not None:
-        _require_good(c, p)
-        a_p = hit
-    else:
-        a_p = p + 1 - count_points_fp(c, p)
+    a_p = hit if hit is not None else p + 1 - _point_count(c, p)
     if a_p * a_p > 4 * p:  # raised, not asserted: a hit comes from a file
         raise AssertionError(f"Hasse bound violated at p={p}")
     if hit is None and cache is not None:
@@ -294,15 +297,17 @@ def _good_ap(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> int:
 def trace_of_frobenius(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> FrobeniusData:
     """a_p = p + 1 - |E(F_p)| at good p; a bad prime yields a good=False record."""
     try:
-        return FrobeniusData(p, True, _good_ap(c, p, cache))
+        _require_good(c, p)
     except BadReductionError:
         return FrobeniusData(p, False, None)
+    return FrobeniusData(p, True, _good_ap(c, p, cache))
 
 
 def count_points_extension(c: CurveQ, p: int, r: int, cache: Optional["ApCache"] = None) -> int:
     """|E(F_{p^r})| for r in {1, 2, 3} via the trace power sums."""
     if r not in (1, 2, 3):
         raise ValueError("r must be 1, 2, or 3")
+    _require_good(c, p)
     return _extension_count(c, p, _good_ap(c, p, cache), r)
 
 
@@ -436,6 +441,7 @@ def weil_zeta_local(c: CurveQ, p: int) -> LocalZeta:
     The formal log of the returned rational function is checked against
     |E(F_{p^r})| t^r / r through r = 3 before returning.
     """
+    _require_good(c, p)
     zeta = LocalZeta(p, _good_ap(c, p))
     logs = zeta.log_series(3)
     for r in (1, 2, 3):
@@ -451,6 +457,7 @@ def frobenius_matrices(c: CurveQ, p: int) -> FrobeniusMatrices:
     h1 has trace a_p, so the Lefschetz sum 1 - tr(h1) + p is |E(F_p)| by
     construction; the count behind a_p is the Hasse-checked one.
     """
+    _require_good(c, p)
     a_p = _good_ap(c, p)
     return FrobeniusMatrices(h0=((1,),), h1=((0, -p), (1, a_p)), h2=((p,),))
 
@@ -535,17 +542,6 @@ def cornacchia(d: int, p: int) -> tuple[int, int]:
     return b, root
 
 
-def _norm_form_ap(D: int, p: int) -> int:
-    a, b = cornacchia(D, p)
-    if D == 3:
-        return 2 * (a if a % 3 == 1 else -a)
-    if D == 2:
-        u = 1 if a % 8 in (1, 3) else -1
-        v = 1 if b % 4 == 0 else -1
-        return u * v * 2 * a
-    raise ValueError(f"no norm-form rule for D={D}")
-
-
 def hecke_ap_cm(D: int, p: int) -> int:
     """a_p of the CM table curve from the norm form alone, no point counting.
 
@@ -555,12 +551,17 @@ def hecke_ap_cm(D: int, p: int) -> int:
     a carries the sign (+1 if a = 1, 3 mod 8 else -1)(+1 if b = 0 mod 4
     else -1); for D = 3, a = 1 mod 3.
     """
-    curve = cm_curve_for(D)
-    _require_good(curve, p)
+    _require_good(cm_curve_for(D), p)
+    return _norm_form_ap(D, p)
+
+
+def _norm_form_ap(D: int, p: int) -> int:
+    # hecke_ap_cm's body, at a p the caller knows is good for the table curve
+    # of D; `_is_split` refuses a D outside the table
     if not _is_split(D, p):
         return 0
+    a, b = cornacchia(D, p)
     if D == 1:
-        a, b = cornacchia(1, p)
         if a % 2 == 0:
             a, b = b, a
         # b is even, so exactly one sign of a satisfies the congruence
@@ -569,7 +570,11 @@ def hecke_ap_cm(D: int, p: int) -> int:
         if (a + b) % 4 != 1:  # raised, not asserted: it must survive python -O
             raise AssertionError(f"no sign of a = {a} gives a + b = 1 mod 4 at p = {p}")
         return 2 * a
-    return _norm_form_ap(D, p)
+    if D == 3:
+        return 2 * (a if a % 3 == 1 else -a)
+    u = 1 if a % 8 in (1, 3) else -1
+    v = 1 if b % 4 == 0 else -1
+    return u * v * 2 * a
 
 
 # -- persistent a_p cache ----------------------------------------------------------

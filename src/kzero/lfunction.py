@@ -23,14 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from kzero.elliptic import (
-    ApCache,
-    CurveQ,
-    cm_curve_for,
-    good_primes,
-    hecke_ap_cm,
-    trace_of_frobenius,
-)
+from kzero.elliptic import ApCache, CurveQ, _good_ap, _norm_form_ap, cm_curve_for, good_primes
 from kzero.primes import is_prime, sieve
 
 ComplexLike = Union[int, float, complex]
@@ -57,7 +50,9 @@ class ConvergenceDomainError(ValueError):
 class LocalPolynomial:
     """Integer polynomial P with P(0) = 1 and degree <= 2, attached to a prime.
 
-    The local Euler factor at p is P(p^{-s})^{-1}.
+    The local Euler factor at p is P(p^{-s})^{-1}.  The constructor checks
+    that p is prime; the Euler products below build their factors at primes
+    from `sieve` with `_sieved`, which does not test p again.
     """
 
     p: int
@@ -67,6 +62,19 @@ class LocalPolynomial:
         object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
+        self._check_coefficients()
+
+    @classmethod
+    def _sieved(cls, p: int, coefficients: tuple[int, ...]) -> "LocalPolynomial":
+        """The factor at a prime p from `sieve`; p is not tested again, and the
+        coefficients must already be a tuple of ints."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "p", p)
+        object.__setattr__(poly, "coefficients", coefficients)
+        poly._check_coefficients()
+        return poly
+
+    def _check_coefficients(self) -> None:
         if not self.coefficients or self.coefficients[0] != 1:
             raise ValueError("constant coefficient must be 1")
         if len(self.coefficients) > 3:
@@ -114,7 +122,7 @@ def zeta_partial(s: ComplexLike, P: int) -> EulerProductApprox:
     z = complex(s)
     if z.real <= 1:
         raise ConvergenceDomainError(f"zeta product needs Re s > 1, got {z.real}")
-    factors = tuple(LocalPolynomial(p, (1, -1)) for p in sieve(P))
+    factors = tuple(LocalPolynomial._sieved(p, (1, -1)) for p in sieve(P))
     return EulerProductApprox(z, P, factors, _fold(factors, z))
 
 
@@ -128,12 +136,9 @@ def motivic_l1_partial(
     z = complex(s)
     if z.real <= 1.5:
         raise ConvergenceDomainError(f"motivic L1 needs Re s > 3/2, got {z.real}")
-    factors = []
-    for p in good_primes(c, P):
-        a_p = trace_of_frobenius(c, p, cache).a_p
-        assert a_p is not None
-        factors.append(LocalPolynomial(p, (1, -a_p, p)))
-    factors = tuple(factors)
+    factors = tuple(
+        LocalPolynomial._sieved(p, (1, -_good_ap(c, p, cache), p)) for p in good_primes(c, P)
+    )
     return EulerProductApprox(z, P, factors, _fold(factors, z))
 
 
@@ -158,10 +163,10 @@ def automorphic_l_partial(D: int, i: int, s: ComplexLike, P: int) -> EulerProduc
     curve = cm_curve_for(D)
     factors = []
     for p in good_primes(curve, P):
-        a_p = hecke_ap_cm(D, p)
+        a_p = _norm_form_ap(D, p)
         if a_p * a_p > 4 * p:  # raised, not asserted: it must survive python -O
             raise AssertionError(f"Hasse bound violated by norm-form a_p at {p}")
-        factors.append(LocalPolynomial(p, (1, -a_p, p)))
+        factors.append(LocalPolynomial._sieved(p, (1, -a_p, p)))
     factors = tuple(factors)
     return EulerProductApprox(z, P, factors, _fold(factors, z))
 
@@ -199,9 +204,8 @@ def local_factor_match(D: int, P: int, cache: Optional[ApCache] = None) -> Match
     curve = cm_curve_for(D)
     rows = []
     for p in good_primes(curve, P):
-        motivic = trace_of_frobenius(curve, p, cache).a_p
-        assert motivic is not None
-        automorphic = hecke_ap_cm(D, p)
+        motivic = _good_ap(curve, p, cache)
+        automorphic = _norm_form_ap(D, p)
         rows.append(MatchRow(p, motivic, automorphic, motivic == automorphic))
     return MatchReport(D, P, tuple(rows))
 
@@ -220,10 +224,9 @@ def proposition3_check(
     if z.real <= 2:
         raise ConvergenceDomainError(f"the factorization check needs Re s > 2, got {z.real}")
     curve = cm_curve_for(D)
-    motivic = motivic_l1_partial(curve, z, P, cache).value / (
-        zeta_partial(z, P).value * zeta_partial(z - 1, P).value
-    )
-    automorphic = automorphic_l_partial(D, 1, z, P).value / (
-        automorphic_l_partial(D, 0, z, P).value * automorphic_l_partial(D, 2, z, P).value
-    )
+    # zeta(s) and zeta(s-1) are the automorphic products for i = 0 and i = 2,
+    # so each is built once and serves both sides
+    zetas = zeta_partial(z, P).value * zeta_partial(z - 1, P).value
+    motivic = motivic_l1_partial(curve, z, P, cache).value / zetas
+    automorphic = automorphic_l_partial(D, 1, z, P).value / zetas
     return abs(motivic / automorphic - 1)

@@ -2,8 +2,11 @@
 
 A plain sieve for enumerating primes up to a bound and a deterministic
 Miller-Rabin test for isolated queries.  The witness set {2, 3, 5, 7, 11,
-13, 17, 19, 23, 29, 31, 37} is proven correct for all n < 3.3 * 10^24,
-far beyond anything this package touches.
+13, 17, 19, 23, 29, 31, 37} is proven correct for all n below
+psi_12 = 318665857834031151167461 (Sorenson and Webster 2015), and psi_12
+itself, 399165290221 * 798330580441, passes it.  So a caller that must not
+take a composite for a prime keeps n below that bound; the CLI refuses any
+p it tests above 10^18.
 """
 
 from __future__ import annotations

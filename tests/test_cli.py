@@ -409,6 +409,53 @@ def test_unit_computes_the_fundamental_unit_once(tmp_path, monkeypatch):
     assert (units, expansions) == ({"fundamental_unit": 1}, {"expand": 1})
 
 
+def _count_primality_tests(monkeypatch):
+    counts = [_count_calls(monkeypatch, module, "is_prime") for module in (elliptic, lfunction)]
+    return lambda: sum(c["is_prime"] for c in counts)
+
+
+@pytest.mark.parametrize("argv", (
+    ("match", "--D", "1", "--bound", "20000"),
+    ("prop3", "--D", "2", "--s", "3", "--bound", "20000"),
+    ("lfun", "--which", "zeta", "--s", "3", "--bound", "20000"),
+    ("lfun", "--which", "motivic", "--D", "1", "--s", "3", "--bound", "20000"),
+    ("lfun", "--which", "auto", "--D", "3", "--s", "3", "--bound", "20000"),
+))
+def test_sieved_primes_are_not_tested_again(tmp_path, monkeypatch, argv):
+    primality_tests = _count_primality_tests(monkeypatch)
+    _, code, _ = invoke(*argv, "--cache", str(tmp_path / "c.tsv"))
+    assert code == 0
+    assert primality_tests() == 0
+
+
+def test_ap_tests_its_prime_at_most_twice(tmp_path, monkeypatch):
+    primality_tests = _count_primality_tests(monkeypatch)
+    _, code, _ = invoke("ap", "--D", "1", "--p", "10009", "--cache", str(tmp_path / "c.tsv"))
+    assert code == 0
+    assert primality_tests() <= 2
+
+
+def test_prop3_builds_each_zeta_product_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, lfunction, "zeta_partial")
+    _, code, _ = invoke("prop3", "--D", "1", "--s", "3", "--bound", "500", "--cache", str(tmp_path / "c.tsv"))
+    assert code == 0
+    assert calls == {"zeta_partial": 2}
+
+
+@pytest.mark.parametrize("p", ("15", "1003"))  # 1003 = 17 * 59, above the crossover
+@pytest.mark.parametrize("argv", (
+    ("ap", "--D", "1"),
+    ("count", "--D", "1"),
+    ("count", "--D", "1", "--r", "2"),
+    ("zeta-local", "--D", "1"),
+))
+def test_a_composite_p_from_argv_is_refused(tmp_path, capsys, argv, p):
+    _, code, out = invoke(*argv, "--p", p, "--cache", str(tmp_path / "c.tsv"))
+    assert code == 2
+    assert out.endswith("# status error\n")
+    assert f"{p} is not prime" in capsys.readouterr().err
+
+
 NUMPY_PROBE = """
 import io, sys
 from kzero.cli import run
@@ -449,7 +496,7 @@ def test_ap_near_a_billion_matches_the_norm_form(tmp_path):
 
 # the library entry points behind the limited inputs; none may run past a limit
 WORK = (
-    (elliptic, ("count_points_fp", "count_points_fp2_enumeration")),
+    (elliptic, ("trace_of_frobenius", "count_points_fp", "count_points_fp2_enumeration")),
     (lfunction, ("zeta_partial", "local_factor_match", "proposition3_check")),
     (groupalg, ("cyclic_tower", "sl2_degree_profile", "assemble_restricted_product")),
     (bratteli, ("uhf_diagram",)),
@@ -480,6 +527,7 @@ def _refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
     (("adelic", "--depth", "0", "--bound"), "restricted product", 10 ** 6),
     pytest.param(("dimgroup", "--depth", "1", "--uhf-p"), "UHF chain", 10 ** 100, id="argv9-UHF chain-10^100"),
     (("sl2", "--p"), "SL2 degree list", 10 ** 6),
+    (("dimgroup", "--depth", "1", "--uhf-p"), "UHF prime", 10 ** 18),
 ))
 def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, count, limit):
     name, table_limit = cli._LIMITS[count]
@@ -497,6 +545,9 @@ def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypa
     # a window the depth cannot hold is refused before any level is built
     (("tower", "--p", "997", "--depth", "2"), "tower depth 2 is too shallow for window 3"),
     (("tower", "--p", "3", "--depth", "4", "--window", "0"), "window must be >= 1"),
+    # 399165290221 * 798330580441, which passes all twelve Miller-Rabin witnesses
+    (("dimgroup", "--uhf-p", "318665857834031151167461", "--depth", "1"),
+     "p = 318665857834031151167461 is above the UHF prime limit p <= 1000000000000000000"),
 ))
 def test_a_power_above_its_limit_is_refused_unevaluated(tmp_path, capsys, monkeypatch, argv, message):
     assert message in _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
@@ -521,7 +572,7 @@ def test_fp2_count_runs_at_the_largest_prime_within_the_limit(tmp_path):
 BROKEN = {
     "fp2": "elliptic.count_points_fp2_enumeration = lambda c, p: 0",
     "exp-log": "elliptic.LocalZeta.log_series = lambda self, order: [0] * (order + 1)",
-    "hasse": "lfunction.hecke_ap_cm = lambda D, p: 2 * p",
+    "hasse": "lfunction._norm_form_ap = lambda D, p: 2 * p",
 }
 
 

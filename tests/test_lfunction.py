@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 
 import kzero.lfunction as lf
-from kzero.elliptic import CurveQ, cm_curve_for, good_primes
+from kzero.elliptic import (
+    CurveQ,
+    cm_curve_for,
+    count_points_extension,
+    frobenius_matrices,
+    good_primes,
+    hecke_ap_cm,
+    trace_of_frobenius,
+    weil_zeta_local,
+)
 from kzero.lfunction import (
     ConvergenceDomainError,
     EulerProductApprox,
@@ -20,6 +29,28 @@ CURVE_D1 = CurveQ(-1, 0)
 
 
 # -- local polynomials -------------------------------------------------------------
+
+
+def test_public_entries_still_test_p():
+    with pytest.raises(ValueError, match="15 is not prime"):
+        trace_of_frobenius(CURVE_D1, 15)
+    with pytest.raises(ValueError, match="15 is not prime"):
+        hecke_ap_cm(1, 15)
+    for entry in (frobenius_matrices, weil_zeta_local):
+        with pytest.raises(ValueError, match="15 is not prime"):
+            entry(CURVE_D1, 15)
+    with pytest.raises(ValueError, match="15 is not prime"):
+        count_points_extension(CURVE_D1, 15, 3)
+
+
+def test_sieved_factors_equal_checked_ones():
+    assert zeta_partial(3, 100).factors == tuple(LocalPolynomial(p, (1, -1)) for p in sieve(100))
+    curve = cm_curve_for(1)
+    checked = tuple(
+        LocalPolynomial(p, (1, -trace_of_frobenius(curve, p).a_p, p)) for p in good_primes(curve, 100)
+    )
+    assert motivic_l1_partial(curve, 3, 100).factors == checked
+    assert automorphic_l_partial(1, 1, 3, 100).factors == checked
 
 
 def test_local_polynomial_validation():
@@ -157,14 +188,14 @@ def test_local_factor_match_clean(d):
 
 
 def test_local_factor_match_detects_injected_fault(monkeypatch):
-    real = lf.hecke_ap_cm
+    real = lf._norm_form_ap
 
     def tampered(D, p):
         if p == 13:
             return real(D, p) + 2
         return real(D, p)
 
-    monkeypatch.setattr(lf, "hecke_ap_cm", tampered)
+    monkeypatch.setattr(lf, "_norm_form_ap", tampered)
     report = local_factor_match(1, 50)
     assert report.mismatches == (13,)
     bad = [r for r in report.rows if not r.match]
@@ -203,12 +234,12 @@ def test_proposition3_domain():
 
 
 def test_proposition3_detects_injected_fault(monkeypatch):
-    real = lf.hecke_ap_cm
+    real = lf._norm_form_ap
 
     def tampered(D, p):
         if p == 5:
             return real(D, p) + 1
         return real(D, p)
 
-    monkeypatch.setattr(lf, "hecke_ap_cm", tampered)
+    monkeypatch.setattr(lf, "_norm_form_ap", tampered)
     assert proposition3_check(1, 3.0, 50) > 1e-4
