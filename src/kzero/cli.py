@@ -46,6 +46,7 @@ _LIMITS = {
     "UHF chain": ("p^depth", 10 ** 100),  # dimgroup --uhf-p: 0.2 s
     # dimgroup --uhf-p: 0.01 s; Miller-Rabin is proven below 3.2 * 10^23 only (see primes)
     "UHF prime": ("p", 10 ** 18),
+    "ramified prime": ("p", 10 ** 18),  # adelic --ramified: 0.01 s, for the same reason
     "SL2 degree list": ("p", 10 ** 6),  # sl2: 0.6 s
 }
 
@@ -351,6 +352,8 @@ def _cmd_coherence(args, box):
 def _cmd_adelic(args, box):
     _check_limit("restricted product", args.bound, args.depth + 1)
     ramified = [int(x) for x in args.ramified.split(",") if x.strip()] if args.ramified else []
+    for p in ramified:
+        _check_limit("ramified prime", p)
     seed = bratteli.effros_shen(quadfield.omega_of(args.D))
     spec = groupalg.assemble_restricted_product(ramified, args.bound, seed, args.depth)
     serialized = groupalg.serialize_restricted_product(spec)

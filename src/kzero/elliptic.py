@@ -1,16 +1,16 @@
 """Elliptic curves over Q reduced at good primes: counts, traces, local factors.
 
 `count_points_fp` switches route by p.  Up to `_BSGS_MIN_P` it takes the
-O(p) quadratic-character sum over x (vectorized, with a cached residue table
-per prime).  Above it, it runs Shanks-Mestre baby-step giant-step in pure
-integers: a deterministic walk of points on the curve and on its quadratic
-twist, O(p^(1/4)) group operations per point, until one group order is left
-in the Hasse interval.  Frobenius traces feed the local zeta factor
-(1 - a_p t + p t^2)/((1-t)(1-p t)), whose formal logarithm is expanded with
-exact rational series arithmetic and compared against the extension-field
-point counts; the F_{p^2} count additionally has a brute-force oracle that
-enumerates the quadratic extension, one line of it at a time, in O(p^2) time
-and O(p) memory.
+O(p) sum over x of the number of square roots of f(x), in pure integers
+with a cached root table per prime.  Above it, it runs Shanks-Mestre
+baby-step giant-step in pure integers: a deterministic walk of points on
+the curve and on its quadratic twist, O(p^(1/4)) group operations per
+point, until one group order is left in the Hasse interval.  Frobenius
+traces feed the local zeta factor (1 - a_p t + p t^2)/((1-t)(1-p t)), whose
+formal logarithm is expanded with exact rational series arithmetic and
+compared against the extension-field point counts; the F_{p^2} count
+additionally has a brute-force oracle that enumerates the quadratic
+extension, one line of it at a time, in O(p^2) time and O(p) memory.
 
 The CM table carries one representative curve for each supported imaginary
 quadratic field Q(sqrt(-D)), D in {1, 2, 3}, and `hecke_ap_cm` recomputes
@@ -21,9 +21,9 @@ rule for each D (see `hecke_ap_cm`), so the two routes share no code.  p = 2
 is always excluded, and every prime dividing the discriminant is bad.
 
 A small append-only text cache maps (a4, a6, p) to a_p so repeated CLI runs
-are byte-identical and cheap.  numpy is imported only where the character
-sum or the F_{p^2} enumeration runs, so the rest of the package loads
-without it.
+are byte-identical and cheap.  numpy is imported only by the F_{p^2}
+enumeration above `_FP2_NUMPY_MIN_P`, where its vectorized line sum is the
+faster; everything else runs without it.
 """
 
 from __future__ import annotations
@@ -34,12 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from kzero.primes import is_prime, sieve
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CurveQ",
@@ -109,15 +106,14 @@ def good_primes(c: CurveQ, bound: int) -> list[int]:
 
 
 @lru_cache(maxsize=512)
-def _chi_table(p: int) -> np.ndarray:
-    import numpy as np
-
-    # chi[v] = quadratic character of v mod p; chi[0] = 0
-    chi = np.full(p, -1, dtype=np.int8)
-    squares = (np.arange(p, dtype=np.int64) ** 2) % p
-    chi[squares] = 1
-    chi[0] = 0
-    return chi
+def _chi_table(p: int) -> bytes:
+    # roots[v] = number of square roots of v mod p: 1 for v = 0, 2 for a
+    # nonzero square, 0 otherwise, so the quadratic character is roots[v] - 1
+    roots = bytearray(p)
+    for x in range(1, (p + 1) // 2):  # x and p - x have the same square
+        roots[x * x % p] = 2
+    roots[0] = 1
+    return bytes(roots)
 
 
 def _require_good(c: CurveQ, p: int) -> None:
@@ -130,9 +126,9 @@ def _require_good(c: CurveQ, p: int) -> None:
 def count_points_fp(c: CurveQ, p: int) -> int:
     """|E(F_p)| including the point at infinity.
 
-    Up to `_BSGS_MIN_P`, by the character sum p + 1 + sum over x of
-    (f(x)/p); above it, by Shanks-Mestre baby-step giant-step
-    (`_bsgs_order`), whose cost grows as p^(1/4).
+    Up to `_BSGS_MIN_P`, by the root count 1 + sum over x of the number of
+    square roots of f(x) mod p, in pure integers; above it, by Shanks-Mestre
+    baby-step giant-step (`_bsgs_order`), whose cost grows as p^(1/4).
     """
     _require_good(c, p)
     return _point_count(c, p)
@@ -142,21 +138,18 @@ def _point_count(c: CurveQ, p: int) -> int:
     # count_points_fp's body, at a p the caller knows is a good prime
     if p > _BSGS_MIN_P:
         return _bsgs_order(c.a4 % p, c.a6 % p, p)
-    import numpy as np
-
-    x = np.arange(p, dtype=np.int64)
-    f = (x * x % p * x + c.a4 % p * x + c.a6) % p
-    return p + 1 + int(_chi_table(p)[f].sum())
+    roots = _chi_table(p)
+    a4, a6 = c.a4 % p, c.a6 % p
+    return 1 + sum(roots[(x * x * x + a4 * x + a6) % p] for x in range(p))
 
 
 # -- Shanks-Mestre baby-step giant-step ----------------------------------------------
 
-# The crossover of the two point counts.  Timed per prime on 2 vCPUs, each
-# prime new to the process: both take 0.03 ms at p = 1000, and at p = 10^4
-# the character sum takes 0.20 ms against 0.05 ms, as it grows like p and
-# the baby-step giant-step count like p^(1/4).  It must stay above 229,
-# where Mestre's theorem makes the point walk end.
-_BSGS_MIN_P = 1000
+# Where the point counts switch: a theorem's bound, not a timed crossover.
+# By Mestre's theorem, for p > 229 the curve or its quadratic twist has a
+# point whose order has a single multiple in the Hasse interval, so the
+# baby-step giant-step walk ends; at or below it the root count runs.
+_BSGS_MIN_P = 229
 
 _Point = Optional[tuple[int, int]]  # affine (x, y); None is the point at infinity
 
@@ -316,15 +309,15 @@ def _extension_count(c: CurveQ, p: int, a_p: int, r: int) -> int:
 
     s_r = a_p s_{r-1} - p s_{r-2} with s_0 = 2, s_1 = a_p gives
     |E(F_{p^r})| = p^r + 1 - s_r.  The r = 2 value is additionally checked
-    against the independent brute-force enumeration of F_{p^2}, which keeps
-    its own check of p.
+    against the independent brute-force enumeration of F_{p^2}; p is not
+    checked again, as the public callers have checked it.
     """
     s = [2, a_p]
     for _ in range(2, r + 1):
         s.append(a_p * s[-1] - p * s[-2])
     count = p ** r + 1 - s[r]
     if r == 2:
-        enumerated = count_points_fp2_enumeration(c, p)
+        enumerated = _fp2_count(c, p)
         if count != enumerated:  # raised, not asserted: it must survive python -O
             raise AssertionError(f"recursion says {count} but F_{p}^2 enumeration says {enumerated}")
     return count
@@ -342,26 +335,52 @@ def count_points_fp2_enumeration(c: CurveQ, p: int) -> int:
         f(z) = (g(z0) + 3n z1^2 z0) + z1 (3 z0^2 + a4 + n z1^2) u,
         g(z0) = z0^3 + a4 z0 + a6,
 
-    so the loop runs over z1, vectorized over z0, in O(p) memory.  The norm
-    depends on z1 only through z1^2, so z1 and -z1 contribute alike.
+    so the loop runs over z1 and sums each line over z0, in O(p) memory: in
+    Python integers up to `_FP2_NUMPY_MIN_P`, vectorized with numpy above it.
+    The norm depends on z1 only through z1^2, so z1 and -z1 contribute alike.
     """
-    import numpy as np
-
     _require_good(c, p)
+    return _fp2_count(c, p)
+
+
+# The per-call crossover of the two line sums, where they tie.  Timed on
+# 2 vCPUs with numpy already imported, best of three medians per call, in
+# Python integers against numpy: 0.006 against 0.034 ms at p = 5, 0.15
+# against 0.17 ms at p = 37, 0.20 ms each at p = 41, 0.21 against 0.20 ms
+# at p = 43 and 1.04 against 0.51 ms at p = 101.
+_FP2_NUMPY_MIN_P = 41
+
+
+def _fp2_count(c: CurveQ, p: int) -> int:
+    # count_points_fp2_enumeration's body, at a p the caller knows is a good prime
     n = _smallest_nonresidue(p)
-    a4 = c.a4 % p
-    z0 = np.arange(p, dtype=np.int64)
-    roots = np.bincount(z0 * z0 % p, minlength=p)
-    g = (z0 * z0 % p * z0 + a4 * z0 + c.a6 % p) % p
-    h = (3 * z0 * z0 + a4) % p
-    z0_3 = 3 * z0
+    a4, a6 = c.a4 % p, c.a6 % p
+    if p > _FP2_NUMPY_MIN_P:
+        import numpy as np
+
+        z0 = np.arange(p, dtype=np.int64)
+        roots = np.bincount(z0 * z0 % p, minlength=p)
+        g = (z0 * z0 % p * z0 + a4 * z0 + a6) % p
+        h = (3 * z0 * z0 + a4) % p
+        z0_3 = 3 * z0
+
+        def line(z1: int, t: int) -> int:
+            f0 = (g + t * z0_3) % p
+            f1 = z1 * (h + t) % p
+            return int(roots[(f0 * f0 - n * (f1 * f1 % p)) % p].sum())
+
+    else:
+        table = _chi_table(p)
+        ghz = [((z * z * z + a4 * z + a6) % p, (3 * z * z + a4) % p, 3 * z) for z in range(p)]
+
+        def line(z1: int, t: int) -> int:
+            # n f1^2 = n z1^2 (h + t)^2 = t (h + t)^2 mod p
+            return sum(table[((g + t * z3) ** 2 - t * (h + t) ** 2) % p] for g, h, z3 in ghz)
+
     total = 0
     for z1 in range((p + 1) // 2):
         t = n * z1 * z1 % p
-        f0 = (g + t * z0_3) % p
-        f1 = z1 * (h + t) % p
-        line = int(roots[(f0 * f0 - n * (f1 * f1 % p)) % p].sum())
-        total += line if z1 == 0 else 2 * line
+        total += line(z1, t) if z1 == 0 else 2 * line(z1, t)
     return total + 1
 
 

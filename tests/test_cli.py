@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from kzero import bratteli, cli, contfrac, elliptic, groupalg, lfunction, quadfi
 from kzero.cli import CommandResult, main, run
 from kzero.elliptic import hecke_ap_cm
 from kzero.primes import is_prime, sieve
+from test_golden import readme_commands
 
 
 def invoke(*argv):
@@ -435,6 +437,24 @@ def test_ap_tests_its_prime_at_most_twice(tmp_path, monkeypatch):
     assert primality_tests() <= 2
 
 
+@pytest.mark.parametrize("argv", (
+    ("zeta-local", "--D", "1", "--p", "101"),
+    ("count", "--D", "1", "--p", "101", "--r", "2"),
+))
+def test_fp2_commands_test_their_prime_once(tmp_path, monkeypatch, argv):
+    primality_tests = _count_primality_tests(monkeypatch)
+    _, code, _ = invoke(*argv, "--cache", str(tmp_path / "c.tsv"))
+    assert code == 0
+    assert primality_tests() == 1
+
+
+def test_a_composite_ramified_prime_within_the_limit_is_refused(tmp_path, capsys):
+    _, code, out = invoke("adelic", "--ramified", "15", "--bound", "7", "--cache", str(tmp_path / "c.tsv"))
+    assert code == 2
+    assert out.endswith("# status error\n")
+    assert "ramified set contains non-prime 15" in capsys.readouterr().err
+
+
 def test_prop3_builds_each_zeta_product_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, lfunction, "zeta_partial")
     _, code, _ = invoke("prop3", "--D", "1", "--s", "3", "--bound", "500", "--cache", str(tmp_path / "c.tsv"))
@@ -457,24 +477,26 @@ def test_a_composite_p_from_argv_is_refused(tmp_path, capsys, argv, p):
 
 
 NUMPY_PROBE = """
-import io, sys
+import io, json, sys
+sys.modules["numpy"] = None  # an import of numpy now raises ImportError
 from kzero.cli import run
 
-def kzero(*argv):
-    assert run([*argv, "--cache", "c.tsv"], stdout=io.StringIO())[1] == 0
+def kzero(argv):
+    return run([*argv, "--cache", "c.tsv"], stdout=io.StringIO())[1]
 
-kzero("coherence", "--D", "3")
-kzero("adelic", "--ramified", "2,3", "--bound", "7", "--D", "5")
-kzero("ap", "--D", "1", "--p", "10009")
-assert "numpy" not in sys.modules, "loaded without a character sum"
-kzero("ap", "--D", "1", "--p", "13")
-assert "numpy" in sys.modules, "not loaded by a point count"
+failed = [argv for argv in json.loads(sys.argv[1]) if kzero(argv) != 0]
+assert failed == [], f"failed without numpy: {failed}"
+del sys.modules["numpy"]
+assert kzero(["count", "--D", "1", "--p", "101", "--r", "2"]) == 0
+assert "numpy" in sys.modules, "not loaded by the F_(p^2) enumeration at p = 101"
 """
 
 
-def test_numpy_is_loaded_only_to_count_points(tmp_path):
+def test_readme_commands_run_without_numpy(tmp_path):
+    commands = [shlex.split(command) for command in readme_commands()]
+    assert len(commands) == 16
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE],
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
         capture_output=True,
         text=True,
         cwd=str(tmp_path),
@@ -496,7 +518,7 @@ def test_ap_near_a_billion_matches_the_norm_form(tmp_path):
 
 # the library entry points behind the limited inputs; none may run past a limit
 WORK = (
-    (elliptic, ("trace_of_frobenius", "count_points_fp", "count_points_fp2_enumeration")),
+    (elliptic, ("trace_of_frobenius", "count_points_fp", "_fp2_count")),
     (lfunction, ("zeta_partial", "local_factor_match", "proposition3_check")),
     (groupalg, ("cyclic_tower", "sl2_degree_profile", "assemble_restricted_product")),
     (bratteli, ("uhf_diagram",)),
@@ -528,6 +550,7 @@ def _refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
     pytest.param(("dimgroup", "--depth", "1", "--uhf-p"), "UHF chain", 10 ** 100, id="argv9-UHF chain-10^100"),
     (("sl2", "--p"), "SL2 degree list", 10 ** 6),
     (("dimgroup", "--depth", "1", "--uhf-p"), "UHF prime", 10 ** 18),
+    (("adelic", "--bound", "7", "--ramified"), "ramified prime", 10 ** 18),
 ))
 def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, count, limit):
     name, table_limit = cli._LIMITS[count]
@@ -548,6 +571,8 @@ def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypa
     # 399165290221 * 798330580441, which passes all twelve Miller-Rabin witnesses
     (("dimgroup", "--uhf-p", "318665857834031151167461", "--depth", "1"),
      "p = 318665857834031151167461 is above the UHF prime limit p <= 1000000000000000000"),
+    (("adelic", "--ramified", "318665857834031151167461", "--bound", "7"),
+     "p = 318665857834031151167461 is above the ramified prime limit p <= 1000000000000000000"),
 ))
 def test_a_power_above_its_limit_is_refused_unevaluated(tmp_path, capsys, monkeypatch, argv, message):
     assert message in _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
@@ -570,7 +595,7 @@ def test_fp2_count_runs_at_the_largest_prime_within_the_limit(tmp_path):
 
 # the checks of results are raised, not asserted, so they hold under python -O
 BROKEN = {
-    "fp2": "elliptic.count_points_fp2_enumeration = lambda c, p: 0",
+    "fp2": "elliptic._fp2_count = lambda c, p: 0",
     "exp-log": "elliptic.LocalZeta.log_series = lambda self, order: [0] * (order + 1)",
     "hasse": "lfunction._norm_form_ap = lambda D, p: 2 * p",
 }

@@ -317,13 +317,31 @@ def test_norm_form_route_builds_no_character_table():
 ROUTE_CURVES = (cm_curve_for(1), cm_curve_for(2), cm_curve_for(3), CurveQ(-3, 5))
 
 
-def test_bsgs_agrees_with_the_character_sum_up_to_20000(monkeypatch):
+def _character_sum(c, p):
+    """|E(F_p)| = p + 1 + the sum over x of (f(x)/p), vectorized: the oracle for both counts."""
+    import numpy as np
+
+    x = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int64)
+    chi[x * x % p] = 1
+    chi[0] = 0
+    f = (x * x % p * x + c.a4 % p * x + c.a6) % p
+    return p + 1 + int(chi[f].sum())
+
+
+def test_bsgs_agrees_with_the_character_sum_up_to_20000():
     cases = [(c, p) for c in ROUTE_CURVES for p in good_primes(c, 20000) if p > elliptic._BSGS_MIN_P]
     before = _chi_table.cache_info().misses
     bsgs = [count_points_fp(c, p) for c, p in cases]
-    assert _chi_table.cache_info().misses == before  # none of them took the character sum
-    monkeypatch.setattr(elliptic, "_BSGS_MIN_P", 20000)  # now every one does
-    wrong = [(c.a4, c.a6, p) for (c, p), n in zip(cases, bsgs) if count_points_fp(c, p) != n]
+    assert _chi_table.cache_info().misses == before  # none of them took the root count
+    wrong = [(c.a4, c.a6, p) for (c, p), n in zip(cases, bsgs) if _character_sum(c, p) != n]
+    assert wrong == []
+
+
+def test_root_count_agrees_with_the_character_sum_up_to_229():
+    assert elliptic._BSGS_MIN_P == 229  # Mestre's bound: baby-step giant-step above it
+    cases = [(c, p) for c in ROUTE_CURVES for p in good_primes(c, 229)]
+    wrong = [(c.a4, c.a6, p) for c, p in cases if count_points_fp(c, p) != _character_sum(c, p)]
     assert wrong == []
 
 
@@ -364,6 +382,7 @@ def _fp2_meshgrid(c, p):
 
 
 def test_fp2_oracle_agrees_with_the_meshgrid_reference():
+    assert 3 < elliptic._FP2_NUMPY_MIN_P < 200  # so both line sums are checked
     for c in ROUTE_CURVES:
         for p in good_primes(c, 200):
             assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p), (c, p)
