@@ -22,7 +22,7 @@ lists each key once, in first-seen order.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -79,15 +79,23 @@ class _CacheBox:
 
 
 def _parse_s(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        values = [float(x) for x in text.split(",")]
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected re or re,im, got {text!r}")
+        values = []
+    if len(values) in (1, 2) and all(map(math.isfinite, values)):
+        return complex(*values)
+    raise argparse.ArgumentTypeError(f"expected finite re or re,im, got {text!r}")
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if math.isfinite(tol) and tol >= 0:
+        return tol
+    raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {text!r}")
 
 
 def _fmt(x: object) -> str:
@@ -351,9 +359,13 @@ def _cmd_coherence(args, box):
 
 def _cmd_adelic(args, box):
     _check_limit("restricted product", args.bound, args.depth + 1)
-    ramified = [int(x) for x in args.ramified.split(",") if x.strip()] if args.ramified else []
-    for p in ramified:
-        _check_limit("ramified prime", p)
+    ramified = []
+    for x in filter(str.strip, args.ramified.split(",")):
+        try:
+            ramified.append(int(x))
+        except ValueError:
+            raise ValueError(f"ramified prime {x.strip()!r} is not an integer") from None
+        _check_limit("ramified prime", ramified[-1])
     seed = bratteli.effros_shen(quadfield.omega_of(args.D))
     spec = groupalg.assemble_restricted_product(ramified, args.bound, seed, args.depth)
     serialized = groupalg.serialize_restricted_product(spec)
@@ -448,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--s", type=_parse_s, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_parse_tol, default=1e-10)
 
     p = add("coherence", _cmd_coherence, help="module coherence checks for one D")
     p.add_argument("--D", type=int, required=True)
@@ -464,6 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(result: CommandResult, rows: Sequence[Sequence], fmt: str, out: TextIO) -> None:
     if fmt == "json":
+        import json  # only JSON output needs it, so a TSV run never loads it
+
         doc = {
             "command": result.command,
             "parameters": result.parameters,

@@ -28,10 +28,12 @@ re-checks the full invariant for data from elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from kzero.bratteli import StationaryDiagram
 from kzero.primes import is_prime
+
+if TYPE_CHECKING:
+    from kzero.bratteli import StationaryDiagram
 
 __all__ = [
     "RepDegreeProfile",

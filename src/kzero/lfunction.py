@@ -120,7 +120,7 @@ def _fold(factors: tuple[LocalPolynomial, ...], s: complex) -> complex:
 def zeta_partial(s: ComplexLike, P: int) -> EulerProductApprox:
     """prod_{p <= P} (1 - p^{-s})^{-1}, valid for Re s > 1."""
     z = complex(s)
-    if z.real <= 1:
+    if not z.real > 1:  # written so that NaN is refused too
         raise ConvergenceDomainError(f"zeta product needs Re s > 1, got {z.real}")
     factors = tuple(LocalPolynomial._sieved(p, (1, -1)) for p in sieve(P))
     return EulerProductApprox(z, P, factors, _fold(factors, z))
@@ -134,7 +134,7 @@ def motivic_l1_partial(
     Local factor (1 - a_p p^{-s} + p^{1-2s})^{-1}; valid for Re s > 3/2.
     """
     z = complex(s)
-    if z.real <= 1.5:
+    if not z.real > 1.5:
         raise ConvergenceDomainError(f"motivic L1 needs Re s > 3/2, got {z.real}")
     factors = tuple(
         LocalPolynomial._sieved(p, (1, -_good_ap(c, p, cache), p)) for p in good_primes(c, P)
@@ -153,12 +153,12 @@ def automorphic_l_partial(D: int, i: int, s: ComplexLike, P: int) -> EulerProduc
     if i == 0:
         return zeta_partial(z, P)
     if i == 2:
-        if z.real <= 2:
+        if not z.real > 2:
             raise ConvergenceDomainError(f"i=2 needs Re s > 2, got {z.real}")
         return zeta_partial(z - 1, P)
     if i != 1:
         raise ValueError("i must be 0, 1, or 2")
-    if z.real <= 1.5:
+    if not z.real > 1.5:
         raise ConvergenceDomainError(f"i=1 needs Re s > 3/2, got {z.real}")
     curve = cm_curve_for(D)
     factors = []
@@ -221,7 +221,7 @@ def proposition3_check(
     common half-plane Re s > 2.
     """
     z = complex(s)
-    if z.real <= 2:
+    if not z.real > 2:
         raise ConvergenceDomainError(f"the factorization check needs Re s > 2, got {z.real}")
     curve = cm_curve_for(D)
     # zeta(s) and zeta(s-1) are the automorphic products for i = 0 and i = 2,

@@ -190,6 +190,25 @@ def test_usage_error_exits_2():
         run([])
 
 
+@pytest.mark.parametrize("argv", (
+    ("lfun", "--which", "zeta", "--s", "nan", "--bound", "10"),
+    ("lfun", "--which", "zeta", "--s", "inf", "--bound", "10"),
+    ("lfun", "--which", "zeta", "--s", "3,nan", "--bound", "10"),
+    ("prop3", "--D", "1", "--s", "nan", "--bound", "10"),
+    ("lfun", "--which", "auto", "--D", "1", "--s", "inf", "--bound", "10"),
+    # a tolerance that no residual meets, or that every finite residual meets
+    ("prop3", "--D", "1", "--s", "3", "--bound", "10", "--tol", "nan"),
+    ("prop3", "--D", "1", "--s", "3", "--bound", "10", "--tol", "-1"),
+    ("prop3", "--D", "1", "--s", "3", "--bound", "10", "--tol", "inf"),
+))
+def test_a_value_that_defeats_the_check_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--cache", str(tmp_path / "c.tsv")])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "c.tsv").exists()
+
+
 def test_main_returns_exit_code(tmp_path, capsys):
     assert main(["omega", "--D", "5"]) == 0
     capsys.readouterr()
@@ -455,6 +474,13 @@ def test_a_composite_ramified_prime_within_the_limit_is_refused(tmp_path, capsys
     assert "ramified set contains non-prime 15" in capsys.readouterr().err
 
 
+def test_a_ramified_prime_that_is_not_an_integer_is_refused(tmp_path, capsys):
+    _, code, out = invoke("adelic", "--ramified", "2,x", "--bound", "7", "--cache", str(tmp_path / "c.tsv"))
+    assert code == 2
+    assert out.endswith("# status error\n")
+    assert capsys.readouterr().err == "kzero adelic: ramified prime 'x' is not an integer\n"
+
+
 def test_prop3_builds_each_zeta_product_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, lfunction, "zeta_partial")
     _, code, _ = invoke("prop3", "--D", "1", "--s", "3", "--bound", "500", "--cache", str(tmp_path / "c.tsv"))
@@ -503,6 +529,74 @@ def test_readme_commands_run_without_numpy(tmp_path):
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# -- modules loaded on first use --------------------------------------------------
+
+LIBRARY = {"primes", "quadfield", "contfrac", "coherence", "bratteli", "groupalg", "elliptic",
+           "lfunction"}
+_TRACES = {"elliptic", "primes"}
+# the library modules each README command executes, by subcommand; the rest stay unrun
+EXECUTED = {
+    "omega": {"quadfield"},
+    "contfrac": {"quadfield", "contfrac"},
+    "unit": {"quadfield", "contfrac"},
+    "ap": _TRACES,
+    "count": _TRACES,
+    "zeta-local": _TRACES,
+    "lfun": _TRACES | {"lfunction"},
+    "match": _TRACES | {"lfunction"},
+    "prop3": _TRACES | {"lfunction"},
+    "tower": {"groupalg", "primes"},
+    "sl2": {"groupalg", "primes"},
+    "dimgroup": {"bratteli", "coherence", "primes", "quadfield"},  # and contfrac with --D
+    "coherence": LIBRARY - {"groupalg", "lfunction"},
+    "adelic": LIBRARY - {"elliptic", "lfunction"},
+}
+
+# prints the kzero modules whose code has run; a registered, unrun module is a
+# subclass of ModuleType until its first attribute read
+EXECUTED_PROBE = """
+import io, sys, types
+{code}
+print(" ".join(sorted(name[len("kzero."):] for name, m in sys.modules.items()
+                      if name.startswith("kzero.") and type(m) is types.ModuleType)))
+"""
+
+
+def executed_in_child(tmp_path, code, *args):
+    proc = subprocess.run(
+        [sys.executable, "-c", EXECUTED_PROBE.format(code=code), *args],
+        capture_output=True, text=True, cwd=str(tmp_path), env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_a_readme_command_executes_only_the_modules_it_uses(tmp_path, command):
+    argv = shlex.split(command)
+    code = "from kzero.cli import run\nrun(sys.argv[1:], stdout=io.StringIO())"
+    expected = EXECUTED[argv[0]] | {"cli"} | ({"contfrac"} if argv[:2] == ["dimgroup", "--D"] else set())
+    assert executed_in_child(tmp_path, code, *argv, "--cache", "c.tsv") == expected
+
+
+def test_import_kzero_executes_no_submodule(tmp_path):
+    assert executed_in_child(tmp_path, "import kzero") == set()
+
+
+def test_every_library_module_is_registered_by_import_kzero_cli(tmp_path):
+    # perfbench/tracer.py imports kzero.cli and then reads sys.modules["kzero.<name>"]
+    # for every library module, so each must be registered even though none has run
+    code = "import kzero.cli\nassert all(f'kzero.{n}' in sys.modules for n in sys.argv[1:])"
+    assert executed_in_child(tmp_path, code, *sorted(LIBRARY)) == {"cli"}
+
+
+def test_json_output_of_a_fresh_process(tmp_path):
+    # json is imported only when JSON is written, so this runs with it unloaded
+    proc = run_child(tmp_path, "omega", "--D", "13", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (Path(__file__).parent / "golden" / "omega_D_13.json").read_text(encoding="utf-8")
 
 
 # -- large primes and the input limits ---------------------------------------------

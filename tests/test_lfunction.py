@@ -98,6 +98,18 @@ def test_zeta_partial_domain():
     zeta_partial(complex(1.2, 40.0), 10)  # imaginary part is irrelevant
 
 
+@pytest.mark.parametrize("product", (
+    lambda s: zeta_partial(s, 10),
+    lambda s: motivic_l1_partial(CURVE_D1, s, 10),
+    lambda s: automorphic_l_partial(1, 1, s, 10),
+    lambda s: automorphic_l_partial(1, 2, s, 10),
+    lambda s: proposition3_check(1, s, 10),
+), ids=("zeta", "motivic", "auto-1", "auto-2", "prop3"))
+def test_nan_s_is_outside_every_domain(product):
+    with pytest.raises(ConvergenceDomainError):
+        product(float("nan"))
+
+
 def test_zeta_partial_includes_exactly_the_primes():
     approx = zeta_partial(2.0, 30)
     assert [f.p for f in approx.factors] == sieve(30)
