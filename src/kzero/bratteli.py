@@ -362,13 +362,14 @@ def stationary_k0(s: StationaryDiagram) -> DimensionGroup:
     return DimensionGroup(n, s.B, None)
 
 
-def shift_action_check(s: StationaryDiagram) -> bool:
-    """True iff multiplying the embedded K0 module by lambda maps it onto itself."""
+def shift_action_check(group: DimensionGroup) -> bool:
+    """True iff multiplying the embedded K0 module by lambda maps it onto itself.
+
+    `group` is the diagram's `stationary_k0`, which the caller already holds.
+    """
     from kzero.coherence import module_equal, module_scale
 
-    group = stationary_k0(s)
     if group.real_embedding is None:
         raise UnsupportedDiagramError("diagram has no real embedding to act on")
     module = group.real_embedding
     return module_equal(module_scale(module, group.eigenvalue), module)
-

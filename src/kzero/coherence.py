@@ -3,9 +3,10 @@
 A RealModule is Z*g1 + ... + Z*gm (m <= 2) where each generator is either a
 rational number or an element of one fixed field Q(sqrt(D)).  Working in
 coordinates over the basis {1, sqrt(D)} turns membership into exact rational
-linear algebra: a module has a canonical Hermite-form basis, and containment
-asks whether a generator's coordinate vector is an integer combination of
-basis rows.  Everything is decidable and no tolerance appears anywhere.
+linear algebra: a module has a canonical Hermite-form basis, so two modules
+are equal iff their bases are, and M contains N iff adding N's generators to
+M's basis leaves the Hermite basis unchanged.  Everything is decidable and no
+tolerance appears anywhere.
 
 Modules over different irrational fields are deliberately incomparable:
 asking whether Z+Z*sqrt(2) contains Z+Z*sqrt(3) raises instead of returning
@@ -97,30 +98,39 @@ class RealModule:
 
     def coords(self) -> list[tuple[Fraction, Fraction]]:
         """Generator coordinates over {1, sqrt(D)}."""
-        return [(_coord_pair(g)[0], _coord_pair(g)[1]) for g in self.generators]
+        return [_coord_pair(g)[:2] for g in self.generators]
 
     def basis(self) -> list[tuple[Fraction, Fraction]]:
         """Canonical (Hermite-form) basis rows; length = rank."""
-        rows = [rc for rc in self.coords() if rc != (0, 0)]
-        if not rows:
-            return []
-        # clear denominators: work with integer rows over a common scale 1/L
-        denom = 1
-        for x, y in rows:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-            denom = denom * y.denominator // gcd(denom, y.denominator)
-        int_rows = [(int(x * denom), int(y * denom)) for x, y in rows]
-        e, f, g = _hnf_two_columns(int_rows)
-        out: list[tuple[Fraction, Fraction]] = []
-        if e:
-            out.append((Fraction(e, denom), Fraction(f, denom)))
-        if g:
-            out.append((Fraction(0), Fraction(g, denom)))
-        return out
+        return _hermite_basis(self.coords())
 
     @property
     def rank(self) -> int:
         return len(self.basis())
+
+
+def _hermite_basis(rows: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
+    """Canonical (Hermite-form) basis of the Z-span of coordinate rows.
+
+    The span of rational rows is a lattice of rank <= 2, and this basis is
+    the only one of its shape, so two spans are equal iff their bases are.
+    """
+    rows = [rc for rc in rows if rc != (0, 0)]
+    if not rows:
+        return []
+    # clear denominators: work with integer rows over a common scale 1/L
+    denom = 1
+    for x, y in rows:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+        denom = denom * y.denominator // gcd(denom, y.denominator)
+    int_rows = [(int(x * denom), int(y * denom)) for x, y in rows]
+    e, f, g = _hnf_two_columns(int_rows)
+    out: list[tuple[Fraction, Fraction]] = []
+    if e:
+        out.append((Fraction(e, denom), Fraction(f, denom)))
+    if g:
+        out.append((Fraction(0), Fraction(g, denom)))
+    return out
 
 
 def _hnf_two_columns(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
@@ -168,43 +178,20 @@ def _ambient(M: RealModule, N: RealModule) -> None:
 
 
 def module_contains(M: RealModule, N: RealModule) -> bool:
-    """True iff every generator of N is an integer combination of M's basis.
+    """True iff N lies in M: adding N's generators to M's basis keeps the basis.
 
     Rational modules embed into any field; two genuinely irrational ambient
     fields must agree or the comparison is refused.
     """
     _ambient(M, N)
     basis = M.basis()
-    for x, y in N.coords():
-        if not _in_span(basis, x, y):
-            return False
-    return True
-
-
-def _in_span(basis: list[tuple[Fraction, Fraction]], x: Fraction, y: Fraction) -> bool:
-    if not basis:
-        return x == 0 and y == 0
-    if len(basis) == 2:
-        # alpha is forced by the first coordinate since the second row starts with 0
-        (e, f), (_, g) = basis
-        alpha = x / e
-        if alpha.denominator != 1:
-            return False
-        beta = (y - alpha * f) / g
-        return beta.denominator == 1
-    (e, f) = basis[0]
-    if e:
-        alpha = x / e
-        return alpha.denominator == 1 and alpha * f == y
-    if x != 0:
-        return False
-    alpha = y / f
-    return alpha.denominator == 1
+    return _hermite_basis(basis + N.coords()) == basis
 
 
 def module_equal(M: RealModule, N: RealModule) -> bool:
-    """Equality as subsets of R: mutual containment."""
-    return module_contains(M, N) and module_contains(N, M)
+    """Equality as subsets of R: equal canonical bases."""
+    _ambient(M, N)
+    return M.basis() == N.basis()
 
 
 def module_scale(M: RealModule, c: Scalar) -> RealModule:
@@ -215,15 +202,7 @@ def module_scale(M: RealModule, c: Scalar) -> RealModule:
     field = M.D if cd is None else cd
     if M.D is not None and cd is not None and M.D != cd:
         raise IncomparableFieldsError("scalar lives in a different field than the module")
-    gens = []
-    for g in M.generators:
-        if isinstance(g, QuadElement):
-            gens.append(g * (c if isinstance(c, QuadElement) else Fraction(c)))
-        elif isinstance(c, QuadElement):
-            gens.append(c * Fraction(g))
-        else:
-            gens.append(Fraction(g) * Fraction(c))
-    return RealModule(field, tuple(gens))
+    return RealModule(field, tuple(g * c for g in M.generators))
 
 
 def z_module() -> RealModule:

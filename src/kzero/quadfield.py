@@ -168,16 +168,12 @@ class QuadElement:
         r = self.a.denominator * self.b.denominator
         p = self.a.numerator * self.b.denominator
         q = self.b.numerator * self.a.denominator
-        if q > 0:
-            # Q*sqrt(D) lies strictly between t and t+1, and no integer sits in
-            # ((P+t)/R, (P+t+1)/R), so the floor matches the left endpoint's.
-            t = isqrt(q * q * self.D)
-            return (p + t) // r
+        # |Q|*sqrt(D) is irrational, so with t = isqrt(Q^2 D) it lies strictly
+        # between t and t+1, and Q*sqrt(D) strictly between s and s+1, where
+        # s = t if Q > 0 and s = -t-1 if Q < 0.  No integer sits in the open
+        # interval ((P+s)/R, (P+s+1)/R), so the floor is the left endpoint's.
         t = isqrt(q * q * self.D)
-        num = p - t
-        if num % r == 0:
-            return num // r - 1
-        return num // r
+        return (p + t) // r if q > 0 else (p - t - 1) // r
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -230,7 +226,6 @@ def fundamental_unit(D: int, cf: Optional[PeriodicCF] = None) -> FundamentalUnit
     p^2 - t*p*q + n*q^2 is +-1 (Pell theory).  The norm is checked.  A caller
     that already holds omega's expansion passes it as `cf`.
     """
-    _check_real_d(D)
     from kzero import contfrac  # deferred: contfrac builds on QuadElement
 
     w = omega_of(D)

@@ -312,15 +312,15 @@ def test_telescoping_preserves_the_module():
 @pytest.mark.parametrize("d", SQUAREFREE)
 def test_shift_action_on_expansions(d):
     w = omega_of(d)
-    assert shift_action_check(effros_shen(w - w.floor()))
+    assert shift_action_check(stationary_k0(effros_shen(w - w.floor())))
 
 
 def test_shift_action_hand_built():
-    assert shift_action_check(StationaryDiagram(GOLDEN_B, MatrixAlgebraList((1, 1))))
+    assert shift_action_check(stationary_k0(StationaryDiagram(GOLDEN_B, MatrixAlgebraList((1, 1)))))
 
 
 def test_shift_action_unsupported_diagram():
     diag = StationaryDiagram(((3, 1), (1, 1)), MatrixAlgebraList((1, 1)))
     with pytest.raises(UnsupportedDiagramError):
-        shift_action_check(diag)
+        shift_action_check(stationary_k0(diag))
 

@@ -224,25 +224,11 @@ def test_cache_flag_creates_file(tmp_path):
     assert "-1\t0\t5\t-2" in path.read_text()
 
 
-def test_cache_env_var_and_flag_precedence(tmp_path, monkeypatch):
-    env_path = tmp_path / "env.tsv"
-    flag_path = tmp_path / "flag.tsv"
-    monkeypatch.setenv("KZERO_AP_CACHE", str(env_path))
-
-    invoke("ap", "--D", "1", "--p", "5")
-    assert env_path.exists()
-
-    invoke("ap", "--D", "1", "--p", "13", "--cache", str(flag_path))
-    assert "13" in flag_path.read_text()
-    assert "13" not in env_path.read_text()
-
-
-def test_commands_without_counting_do_not_touch_cache(tmp_path, monkeypatch):
+def test_commands_without_counting_do_not_touch_cache(tmp_path):
     path = tmp_path / "untouched.tsv"
-    monkeypatch.setenv("KZERO_AP_CACHE", str(path))
-    invoke("contfrac", "--D", "7")
-    invoke("sl2", "--p", "7")
-    invoke("tower", "--p", "2", "--depth", "3", "--window", "1")
+    invoke("contfrac", "--D", "7", "--cache", str(path))
+    invoke("sl2", "--p", "7", "--cache", str(path))
+    invoke("tower", "--p", "2", "--depth", "3", "--window", "1", "--cache", str(path))
     assert not path.exists()
 
 
@@ -401,8 +387,8 @@ def test_dimgroup_computes_pf_data_once_per_group(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, bratteli, "_pf_exact_2x2", "_is_primitive")
     _, code, _ = invoke("dimgroup", "--D", "7", "--cache", str(tmp_path / "c.tsv"))
     assert code == 0
-    # one group for the payload and one inside the shift-action check
-    assert calls == {"_pf_exact_2x2": 2, "_is_primitive": 2}
+    # one group serves both the payload and the shift-action check
+    assert calls == {"_pf_exact_2x2": 1, "_is_primitive": 1}
 
 
 def test_adelic_validates_each_tower_once(tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kzero.coherence import (
     IncomparableFieldsError,
@@ -146,6 +147,91 @@ def test_containment_respects_integer_combinations(d, u, v):
     m = RealModule.span(Fraction(1), w)
     x = Fraction(u) + v * w
     assert module_contains(m, RealModule.span(x))
+
+
+def _integer_rows(*rows):
+    # coordinate rows scaled by one common denominator to integers
+    denom = 1
+    for row in rows:
+        for c in row:
+            denom = denom * c.denominator // gcd(denom, c.denominator)
+    return [(int(x * denom), int(y * denom)) for x, y in rows]
+
+
+def _independent(rows):
+    if len(rows) == 1:
+        return rows[0] != (0, 0)
+    (a1, b1), (a2, b2) = rows
+    return a1 * b2 - a2 * b1 != 0
+
+
+def _cramer_member(rows, v):
+    """v is in the Z-span of the independent rows, by Cramer's rule in integers."""
+    *gens, (x, y) = _integer_rows(*rows, v)
+    if len(gens) == 1:
+        (a, b), = gens
+        # v is a rational multiple of (a, b) iff the cross product vanishes
+        return a * y - b * x == 0 and (x % a == 0 if a else y % b == 0)
+    (a1, b1), (a2, b2) = gens
+    det = a1 * b2 - a2 * b1
+    return (x * b2 - a2 * y) % det == 0 and (a1 * y - x * b1) % det == 0
+
+
+def _cramer_contains(m_rows, n_rows):
+    return all(_cramer_member(m_rows, v) for v in n_rows)
+
+
+_COORD = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def _rows(draw, d, rank):
+    # rank independent rows; a rational module has rank 1 and zero sqrt(d) parts
+    rational = d is None or draw(st.booleans())
+    rows = [(draw(_COORD), Fraction(0) if rational else draw(_COORD)) for _ in range(rank)]
+    assume(_independent(rows))
+    return rows
+
+
+@st.composite
+def _module_pairs(draw):
+    """(d, rows of M, rows of N, whether N lies in M by construction or None)."""
+    d = draw(st.sampled_from([None] + [d for d in SQUAREFREE if d <= 30]))
+    m_rows = draw(_rows(d, 1 if d is None else draw(st.integers(1, 2))))
+    if draw(st.booleans()):
+        n_rows = draw(_rows(d, 1 if d is None else draw(st.integers(1, 2))))
+        return d, m_rows, n_rows, None
+    # integer combinations of M's rows, optionally plus half a row of M
+    coeff = st.integers(-2, 2)
+    n_rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        ks = [draw(coeff) for _ in m_rows]
+        n_rows.append(tuple(sum(k * row[i] for k, row in zip(ks, m_rows)) for i in (0, 1)))
+    if not draw(st.booleans()):
+        return d, m_rows, n_rows, True
+    x, y = m_rows[draw(st.integers(0, len(m_rows) - 1))]
+    n_rows[0] = (n_rows[0][0] + x / 2, n_rows[0][1] + y / 2)
+    return d, m_rows, n_rows, False
+
+
+def _module(d, rows):
+    if d is None:
+        return RealModule.span(*(x for x, _ in rows))
+    return RealModule.span(*(QuadElement(x, y, d) for x, y in rows))
+
+
+@given(_module_pairs())
+@settings(max_examples=200)
+def test_containment_and_equality_match_cramer_reference(pair):
+    d, m_rows, n_rows, member = pair
+    m, n = _module(d, m_rows), _module(d, n_rows)
+    expected = _cramer_contains(m_rows, n_rows)
+    if member is not None:
+        assert expected == member
+    assert module_contains(m, n) == expected
+    if _independent(n_rows):
+        assert module_equal(m, n) == (expected and _cramer_contains(n_rows, m_rows))
+        assert module_equal(n, m) == module_equal(m, n)
 
 
 @given(st.sampled_from(SQUAREFREE[:10]), st.integers(min_value=2, max_value=5))
