@@ -2,10 +2,10 @@
 
 A diagram is a sequence of finite-dimensional algebra descriptors (lists of
 matrix block sizes) glued by nonnegative integer partial multiplicity
-matrices.  A stationary diagram repeats one square matrix B forever; when B
-is 2x2, primitive, and has an irrational Perron eigenvalue, the dimension
-group embeds in R as a rank-2 module Z*t1 + Z*t2 and everything about it is
-decided exactly in Q(sqrt(D)).
+matrices.  A stationary diagram repeats one square matrix B forever; here B
+is always the 2x2 primitive unimodular matrix that `effros_shen` folds from
+a continued fraction, so the dimension group embeds in R as a rank-2 module
+Z*t1 + Z*t2 and everything about it is decided exactly in Q(sqrt(D)).
 
 The trace normalization is the delicate point.  The inductive limit of
 Z^2 --B--> Z^2 --B--> ... maps into R by pairing level-k coordinates with a
@@ -16,9 +16,8 @@ is (|q_{c-1}*theta - p_{c-1}|, |q_c*theta - p_c|), which spans Z + Z*theta
 at every level because one step of the recurrence is unimodular.  An
 arbitrary positive rescaling of t (say, last coordinate 1) generates a
 module that can differ from Z + Z*theta by a non-unit factor, which is why
-`StationaryDiagram` carries the exact trace pair when it is known and
-`stationary_k0` only falls back to the eigenvector normalization for
-hand-built diagrams.
+`StationaryDiagram` requires the exact trace pair and `stationary_k0`
+embeds the group through it.
 
 UHF diagrams and the Z[1/p] membership predicate live here too, as the
 rank-1 warm-up case.
@@ -32,7 +31,7 @@ from math import isqrt
 from typing import NamedTuple, Optional, Sequence, Union
 
 from kzero import contfrac
-from kzero.coherence import RealModule
+from kzero.coherence import RealModule, module_equal, module_scale
 from kzero.primes import is_prime
 from kzero.quadfield import QuadElement
 
@@ -44,8 +43,6 @@ __all__ = [
     "StationaryDiagram",
     "DimensionGroup",
     "PFData",
-    "NotPrimitiveError",
-    "UnsupportedDiagramError",
     "uhf_diagram",
     "uhf_k0_membership",
     "effros_shen",
@@ -54,14 +51,6 @@ __all__ = [
     "stationary_k0",
     "shift_action_check",
 ]
-
-
-class NotPrimitiveError(ValueError):
-    """Raised when an operation requires a primitive multiplicity matrix."""
-
-
-class UnsupportedDiagramError(ValueError):
-    """Raised when a stationary diagram has no supported real embedding."""
 
 
 # -- matrix helpers ------------------------------------------------------------
@@ -132,34 +121,35 @@ class BratteliDiagram:
 
 @dataclass(frozen=True)
 class StationaryDiagram:
-    """One square multiplicity matrix repeated from a seed level.
+    """A 2x2 primitive unimodular multiplicity matrix repeated from a seed level.
 
     `period_length` records how many elementary continued-fraction steps one
-    application of B represents (1 for hand-built diagrams).  `seed_traces`
-    is the exact positive trace pair at the seed level when the diagram came
-    from a continued fraction; see the module docstring for why this matters.
+    application of B represents.  `seed_traces` is the exact positive trace
+    pair at the seed level; see the module docstring for why it is required.
     """
 
     B: Matrix
     seed: MatrixAlgebraList
-    period_length: int = 1
-    seed_traces: Optional[tuple[QuadElement, ...]] = None
+    period_length: int
+    seed_traces: tuple[QuadElement, QuadElement]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "B", _to_matrix(self.B))
-        n = len(self.B)
-        if any(len(row) != n for row in self.B):
-            raise ValueError("stationary multiplicity matrix must be square")
-        if len(self.seed.sizes) != n:
-            raise ValueError("seed block count must match the matrix size")
+        object.__setattr__(self, "seed_traces", tuple(self.seed_traces))
+        if len(self.B) != 2 or len(self.B[0]) != 2:
+            raise ValueError(f"stationary multiplicity matrix must be 2x2, got {self.B}")
+        if not _is_primitive(self.B):
+            raise ValueError(f"matrix {self.B} is not primitive")
+        (b00, b01), (b10, b11) = self.B
+        if b00 * b11 - b01 * b10 not in (1, -1):
+            raise ValueError(f"matrix {self.B} is not unimodular; the K0 limit is not a "
+                             f"finitely generated subgroup of R")
+        if len(self.seed.sizes) != 2:
+            raise ValueError("seed must have two blocks")
         if self.period_length < 1:
             raise ValueError("period length must be >= 1")
-        if self.seed_traces is not None:
-            object.__setattr__(self, "seed_traces", tuple(self.seed_traces))
-            if len(self.seed_traces) != n:
-                raise ValueError("need one trace per block")
-            if any(t.sign() <= 0 for t in self.seed_traces):
-                raise ValueError("trace values must be strictly positive")
+        if len(self.seed_traces) != 2 or any(t.sign() <= 0 for t in self.seed_traces):
+            raise ValueError("need two strictly positive traces")
 
 
 @dataclass(frozen=True)
@@ -167,15 +157,14 @@ class DimensionGroup:
     """K0 data of a stationary diagram.
 
     `rank` and `matrix` present the inductive system (Z^rank --matrix--> ...);
-    `real_embedding` is the image in R when the diagram supports one, and
-    `eigenvalue` the exact Perron eigenvalue it was built from; both are
-    None when the group is presentation-only.
+    `real_embedding` is its image in R, and `eigenvalue` the exact Perron
+    eigenvalue it was built from.
     """
 
     rank: int
     matrix: Matrix
-    real_embedding: Optional[RealModule]
-    eigenvalue: Optional[QuadElement] = None
+    real_embedding: RealModule
+    eigenvalue: QuadElement
 
 
 # -- operations ----------------------------------------------------------------
@@ -262,104 +251,43 @@ def effros_shen(theta: QuadElement, cf: Optional[contfrac.PeriodicCF] = None) ->
 
 def _xi(theta: QuadElement, conv: contfrac.Convergent) -> QuadElement:
     value = theta * conv.q - conv.p
-    if conv.index % 2 == 1:
-        value = -value
-    if value.sign() <= 0:  # raised, not asserted: it must survive python -O
-        raise AssertionError(f"trace {value} at convergent {conv.index} is not positive")
-    return value
+    return -value if conv.index % 2 == 1 else value
 
 
 class PFData(NamedTuple):
-    """Perron eigenvalue and a positive left eigenvector.
+    """Perron eigenvalue and a positive left eigenvector, both exact.
 
-    The eigenvalue is exact (QuadElement, or Fraction when the characteristic
-    discriminant is a perfect square), and so is the eigenvector, normalized
-    to last coordinate 1.
+    The eigenvector is normalized to last coordinate 1.
     """
 
-    eigenvalue: Union[QuadElement, Fraction]
-    eigenvector: tuple
+    eigenvalue: QuadElement
+    eigenvector: tuple[QuadElement, QuadElement]
 
 
 def pf_data(s: StationaryDiagram) -> PFData:
-    """Perron-Frobenius data of a 2x2 stationary matrix; rejects non-primitive B."""
-    n = len(s.B)
-    if n != 2:
-        raise UnsupportedDiagramError(f"Perron-Frobenius data needs a 2x2 matrix, got {n}x{n}")
-    if not _is_primitive(s.B):
-        raise NotPrimitiveError(f"matrix {s.B} is not primitive")
-    return _pf_exact_2x2(s)
+    """Perron-Frobenius data of a stationary diagram, in the field of its traces.
 
-
-def _square_free_split(n: int) -> tuple[int, int]:
-    # n = m^2 * d with d square-free
-    m, d, f = 1, 1, 2
-    while f * f <= n:
-        while n % (f * f) == 0:
-            n //= f * f
-            m *= f
-        if n % f == 0:
-            n //= f
-            d *= f
-        f += 1
-    return m, d * n
-
-
-def _pf_exact_2x2(s: StationaryDiagram) -> PFData:
+    B is primitive and unimodular, so its characteristic discriminant is
+    positive and not a square; it must be m^2 * D for the traces' field D.
+    """
     (b00, b01), (b10, b11) = s.B
     tr = b00 + b11
-    det = b00 * b11 - b01 * b10
-    disc = tr * tr - 4 * det
-    # primitive 2x2 implies b01 > 0 and a simple dominant root, so disc > 0
-    if not (disc > 0 and b01 > 0):  # raised, not asserted: it must survive python -O
-        raise AssertionError(f"matrix {s.B} has no simple dominant root")
-    r = isqrt(disc)
-    lam: Union[QuadElement, Fraction]
-    if r * r == disc:
-        lam = Fraction(tr + r, 2)
-        v1: Union[QuadElement, Fraction] = (lam - b11) / b01
-    else:
-        # a diagram built from a continued fraction carries its field D in its
-        # traces, and then disc = m^2 * D; only hand-built diagrams are factored
-        d = s.seed_traces[0].D if s.seed_traces is not None else 0
-        m = isqrt(disc // d) if d else 0
-        if m * m * d != disc:
-            m, d = _square_free_split(disc)
-        lam = QuadElement(Fraction(tr, 2), Fraction(m, 2), d)
-        v1 = (lam - b11) / Fraction(b01)
-    return PFData(lam, (v1, Fraction(1) if isinstance(v1, Fraction) else QuadElement.rational(1, d)))
+    disc = tr * tr - 4 * (b00 * b11 - b01 * b10)
+    d = s.seed_traces[0].D
+    m = isqrt(disc // d)
+    if m * m * d != disc:  # raised, not asserted: it must survive python -O
+        raise AssertionError(f"discriminant {disc} of {s.B} is not a square times D = {d}")
+    lam = QuadElement(Fraction(tr, 2), Fraction(m, 2), d)
+    return PFData(lam, ((lam - b11) / Fraction(b01), QuadElement.rational(1, d)))
 
 
 def stationary_k0(s: StationaryDiagram) -> DimensionGroup:
-    """Dimension group of a stationary diagram, with real embedding when possible.
+    """Dimension group of a stationary diagram and its real embedding.
 
-    The embedding exists for a primitive 2x2 matrix with irrational Perron
-    eigenvalue and determinant +-1: the limit of Z^2 under B then lands in R
-    as the rank-2 module spanned by the trace pair (the diagram's own exact
-    pair when present, otherwise the left eigenvector normalized to (v, 1)).
-
-    A 2x2 diagram whose determinant is not +-1 has a limit that is not
-    finitely generated (denominators pile up), which this representation
-    cannot carry: UnsupportedDiagramError.  Everything else (larger size,
-    rational eigenvalue, non-primitive matrix) degrades to a presentation-only
-    group with real_embedding and eigenvalue None.
+    The limit of Z^2 under B lands in R as the rank-2 module spanned by the
+    diagram's exact trace pair.
     """
-    n = len(s.B)
-    if n == 2 and _is_primitive(s.B):
-        data = _pf_exact_2x2(s)
-        if isinstance(data.eigenvalue, QuadElement):
-            det = s.B[0][0] * s.B[1][1] - s.B[0][1] * s.B[1][0]
-            if det not in (1, -1):
-                raise UnsupportedDiagramError(
-                    f"determinant {det} is not a unit; the K0 limit is not a "
-                    f"finitely generated subgroup of R"
-                )
-            if s.seed_traces is not None:
-                gens: tuple = s.seed_traces
-            else:
-                gens = data.eigenvector
-            return DimensionGroup(2, s.B, RealModule.span(*gens), data.eigenvalue)
-    return DimensionGroup(n, s.B, None)
+    return DimensionGroup(2, s.B, RealModule.span(*s.seed_traces), pf_data(s).eigenvalue)
 
 
 def shift_action_check(group: DimensionGroup) -> bool:
@@ -367,9 +295,5 @@ def shift_action_check(group: DimensionGroup) -> bool:
 
     `group` is the diagram's `stationary_k0`, which the caller already holds.
     """
-    from kzero.coherence import module_equal, module_scale
-
-    if group.real_embedding is None:
-        raise UnsupportedDiagramError("diagram has no real embedding to act on")
     module = group.real_embedding
     return module_equal(module_scale(module, group.eigenvalue), module)

@@ -260,5 +260,4 @@ def effros_shen_coherence(D: int, cf: Optional[PeriodicCF] = None) -> bool:
     from kzero import bratteli  # deferred: bratteli imports this module
 
     group = bratteli.stationary_k0(bratteli.effros_shen(omega_of(D), cf))
-    assert group.real_embedding is not None
     return module_equal(group.real_embedding, k0_automorphic(D))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from kzero.primes import is_prime
+from kzero.primes import is_prime, sieve
 
 if TYPE_CHECKING:
     from kzero.bratteli import StationaryDiagram
@@ -261,14 +261,7 @@ def assemble_restricted_product(
     for p in sorted(ram):
         if not is_prime(p):
             raise ValueError(f"ramified set contains non-prime {p}")
-    factors: dict[int, ProfiniteTower] = {}
-    p = 2
-    while p <= p_bound:
-        if p not in ram:
-            factors[p] = cyclic_tower(p, depth)
-        p += 1
-        while p <= p_bound and not is_prime(p):
-            p += 1
+    factors = {p: cyclic_tower(p, depth) for p in sieve(p_bound) if p not in ram}
     return RestrictedProductSpec(ram, factors, infinite_seed)
 
 

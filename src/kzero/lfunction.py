@@ -2,8 +2,8 @@
 
 All number theory stays exact: the only floating point here is the final
 assembly of complex local factor values, folded over ascending primes in a
-fixed order so every value is reproducible bit for bit (and recomputable
-from the stored factors, which `EulerProductApprox.recompute` verifies).
+fixed order so every value is reproducible bit for bit; `_fold` refuses
+factors that are not in ascending prime order.
 
 Three product families are exposed: the Riemann zeta partial product, the
 degree-1 motivic product of a curve with a_p from point counting, and the
@@ -92,18 +92,13 @@ class LocalPolynomial:
 class EulerProductApprox:
     """A partial Euler product: evaluation point, factor list, folded value.
 
-    The value is the product of inverse local factors in ascending-p order;
-    `recompute` refolds from the stored factors and must reproduce the
-    stored value exactly.
+    The value is the product of inverse local factors in ascending-p order.
     """
 
     s: complex
     prime_bound: int
     factors: tuple[LocalPolynomial, ...]
     value: complex
-
-    def recompute(self) -> complex:
-        return _fold(self.factors, self.s)
 
 
 def _fold(factors: tuple[LocalPolynomial, ...], s: complex) -> complex:

@@ -6,12 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kzero.bratteli import (
     BratteliDiagram,
-    DimensionGroup,
     MatrixAlgebraList,
-    NotPrimitiveError,
-    PFData,
     StationaryDiagram,
-    UnsupportedDiagramError,
     _is_primitive,
     effros_shen,
     period_fold,
@@ -58,16 +54,25 @@ def test_diagram_shape_validation():
 
 
 def test_stationary_validation():
-    seed = MatrixAlgebraList((1, 1))
-    StationaryDiagram(GOLDEN_B, seed)
-    with pytest.raises(ValueError):
-        StationaryDiagram(((1, 1),), seed)  # not square
-    with pytest.raises(ValueError):
-        StationaryDiagram(GOLDEN_B, MatrixAlgebraList((1,)))  # seed length
-    with pytest.raises(ValueError):
-        StationaryDiagram(GOLDEN_B, seed, period_length=0)
-    with pytest.raises(ValueError):
-        StationaryDiagram(GOLDEN_B, seed, seed_traces=(QuadElement(-1, 0, 5),) * 2)
+    seed, traces = MatrixAlgebraList((1, 1)), golden_diagram().seed_traces
+    StationaryDiagram(GOLDEN_B, seed, 1, traces)
+    # every refusal is a ValueError raised by the constructor, so it survives python -O
+    refused = (
+        (((2,),), seed, 1, traces),  # 1x1
+        (((1, 1),), seed, 1, traces),  # 1x2
+        (((1, 1, 0), (0, 1, 1), (1, 0, 1)), seed, 1, traces),  # 3x3, primitive
+        (((1, 0), (0, 1)), seed, 1, traces),  # identity, not primitive
+        (((0, 1), (1, 0)), seed, 1, traces),  # periodic, not primitive
+        (((1, 1), (0, 1)), seed, 1, traces),  # reducible
+        (((3, 1), (1, 1)), seed, 1, traces),  # det 2: the K0 limit is not finitely generated
+        (((2, 2), (1, 1)), seed, 1, traces),  # det 0, rational Perron eigenvalue 3
+        (GOLDEN_B, MatrixAlgebraList((1,)), 1, traces),  # one seed block
+        (GOLDEN_B, seed, 0, traces),  # period 0
+        (GOLDEN_B, seed, 1, (QuadElement(-1, 0, 5), traces[1])),  # negative trace
+    )
+    for args in refused:
+        with pytest.raises(ValueError):
+            StationaryDiagram(*args)
 
 
 # -- UHF ---------------------------------------------------------------------------
@@ -131,7 +136,8 @@ def test_effros_shen_golden():
     assert s.B == GOLDEN_B
     assert s.seed.sizes == (1, 1)
     assert s.period_length == 1
-    assert s.seed_traces is not None
+    w = omega_of(5)
+    assert s.seed_traces == (w - 1, -(w - 2))  # xi_0 = frac(omega), xi_1 = 1 - frac(omega)
 
 
 def test_effros_shen_sqrt3():
@@ -186,39 +192,16 @@ def test_pf_golden_exact():
     assert vec == (omega_of(5), QuadElement.rational(1, 5))
 
 
-def test_pf_exact_2x2_quadratic():
-    lam, vec = pf_data(StationaryDiagram(((2, 1), (1, 1)), MatrixAlgebraList((1, 1))))
+def test_pf_data_quadratic():
+    # two golden steps in one: B = GOLDEN_B^2 over the golden seed and traces
+    s = golden_diagram()
+    lam, vec = pf_data(StationaryDiagram(((2, 1), (1, 1)), s.seed, 2, s.seed_traces))
     assert lam == QuadElement(Fraction(3, 2), Fraction(1, 2), 5)
     # left eigenvector equation w B = lam w, exact
     b = ((2, 1), (1, 1))
     for j in range(2):
         lhs = vec[0] * b[0][j] + vec[1] * b[1][j]
         assert lhs == lam * vec[j]
-
-
-def test_pf_exact_2x2_rational():
-    lam, vec = pf_data(StationaryDiagram(((2, 2), (1, 1)), MatrixAlgebraList((1, 1))))
-    assert lam == Fraction(3)
-    assert vec == (Fraction(1), Fraction(1))
-
-
-def test_pf_rejects_non_primitive():
-    seed = MatrixAlgebraList((1, 1))
-    with pytest.raises(NotPrimitiveError):
-        pf_data(StationaryDiagram(((1, 0), (0, 1)), seed))
-    with pytest.raises(NotPrimitiveError):
-        pf_data(StationaryDiagram(((0, 1), (1, 0)), seed))  # periodic, not primitive
-    with pytest.raises(NotPrimitiveError):
-        pf_data(StationaryDiagram(((1, 1), (0, 1)), seed))  # reducible
-
-
-def test_pf_data_is_for_2x2_matrices_only():
-    # a 3x3 matrix is refused before primitivity is asked, primitive or not
-    for b in (((1, 1, 0), (0, 1, 1), (1, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-        with pytest.raises(UnsupportedDiagramError):
-            pf_data(StationaryDiagram(b, MatrixAlgebraList((1, 1, 1))))
-    with pytest.raises(UnsupportedDiagramError):
-        pf_data(StationaryDiagram(((2,),), MatrixAlgebraList((1,))))
 
 
 def test_is_primitive_matches_a_positive_square():
@@ -233,11 +216,22 @@ def cf_words():
     return st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5)
 
 
+def square_free_part(n):
+    f = 2
+    while f * f <= n:
+        while n % (f * f) == 0:
+            n //= f * f
+        f += 1
+    return n
+
+
 @given(cf_words())
 @settings(max_examples=80)
 def test_pf_eigen_equation_exact_on_folds(word):
     b = period_fold(word)
-    diag = StationaryDiagram(b, MatrixAlgebraList((1,) * len(b)))
+    (b00, b01), (b10, b11) = b
+    d = square_free_part((b00 + b11) ** 2 - 4 * (b00 * b11 - b01 * b10))
+    diag = StationaryDiagram(b, MatrixAlgebraList((1, 1)), len(word), (QuadElement.rational(1, d),) * 2)
     lam, vec = pf_data(diag)
     for j in range(len(b)):
         lhs = sum((vec[i] * b[i][j] for i in range(len(b))), start=lam * 0)
@@ -253,7 +247,6 @@ def test_stationary_k0_golden_module():
     group = stationary_k0(golden_diagram())
     assert group.rank == 2
     assert group.matrix == GOLDEN_B
-    assert group.real_embedding is not None
     assert module_equal(group.real_embedding, k0_automorphic(5))
 
 
@@ -262,40 +255,6 @@ def test_stationary_k0_matches_integer_ring(d):
     w = omega_of(d)
     group = stationary_k0(effros_shen(w - w.floor()))
     assert module_equal(group.real_embedding, k0_automorphic(d))
-
-
-def test_stationary_k0_hand_built_unimodular():
-    # no stored traces: the eigenvector normalization is used instead
-    group = stationary_k0(StationaryDiagram(GOLDEN_B, MatrixAlgebraList((1, 1))))
-    assert group.real_embedding is not None
-    assert module_equal(group.real_embedding, k0_automorphic(5))
-
-
-def test_stationary_k0_non_unimodular_is_unsupported():
-    # trace 4, det 2: irrational growth but the limit is not finitely generated
-    diag = StationaryDiagram(((3, 1), (1, 1)), MatrixAlgebraList((1, 1)))
-    with pytest.raises(UnsupportedDiagramError):
-        stationary_k0(diag)
-
-
-def test_stationary_k0_rational_growth_presentation_only():
-    diag = StationaryDiagram(((2, 2), (1, 1)), MatrixAlgebraList((1, 1)))
-    group = stationary_k0(diag)
-    assert group.real_embedding is None
-    assert group.rank == 2
-
-
-def test_stationary_k0_identity_block():
-    diag = StationaryDiagram(((1, 0), (0, 1)), MatrixAlgebraList((2, 3)))
-    group = stationary_k0(diag)
-    assert group == DimensionGroup(2, ((1, 0), (0, 1)), None)
-
-
-def test_stationary_k0_three_by_three_presentation_only():
-    b = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
-    group = stationary_k0(StationaryDiagram(b, MatrixAlgebraList((1, 1, 1))))
-    assert group.rank == 3
-    assert group.real_embedding is None
 
 
 def test_telescoping_preserves_the_module():
@@ -313,14 +272,4 @@ def test_telescoping_preserves_the_module():
 def test_shift_action_on_expansions(d):
     w = omega_of(d)
     assert shift_action_check(stationary_k0(effros_shen(w - w.floor())))
-
-
-def test_shift_action_hand_built():
-    assert shift_action_check(stationary_k0(StationaryDiagram(GOLDEN_B, MatrixAlgebraList((1, 1)))))
-
-
-def test_shift_action_unsupported_diagram():
-    diag = StationaryDiagram(((3, 1), (1, 1)), MatrixAlgebraList((1, 1)))
-    with pytest.raises(UnsupportedDiagramError):
-        shift_action_check(stationary_k0(diag))
 

@@ -384,11 +384,11 @@ def _count_calls(monkeypatch, module, *names):
 
 
 def test_dimgroup_computes_pf_data_once_per_group(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, bratteli, "_pf_exact_2x2", "_is_primitive")
+    calls = _count_calls(monkeypatch, bratteli, "pf_data", "_is_primitive")
     _, code, _ = invoke("dimgroup", "--D", "7", "--cache", str(tmp_path / "c.tsv"))
     assert code == 0
     # one group serves both the payload and the shift-action check
-    assert calls == {"_pf_exact_2x2": 1, "_is_primitive": 1}
+    assert calls == {"pf_data": 1, "_is_primitive": 1}
 
 
 def test_adelic_validates_each_tower_once(tmp_path, monkeypatch):
@@ -398,6 +398,16 @@ def test_adelic_validates_each_tower_once(tmp_path, monkeypatch):
     assert code == 0
     # the unramified primes 5 and 7 get one tower each
     assert calls == {"validate_tower": 2}
+
+
+def test_adelic_walks_the_sieve_not_every_integer(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, groupalg, "is_prime")
+    argv = ("adelic", "--ramified", "2,3", "--bound", "7", "--D", "5", "--cache", str(tmp_path / "c.tsv"))
+    _, code, _ = invoke(*argv)
+    assert code == 0
+    # the ramified 2 and 3 once each; the towers at 5 and 7 twice each
+    # (`cyclic_tower` and the `ProfiniteTower` it builds); none for 4 or 6
+    assert calls == {"is_prime": 6}
 
 
 @pytest.mark.parametrize("d", (2, 3, 7))

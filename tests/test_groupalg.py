@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kzero.bratteli import MatrixAlgebraList, StationaryDiagram, period_fold
+from kzero.bratteli import effros_shen, period_fold
 from kzero.groupalg import (
     ConnectingMap,
     ProfiniteTower,
@@ -17,12 +17,13 @@ from kzero.groupalg import (
     sl2_degree_profile,
     validate_tower,
 )
+from kzero.quadfield import omega_of
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 
 def golden_seed():
-    return StationaryDiagram(period_fold([1]), MatrixAlgebraList((1, 1)))
+    return effros_shen(omega_of(5))
 
 
 # -- degree profiles ----------------------------------------------------------------
