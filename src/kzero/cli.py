@@ -36,7 +36,7 @@ _DEFAULT_CACHE = "./apcache.tsv"
 # value is refused with exit 2 before any work.  Timed at the limit on 2 vCPUs:
 _LIMITS = {
     "point count": ("p", 10 ** 18),  # ap, count: 0.4 s, growing as p^(1/4)
-    "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 1 s, as p^2
+    "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 0.8 s, as p^2
     "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: 19 s at most, 70 MB
     "tower": ("p^depth", 10 ** 6),  # tower: 0.9 s and 75 MB
     "restricted product": ("bound^(depth+1)", 10 ** 6),  # adelic: 0.8 s

@@ -10,7 +10,9 @@ traces feed the local zeta factor (1 - a_p t + p t^2)/((1-t)(1-p t)), whose
 formal logarithm is expanded with exact rational series arithmetic and
 compared against the extension-field point counts; the F_{p^2} count
 additionally has a brute-force oracle that enumerates the quadratic
-extension, one line of it at a time, in O(p^2) time and O(p) memory.
+extension in O(p^2) time and O(p) memory.  On the line z0 + z1 u the norm
+of f is one cubic in t = n z1^2 whose coefficients depend only on z0, so
+the oracle evaluates that cubic over fixed-size blocks of lines.
 
 The CM table carries one representative curve for each supported imaginary
 quadratic field Q(sqrt(-D)), D in {1, 2, 3}, and `hecke_ap_cm` recomputes
@@ -22,8 +24,8 @@ is always excluded, and every prime dividing the discriminant is bad.
 
 A small append-only text cache maps (a4, a6, p) to a_p so repeated CLI runs
 are byte-identical and cheap.  numpy is imported only by the F_{p^2}
-enumeration above `_FP2_NUMPY_MIN_P`, where its vectorized line sum is the
-faster; everything else runs without it.
+enumeration above `_FP2_NUMPY_MIN_P`, where it evaluates the blocks of
+lines; everything else runs without it.
 """
 
 from __future__ import annotations
@@ -330,58 +332,91 @@ def count_points_fp2_enumeration(c: CurveQ, p: int) -> int:
     w = w0 + w1 u has as many square roots in F_{p^2} as its norm
     w0^2 - n w1^2 has in F_p, since w^((p^2-1)/2) = N(w)^((p-1)/2).  So with
     roots[v] the number of square roots of v in F_p, the count is 1 plus the
-    sum of roots[N(f(z))] over all z.  For z = z0 + z1 u,
+    sum of roots[N(f(z))] over all z.  For z = z0 + z1 u and t = n z1^2,
 
-        f(z) = (g(z0) + 3n z1^2 z0) + z1 (3 z0^2 + a4 + n z1^2) u,
-        g(z0) = z0^3 + a4 z0 + a6,
+        f(z) = (g + t z3) + z1 (h + t) u,
+        g = z0^3 + a4 z0 + a6,  h = 3 z0^2 + a4,  z3 = 3 z0,
 
-    so the loop runs over z1 and sums each line over z0, in O(p) memory: in
-    Python integers up to `_FP2_NUMPY_MIN_P`, vectorized with numpy above it.
-    The norm depends on z1 only through z1^2, so z1 and -z1 contribute alike.
+    and n z1^2 (h + t)^2 = t (h + t)^2, so the norm is one cubic in t:
+
+        N(f(z)) = (g + t z3)^2 - t (h + t)^2 = A0 + t (A1 + t (A2 - t)),
+        A0 = g^2,  A1 = 2 g z3 - h^2,  A2 = z3^2 - 2 h   (mod p),
+
+    with A0, A1 and A2 computed once per z0.  The norm depends on z1 only
+    through t, so z1 and -z1 contribute alike: line z1 = 0 is counted once
+    and each line 0 < z1 < p/2 twice.  The lines are summed in Python
+    integers up to `_FP2_NUMPY_MIN_P`; above it numpy evaluates the cubic on
+    blocks of (lines x p) elements, so memory stays O(p) plus one block of
+    about `_FP2_BLOCK` elements.  p at or above `_FP2_INT64_P` is refused
+    with ValueError, as the unreduced cubic could overflow int64 there.
     """
     _require_good(c, p)
     return _fp2_count(c, p)
 
 
-# The per-call crossover of the two line sums, where they tie.  Timed on
-# 2 vCPUs with numpy already imported, best of three medians per call, in
-# Python integers against numpy: 0.006 against 0.034 ms at p = 5, 0.15
-# against 0.17 ms at p = 37, 0.20 ms each at p = 41, 0.21 against 0.20 ms
-# at p = 43 and 1.04 against 0.51 ms at p = 101.
+# Where the enumeration switches to numpy.  The two line sums tie near
+# p = 17: timed on 2 vCPUs with numpy already imported, median per call,
+# Python integers against numpy, 0.007 against 0.031 ms at p = 5, 0.034
+# against 0.033 ms at p = 17, 0.060 against 0.035 ms at p = 23 and 0.16
+# against 0.04 ms at p = 41.  The switch does not follow the tie, because
+# the first numpy call of a process pays its import, tens of ms and about
+# 9 MB: no README command (p = 5) may import numpy, and the CLI tests
+# expect it loaded at p = 101.
 _FP2_NUMPY_MIN_P = 41
+
+# Elements per (lines x p) block of the numpy line sum: large enough that
+# per-call overhead no longer dominates, small enough to stay in cache.
+_FP2_BLOCK = 1 << 15
+
+# With A0, A1, A2 and t in [0, p) the unreduced Horner value lies strictly
+# between -p^3 and p^3 + p^2 + p < (p + 1)^3, so it fits int64 whenever
+# p < 2^21.  Enumerating such a p would take about 4 * 10^12 steps, so p at
+# or above the bound is refused rather than reduced once more per step.
+_FP2_INT64_P = 1 << 21
+
+
+def _fp2_norm_coefficients(z0, a4: int, a6: int, p: int):
+    # (A0, A1, A2) of count_points_fp2_enumeration's cubic, for an int z0
+    # or a numpy array of them
+    g = (z0 * z0 % p * z0 + a4 * z0 + a6) % p
+    h = (3 * z0 * z0 + a4) % p
+    z3 = 3 * z0 % p
+    return g * g % p, (2 * g * z3 - h * h) % p, (z3 * z3 - 2 * h) % p
 
 
 def _fp2_count(c: CurveQ, p: int) -> int:
     # count_points_fp2_enumeration's body, at a p the caller knows is a good prime
+    if p >= _FP2_INT64_P:
+        raise ValueError(f"F_(p^2) enumeration needs p < 2^21 so that its cubic fits int64, got p = {p}")
     n = _smallest_nonresidue(p)
     a4, a6 = c.a4 % p, c.a6 % p
-    if p > _FP2_NUMPY_MIN_P:
-        import numpy as np
+    if p <= _FP2_NUMPY_MIN_P:
+        roots = _chi_table(p)
+        coefficients = [_fp2_norm_coefficients(z0, a4, a6, p) for z0 in range(p)]
+        lines = [sum(roots[(a0 + t * (a1 + t * (a2 - t))) % p] for a0, a1, a2 in coefficients)
+                 for t in (n * z1 * z1 % p for z1 in range((p + 1) // 2))]
+        return 1 + 2 * sum(lines) - lines[0]
 
-        z0 = np.arange(p, dtype=np.int64)
-        roots = np.bincount(z0 * z0 % p, minlength=p)
-        g = (z0 * z0 % p * z0 + a4 * z0 + a6) % p
-        h = (3 * z0 * z0 + a4) % p
-        z0_3 = 3 * z0
+    import numpy as np
 
-        def line(z1: int, t: int) -> int:
-            f0 = (g + t * z0_3) % p
-            f1 = z1 * (h + t) % p
-            return int(roots[(f0 * f0 - n * (f1 * f1 % p)) % p].sum())
-
-    else:
-        table = _chi_table(p)
-        ghz = [((z * z * z + a4 * z + a6) % p, (3 * z * z + a4) % p, 3 * z) for z in range(p)]
-
-        def line(z1: int, t: int) -> int:
-            # n f1^2 = n z1^2 (h + t)^2 = t (h + t)^2 mod p
-            return sum(table[((g + t * z3) ** 2 - t * (h + t) ** 2) % p] for g, h, z3 in ghz)
-
+    z0 = np.arange(p, dtype=np.int64)
+    a0, a1, a2 = _fp2_norm_coefficients(z0, a4, a6, p)
+    roots = np.zeros(p, dtype=np.int8)
+    roots[z0 * z0 % p] = 2
+    roots[0] = 1
+    t = n * z0[: (p + 1) // 2] ** 2 % p
+    rows = max(1, _FP2_BLOCK // p)
     total = 0
-    for z1 in range((p + 1) // 2):
-        t = n * z1 * z1 % p
-        total += line(z1, t) if z1 == 0 else 2 * line(z1, t)
-    return total + 1
+    for start in range(0, len(t), rows):
+        tb = t[start:start + rows, None]
+        v = a2 - tb  # Horner in place on the (rows x p) block
+        v *= tb
+        v += a1
+        v *= tb
+        v += a0
+        v %= p
+        total += int(roots.take(v).sum())
+    return 1 + 2 * total - int(roots.take(a0).sum())  # line t = 0 is counted once
 
 
 def _smallest_nonresidue(p: int) -> int:

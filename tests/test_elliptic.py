@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kzero.elliptic import (
     _chi_table,
@@ -32,7 +32,7 @@ from kzero.elliptic import (
     weil_zeta_local,
 )
 from kzero import elliptic
-from kzero.primes import sieve
+from kzero.primes import is_prime, sieve
 
 CURVE_D1 = CurveQ(-1, 0)  # y^2 = x^3 - x
 
@@ -384,8 +384,52 @@ def _fp2_meshgrid(c, p):
 def test_fp2_oracle_agrees_with_the_meshgrid_reference():
     assert 3 < elliptic._FP2_NUMPY_MIN_P < 200  # so both line sums are checked
     for c in ROUTE_CURVES:
-        for p in good_primes(c, 200):
+        # every sixth good prime in (256, 700]: each sums several blocks of
+        # lines, the last of them partly filled
+        large = [p for p in good_primes(c, 700) if p > 256][::6]
+        assert all((p + 1) // 2 > elliptic._FP2_BLOCK // p for p in large)
+        for p in good_primes(c, 200) + large:
             assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p), (c, p)
+
+
+@given(
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.sampled_from(sieve(400)[1:]),
+)
+@settings(max_examples=40, deadline=None)
+def test_fp2_enumeration_agrees_with_the_meshgrid_on_random_curves(a4, a6, p):
+    assume(4 * a4 ** 3 + 27 * a6 ** 2 != 0)
+    c = CurveQ(a4, a6)
+    assume(discriminant(c) % p != 0)
+    assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p)
+
+
+@pytest.mark.parametrize("numpy_min_p", (0, 10 ** 9))
+def test_fp2_line_sums_agree_on_both_sides_of_the_numpy_switch(monkeypatch, numpy_min_p):
+    # each line sum counts the primes next to the switch, p = 41 and p = 43
+    monkeypatch.setattr(elliptic, "_FP2_NUMPY_MIN_P", numpy_min_p)
+    for c in ROUTE_CURVES:
+        for p in (3, 5, 41, 43, 101):
+            if discriminant(c) % p:
+                assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p), (c, p)
+
+
+def test_fp2_int64_bound_covers_the_unreduced_cubic():
+    # A0, A1, A2 and t lie in [0, p), so the Horner value A0 + t (A1 + t (A2 - t))
+    # lies in [-(p-1)^3, (p-1)^3 + (p-1)^2 + (p-1)]; both ends must fit int64
+    p = elliptic._FP2_INT64_P - 1  # the largest p the enumeration accepts
+    q = p - 1
+    assert -(q ** 3) >= -(2 ** 63) and q ** 3 + q ** 2 + q <= 2 ** 63 - 1
+
+
+def test_fp2_enumeration_refuses_p_past_the_int64_bound_before_any_work(monkeypatch):
+    p = next(q for q in range(elliptic._FP2_INT64_P, 2 * elliptic._FP2_INT64_P) if is_prime(q))
+    monkeypatch.setattr(elliptic, "_smallest_nonresidue", lambda p: pytest.fail("enumeration started"))
+    with pytest.raises(ValueError, match="2\\^21"):
+        count_points_fp2_enumeration(CURVE_D1, p)
+    with pytest.raises(ValueError, match="2\\^21"):
+        count_points_extension(CURVE_D1, p, 2)
 
 
 # -- the a_p cache ------------------------------------------------------------------
