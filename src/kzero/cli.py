@@ -11,17 +11,22 @@ the data rows, and a final `# status <pass|fail|error>` comment.  Output is
 deterministic for fixed arguments, so re-running a command with a warm a_p
 cache is byte-identical.
 
-Frobenius traces computed along the way persist in an append-only TSV cache
-(default ./apcache.tsv, overridable with --cache).  Every row is checked on
-load, and a bad one is a usage error naming path:line.  A flush appends only
-the rows the run added, so runs sharing a cache keep each other's rows, and a
+The multi-prime trace commands (lfun --which motivic, match, prop3) keep the
+Frobenius traces they compute in an append-only TSV cache (default
+./apcache.tsv, overridable with --cache).  Every row is checked on load, and
+a bad one is a usage error naming path:line.  A flush appends only the rows
+the run added, so runs sharing a cache keep each other's rows, and a
 sequence of runs leaves a file that lists each key once, in first-seen order.
+The single-prime commands (ap, count, zeta-local) count afresh and never
+open the cache.  A failed invariant exits 1 and names, on stderr, the
+file:line that raised it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +64,7 @@ class CommandResult:
 
 
 class _CacheBox:
-    """Lazily opened a_p cache; only commands that count points touch it."""
+    """Lazily opened a_p cache; only the multi-prime trace commands open it."""
 
     def __init__(self, path: str):
         self.path = path
@@ -125,7 +130,10 @@ def _check_limit(what: str, value: int, exp: int = 1) -> None:
 
 
 def _resolve_curve(args: argparse.Namespace) -> elliptic.CurveQ:
-    if getattr(args, "D", None) is not None:
+    if args.D is not None:
+        given = [flag for flag, v in (("--a4", args.a4), ("--a6", args.a6)) if v is not None]
+        if given:
+            raise ValueError(f"give either --D or {'/'.join(given)}, not both: they name different curves")
         return elliptic.cm_curve_for(args.D)
     if args.a4 is None or args.a6 is None:
         raise ValueError("give either --D for a table curve or both --a4 and --a6")
@@ -234,12 +242,12 @@ def _cmd_count(args, box):
     _check_limit("F_(p^2) enumeration" if args.r == 2 else "point count", args.p)
     curve = _resolve_curve(args)
     if args.r == 1:
-        data = elliptic.trace_of_frobenius(curve, args.p, box.get())
+        data = elliptic.trace_of_frobenius(curve, args.p)
         if not data.good:
             raise elliptic.BadReductionError(f"p = {args.p} is bad for this curve")
         count = args.p + 1 - data.a_p
     else:
-        count = elliptic.count_points_extension(curve, args.p, args.r, box.get())
+        count = elliptic.count_points_extension(curve, args.p, args.r)
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p, "r": args.r}
     payload = {**params, "count": count}
     return params, "pass", payload, _rows(payload, *payload)
@@ -248,7 +256,7 @@ def _cmd_count(args, box):
 def _cmd_ap(args, box):
     _check_limit("point count", args.p)
     curve = _resolve_curve(args)
-    data = elliptic.trace_of_frobenius(curve, args.p, box.get())
+    data = elliptic.trace_of_frobenius(curve, args.p)
     if not data.good:
         raise elliptic.BadReductionError(f"p = {args.p} is bad for this curve")
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p}
@@ -392,7 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "tsv"), default="tsv",
                         help="output format on stdout (default tsv)")
     common.add_argument("--cache", default=None,
-                        help=f"a_p cache path (default {_DEFAULT_CACHE})")
+                        help="a_p cache path for lfun --which motivic, match and prop3"
+                        f" (default {_DEFAULT_CACHE})")
 
     parser = argparse.ArgumentParser(prog="kzero", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -502,7 +511,11 @@ def run(argv: Sequence[str], stdout: Optional[TextIO] = None) -> tuple[CommandRe
     except AssertionError as exc:
         result = CommandResult(args.command, {}, "fail", {"message": str(exc)})
         _emit(result, (), args.format, out)
-        print(f"kzero {args.command}: invariant failed: {exc}", file=sys.stderr)
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # the innermost frame is the one that raised
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+        print(f"kzero {args.command}: invariant failed: {exc} ({where})", file=sys.stderr)
         return result, 1
     except (ValueError, ArithmeticError, OSError) as exc:
         # OSError: the cache file cannot be read or appended to

@@ -22,10 +22,11 @@ ambiguity of the representation is resolved by a closed-form congruence
 rule for each D (see `hecke_ap_cm`), so the two routes share no code.  p = 2
 is always excluded, and every prime dividing the discriminant is bad.
 
-A small append-only text cache maps (a4, a6, p) to a_p so repeated CLI runs
-are byte-identical and cheap.  numpy is imported only by the F_{p^2}
-enumeration above `_FP2_NUMPY_MIN_P`, where it evaluates the blocks of
-lines; everything else runs without it.
+A small append-only text cache maps (a4, a6, p) to a_p so that `lfunction`'s
+multi-prime Euler products and trace match are cheap on a rerun; the
+single-prime entries here take no cache and always count.  numpy is
+imported only by the F_{p^2} enumeration above `_FP2_NUMPY_MIN_P`, where it
+evaluates the blocks of lines; everything else runs without it.
 """
 
 from __future__ import annotations
@@ -278,7 +279,8 @@ def _good_ap(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> int:
     p is not checked here.  The public entries check it with `_require_good`
     before calling; `lfunction`'s Euler products and trace match take it from
     `good_primes`, which only yields good primes.  The Hasse bound is checked
-    on a hit and on a miss, so a corrupt cached a_p is caught.
+    on a hit and on a miss, so a cached a_p outside it is caught; a wrong one
+    inside it is not.
     """
     hit = cache.lookup(c.a4, c.a6, p) if cache is not None else None
     a_p = hit if hit is not None else p + 1 - _point_count(c, p)
@@ -289,21 +291,21 @@ def _good_ap(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> int:
     return a_p
 
 
-def trace_of_frobenius(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> FrobeniusData:
+def trace_of_frobenius(c: CurveQ, p: int) -> FrobeniusData:
     """a_p = p + 1 - |E(F_p)| at good p; a bad prime yields a good=False record."""
     try:
         _require_good(c, p)
     except BadReductionError:
         return FrobeniusData(p, False, None)
-    return FrobeniusData(p, True, _good_ap(c, p, cache))
+    return FrobeniusData(p, True, _good_ap(c, p))
 
 
-def count_points_extension(c: CurveQ, p: int, r: int, cache: Optional["ApCache"] = None) -> int:
+def count_points_extension(c: CurveQ, p: int, r: int) -> int:
     """|E(F_{p^r})| for r in {1, 2, 3} via the trace power sums."""
     if r not in (1, 2, 3):
         raise ValueError("r must be 1, 2, or 3")
     _require_good(c, p)
-    return _extension_count(c, p, _good_ap(c, p, cache), r)
+    return _extension_count(c, p, _good_ap(c, p), r)
 
 
 def _extension_count(c: CurveQ, p: int, a_p: int, r: int) -> int:
@@ -644,29 +646,23 @@ _KEY_AP = re.compile(r"(.*)\t(.*)\n")
 class ApCache:
     """Append-only TSV cache of Frobenius traces keyed by (a4, a6, p).
 
-    The file starts with the header line 'a4<TAB>a6<TAB>p<TAB>ap'.  Loading
-    reads the file once and checks every row: four integers in canonical
-    form with p >= 1, else a ValueError naming path:line.  Duplicate keys
-    resolve to the first occurrence.  The key index is built only when a
-    second key is asked for: the first lookup is one scan of the checked
-    text, so a single-prime command never pays for the index.  A flush
-    appends only the rows recorded since the last one, in one write under an
-    exclusive lock, so runs sharing a file keep each other's rows, exactly
-    one of them writes the header, and the file of a sequence of runs lists
-    every key once, in first-seen order.
+    `lfunction`'s multi-prime Euler products and trace match read and fill
+    it; the single-prime entries never do.  The file starts with the header
+    line 'a4<TAB>a6<TAB>p<TAB>ap'.  Loading reads the file once, checks every
+    row (four integers in canonical form with p >= 1, else a ValueError
+    naming path:line) and indexes the rows by key.  Duplicate keys resolve
+    to the first occurrence.  A flush appends only the rows recorded since
+    the last one, in one write under an exclusive lock, so runs sharing a
+    file keep each other's rows, exactly one of them writes the header, and
+    the file of a sequence of runs lists every key once, in first-seen order.
     """
 
     HEADER = "a4\ta6\tp\tap"
 
     def __init__(self, path: str):
         self.path = path
-        # key text 'a4<TAB>a6<TAB>p' -> a_p text: the rows recorded since the
-        # load, and the loaded rows once the index is built
+        # key text 'a4<TAB>a6<TAB>p' -> a_p text, loaded and recorded rows alike
         self._rows: dict[str, str] = {}
-        # the checked file text while its rows are not yet indexed
-        self._text: Optional[str] = None
-        self._scanned = False
-        self._missed: Optional[str] = None  # the key the first lookup's scan missed
         self._new: list[str] = []
         self._load()
 
@@ -690,36 +686,15 @@ class ApCache:
                 f"{self.path}:{line}: bad a_p cache row {row!r}"
                 " (want four integers a4, a6, p >= 1, a_p and a newline)"
             )
-        self._text = text
-
-    def _index(self) -> None:
-        assert self._text is not None
-        # reversed, so the first occurrence of a key is the one that stays;
-        # the rows recorded since the load hold keys the file lacks
-        self._rows = dict(reversed(_KEY_AP.findall(self._text, len(self.HEADER) + 1))) | self._rows
-        self._text = None
+        # reversed, so the first occurrence of a key is the one that stays
+        self._rows = dict(reversed(_KEY_AP.findall(text, len(self.HEADER) + 1)))
 
     def lookup(self, a4: int, a6: int, p: int) -> Optional[int]:
-        key = f"{a4}\t{a6}\t{p}"
-        if self._text is not None:
-            if not self._scanned:
-                # the header ends in a newline, so every row starts after one
-                # and the first match is the key's first occurrence
-                self._scanned = True
-                at = self._text.find(f"\n{key}\t")
-                if at < 0:
-                    self._missed = key
-                    return None
-                at += len(key) + 2
-                return int(self._text[at : self._text.index("\n", at)])
-            self._index()
-        ap = self._rows.get(key)
+        ap = self._rows.get(f"{a4}\t{a6}\t{p}")
         return None if ap is None else int(ap)
 
     def record(self, a4: int, a6: int, p: int, ap: int) -> None:
         key = f"{a4}\t{a6}\t{p}"
-        if self._text is not None and key != self._missed:
-            self._index()
         if key not in self._rows:
             self._rows[key] = str(ap)
             self._new.append(f"{key}\t{ap}\n")

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -219,7 +220,7 @@ def test_main_returns_exit_code(tmp_path, capsys):
 
 def test_cache_flag_creates_file(tmp_path):
     path = tmp_path / "mine.tsv"
-    invoke("ap", "--D", "1", "--p", "5", "--cache", str(path))
+    invoke("lfun", "--which", "motivic", "--D", "1", "--s", "3", "--bound", "5", "--cache", str(path))
     assert path.read_text().startswith("a4\ta6\tp\tap\n")
     assert "-1\t0\t5\t-2" in path.read_text()
 
@@ -253,7 +254,7 @@ def test_sequential_runs_leave_the_rewritten_file(tmp_path):
     expected = "a4\ta6\tp\tap\n" + rows
     assert invoke(*match)[1] == 0
     assert cache.read_text() == expected
-    assert invoke("ap", "--D", "1", "--p", "1009", "--cache", str(cache))[1] == 0
+    assert invoke("match", "--D", "1", "--bound", "1010", "--cache", str(cache))[1] == 0
     expected += f"-1\t0\t1009\t{hecke_ap_cm(1, 1009)}\n"
     assert cache.read_text() == expected
     assert invoke(*match)[1] == 0
@@ -267,16 +268,16 @@ def test_sequential_runs_leave_the_rewritten_file(tmp_path):
 def test_cache_hit_outside_hasse_bound_exits_1(tmp_path, capsys, curve):
     cache = tmp_path / "c.tsv"
     cache.write_text("a4\ta6\tp\tap\n-1\t0\t97\t1000\n")
-    _, code, out = invoke("ap", *curve, "--p", "97", "--cache", str(cache))
+    argv = ("lfun", "--which", "motivic", *curve, "--s", "3", "--bound", "100")
+    _, code, out = invoke(*argv, "--cache", str(cache))
     assert code == 1
     assert out.endswith("# status fail\n")
     assert "Hasse bound violated at p=97" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", (
-    ("count", "--D", "1", "--p", "5"),
-    ("ap", "--D", "1", "--p", "13"),
     ("lfun", "--which", "motivic", "--D", "1", "--s", "3", "--bound", "50"),
+    ("lfun", "--which", "motivic", "--a4", "2", "--a6", "3", "--s", "3", "--bound", "50"),
     ("match", "--D", "1", "--bound", "50"),
     ("prop3", "--D", "1", "--s", "3", "--bound", "50"),
 ))
@@ -290,38 +291,37 @@ def test_bad_cache_row_exits_2_naming_its_line(tmp_path, capsys, argv):
     assert cache.read_text() == "a4\ta6\tp\tap\n-1\t0\tx\t3\n"
 
 
-def test_single_prime_commands_never_index_the_cache(tmp_path, monkeypatch):
-    # about 6.8k rows, as the heavy benchmark operations leave: three CM curves to 2e4
-    cache = tmp_path / "c.tsv"
-    rows = [
-        f"{c.a4}\t{c.a6}\t{p}\t{hecke_ap_cm(D, p)}\n"
-        for D in (2, 3, 1)
-        for c in [elliptic.cm_curve_for(D)]
-        for p in elliptic.good_primes(c, 20000)
-    ]
-    assert len(rows) > 6500
-    cache.write_text("a4\ta6\tp\tap\n" + "".join(rows))
-    calls = _count_calls(monkeypatch, elliptic.ApCache, "_index")
-    for argv in (
-        ("ap", "--D", "1", "--p", "10009"),  # a hit
-        ("ap", "--D", "1", "--p", "20011"),  # a miss, recorded
-        ("count", "--D", "1", "--p", "20011"),  # a hit on the row just appended
-        ("count", "--D", "1", "--p", "101", "--r", "2"),
-    ):
-        _, code, _ = invoke(*argv, "--cache", str(cache))
-        assert code == 0, argv
-    assert calls == {"_index": 0}
-    assert cache.read_text().endswith(f"-1\t0\t20011\t{hecke_ap_cm(1, 20011)}\n")
-    _, code, _ = invoke("match", "--D", "1", "--bound", "20000", "--cache", str(cache))
-    assert code == 0
-    assert calls == {"_index": 1}
-
-
 def test_unreadable_cache_exits_2(tmp_path, capsys):
     # a directory where the cache file should be
-    _, code, _ = invoke("ap", "--D", "1", "--p", "13", "--cache", str(tmp_path))
+    _, code, _ = invoke("match", "--D", "1", "--bound", "50", "--cache", str(tmp_path))
     assert code == 2
     assert str(tmp_path) in capsys.readouterr().err
+
+
+# each single-prime command on y^2 = x^3 + 2x + 3, with the value it must print
+@pytest.mark.parametrize("argv, cell, value", (
+    (("ap", "--p", "100003"), "ap", -290),
+    (("count", "--p", "100003"), "count", 100294),
+    (("count", "--p", "101", "--r", "2"), "count", 10368),
+    (("count", "--p", "100003", "--r", "3"), "count", 1000089940086418),
+    (("zeta-local", "--p", "101"), "ap", 6),
+))
+def test_single_prime_commands_never_open_the_cache(tmp_path, argv, cell, value):
+    argv = (*argv[:1], "--a4", "2", "--a6", "3", *argv[1:])
+    absent = tmp_path / "absent.tsv"
+    fresh, code, out = invoke(*argv, "--cache", str(absent))
+    assert code == 0 and fresh.payload[cell] == value
+    assert not absent.exists()
+    p = int(argv[argv.index("--p") + 1])
+    a_p = p + 1 - elliptic.count_points_fp(elliptic.CurveQ(2, 3), p)
+    edited = tmp_path / "edited.tsv"  # a wrong a_p inside the Hasse bound
+    edited.write_text(f"a4\ta6\tp\tap\n2\t3\t{p}\t{a_p + 2}\n")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("a4\ta6\tp\tap\n-1\t0\tx\t3\n")
+    for path in (edited, bad, tmp_path):  # tmp_path: a directory at the path
+        before = path.read_bytes() if path.is_file() else None
+        assert invoke(*argv, "--cache", str(path))[1:] == (0, out), path
+        assert before is None or path.read_bytes() == before
 
 
 # -- console entry -------------------------------------------------------------------
@@ -496,6 +496,23 @@ def test_a_composite_p_from_argv_is_refused(tmp_path, capsys, argv, p):
     assert code == 2
     assert out.endswith("# status error\n")
     assert f"{p} is not prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", (("--a4", "5"), ("--a6", "7"), ("--a4", "5", "--a6", "7")))
+@pytest.mark.parametrize("argv", (
+    ("ap", "--D", "1", "--p", "13"),
+    ("count", "--D", "1", "--p", "13"),
+    ("zeta-local", "--D", "1", "--p", "13"),
+    ("lfun", "--which", "motivic", "--D", "2", "--s", "3", "--bound", "50"),
+))
+def test_a_table_curve_and_coefficients_together_are_refused(tmp_path, capsys, argv, given):
+    cache = tmp_path / "c.tsv"
+    _, code, out = invoke(*argv, *given, "--cache", str(cache))
+    assert code == 2
+    assert out.endswith("# status error\n")
+    named = "/".join(g for g in given if g.startswith("--"))
+    assert f"give either --D or {named}, not both" in capsys.readouterr().err
+    assert not cache.exists()
 
 
 NUMPY_PROBE = """
@@ -712,3 +729,16 @@ def test_invariants_survive_python_O(tmp_path, broken, argv):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.endswith("# status fail\n")
     assert "invariant failed" in proc.stderr
+
+
+def test_an_invariant_failure_names_the_line_that_raised_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(elliptic, "_fp2_count", lambda c, p: 0)
+    _, code, out = invoke("count", "--D", "1", "--p", "5", "--r", "2", "--cache", str(tmp_path / "c.tsv"))
+    assert code == 1
+    assert out.endswith("# status fail\n")
+    lines, first = inspect.getsourcelines(elliptic._extension_count)
+    line = first + next(i for i, text in enumerate(lines) if "raise AssertionError" in text)
+    assert capsys.readouterr().err == (
+        "kzero count: invariant failed: recursion says 32 but F_5^2 enumeration says 0"
+        f" (elliptic.py:{line})\n"
+    )
