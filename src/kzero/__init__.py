@@ -6,8 +6,8 @@ Subpackages by theme:
 - quadfield: exact elements a + b*sqrt(D) of a quadratic field, fundamental
   units, and the distinguished generator omega of the ring of integers.
 - contfrac: periodic continued fractions of quadratic irrationals.
-- bratteli: layered matrix-algebra diagrams, dimension groups, and the
-  stationary rank-2 real embedding.
+- bratteli: stationary 2x2 diagrams of continued fractions, their dimension
+  groups and rank-2 real embeddings, and the UHF p-power chain.
 - groupalg: representation-degree profiles, cyclic profinite towers, and the
   restricted-product descriptor.
 - elliptic: point counts over F_p and small extensions, Frobenius data, local

@@ -1,11 +1,12 @@
-"""Bratteli diagrams, dimension groups, and stationary real embeddings.
+"""Stationary Bratteli diagrams of quadratic irrationals and their dimension groups.
 
-A diagram is a sequence of finite-dimensional algebra descriptors (lists of
-matrix block sizes) glued by nonnegative integer partial multiplicity
-matrices.  A stationary diagram repeats one square matrix B forever; here B
-is always the 2x2 primitive unimodular matrix that `effros_shen` folds from
-a continued fraction, so the dimension group embeds in R as a rank-2 module
-Z*t1 + Z*t2 and everything about it is decided exactly in Q(sqrt(D)).
+A stationary diagram repeats one multiplicity matrix B between levels of
+two matrix blocks each: level k+1's block sizes are B times level k's.
+Here B is always the 2x2 primitive unimodular matrix that `effros_shen`
+folds from a continued fraction, and the seed level's block sizes are the
+convergent denominators (q_c, q_{c-1}).  So the dimension group embeds in R
+as a rank-2 module Z*t1 + Z*t2, and everything about it is decided exactly
+in Q(sqrt(D)).
 
 The trace normalization is the delicate point.  The inductive limit of
 Z^2 --B--> Z^2 --B--> ... maps into R by pairing level-k coordinates with a
@@ -19,8 +20,8 @@ module that can differ from Z + Z*theta by a non-unit factor, which is why
 `StationaryDiagram` requires the exact trace pair and `stationary_k0`
 embeds the group through it.
 
-UHF diagrams and the Z[1/p] membership predicate live here too, as the
-rank-1 warm-up case.
+The UHF p-power chain and the Z[1/p] membership predicate live here too,
+as the rank-1 warm-up case: one block per level, each p times the last.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from kzero.quadfield import QuadElement
 Matrix = tuple[tuple[int, ...], ...]
 
 __all__ = [
-    "MatrixAlgebraList",
-    "BratteliDiagram",
     "StationaryDiagram",
     "DimensionGroup",
     "PFData",
@@ -53,24 +52,6 @@ __all__ = [
 ]
 
 
-# -- matrix helpers ------------------------------------------------------------
-
-
-def _to_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
-    if not mat or any(len(row) != len(mat[0]) for row in mat):
-        raise ValueError("matrix rows must be nonempty and of equal length")
-    if any(x < 0 for row in mat for x in row):
-        raise ValueError("multiplicity entries must be nonnegative")
-    return mat
-
-
-def _mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    if len(a[0]) != len(v):
-        raise ValueError(f"matrix is {len(a)}x{len(a[0])} but vector has length {len(v)}")
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
 def _is_primitive(b: Matrix) -> bool:
     """2x2 primitivity (B^2 > 0): the blocks feed each other and one feeds itself."""
     (b00, b01), (b10, b11) = b
@@ -81,71 +62,38 @@ def _is_primitive(b: Matrix) -> bool:
 
 
 @dataclass(frozen=True)
-class MatrixAlgebraList:
-    """Block sizes (n_1, ..., n_k) of a direct sum of matrix algebras."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        if not self.sizes or any(s < 1 for s in self.sizes):
-            raise ValueError("block sizes must be a nonempty list of positive integers")
-
-
-@dataclass(frozen=True)
-class BratteliDiagram:
-    """Levels of block sizes joined by partial multiplicity matrices.
-
-    Matrix i has shape (blocks at level i+1) x (blocks at level i) and must
-    satisfy sizes_{i+1} >= B_i * sizes_i componentwise; a step where equality
-    holds is a unital embedding.
-    """
-
-    levels: tuple[MatrixAlgebraList, ...]
-    multiplicities: tuple[Matrix, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(self.levels))
-        object.__setattr__(self, "multiplicities", tuple(_to_matrix(m) for m in self.multiplicities))
-        if len(self.multiplicities) != len(self.levels) - 1:
-            raise ValueError("need exactly one multiplicity matrix per consecutive level pair")
-        for i, b in enumerate(self.multiplicities):
-            lo, hi = self.levels[i], self.levels[i + 1]
-            if len(b) != len(hi.sizes) or len(b[0]) != len(lo.sizes):
-                raise ValueError(f"matrix {i} has shape {len(b)}x{len(b[0])}, "
-                                 f"expected {len(hi.sizes)}x{len(lo.sizes)}")
-            grown = _mat_vec(b, lo.sizes)
-            if any(g > s for g, s in zip(grown, hi.sizes)):
-                raise ValueError(f"embedding at step {i} does not fit: {grown} !<= {hi.sizes}")
-
-
-@dataclass(frozen=True)
 class StationaryDiagram:
     """A 2x2 primitive unimodular multiplicity matrix repeated from a seed level.
 
+    `seed` is the pair of block sizes (q_c, q_{c-1}) at the seed level.
     `period_length` records how many elementary continued-fraction steps one
     application of B represents.  `seed_traces` is the exact positive trace
     pair at the seed level; see the module docstring for why it is required.
     """
 
     B: Matrix
-    seed: MatrixAlgebraList
+    seed: tuple[int, int]
     period_length: int
     seed_traces: tuple[QuadElement, QuadElement]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "B", _to_matrix(self.B))
+        b = tuple(tuple(int(x) for x in row) for row in self.B)
+        object.__setattr__(self, "B", b)
+        object.__setattr__(self, "seed", tuple(int(s) for s in self.seed))
         object.__setattr__(self, "seed_traces", tuple(self.seed_traces))
-        if len(self.B) != 2 or len(self.B[0]) != 2:
-            raise ValueError(f"stationary multiplicity matrix must be 2x2, got {self.B}")
-        if not _is_primitive(self.B):
-            raise ValueError(f"matrix {self.B} is not primitive")
-        (b00, b01), (b10, b11) = self.B
+        if len(b) != 2 or any(len(row) != 2 for row in b):
+            raise ValueError(f"stationary multiplicity matrix must be 2x2, got {b}")
+        # no negative entry passes the next two checks: primitivity needs
+        # b01, b10 >= 1 and a positive diagonal entry, and a negative one
+        # beside it makes the determinant at most -2
+        if not _is_primitive(b):
+            raise ValueError(f"matrix {b} is not primitive")
+        (b00, b01), (b10, b11) = b
         if b00 * b11 - b01 * b10 not in (1, -1):
-            raise ValueError(f"matrix {self.B} is not unimodular; the K0 limit is not a "
+            raise ValueError(f"matrix {b} is not unimodular; the K0 limit is not a "
                              f"finitely generated subgroup of R")
-        if len(self.seed.sizes) != 2:
-            raise ValueError("seed must have two blocks")
+        if len(self.seed) != 2 or min(self.seed) < 1:
+            raise ValueError(f"seed must be two positive block sizes, got {self.seed}")
         if self.period_length < 1:
             raise ValueError("period length must be >= 1")
         if len(self.seed_traces) != 2 or any(t.sign() <= 0 for t in self.seed_traces):
@@ -170,14 +118,16 @@ class DimensionGroup:
 # -- operations ----------------------------------------------------------------
 
 
-def uhf_diagram(p: int, depth: int) -> BratteliDiagram:
-    """The chain of full matrix algebras of sizes 1, p, p^2, ..., p^depth."""
+def uhf_diagram(p: int, depth: int) -> tuple[int, ...]:
+    """Matrix sizes 1, p, p^2, ..., p^depth of the UHF chain's levels.
+
+    Each level embeds unitally in the next with multiplicity p.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    levels = tuple(MatrixAlgebraList((p ** i,)) for i in range(depth + 1))
-    return BratteliDiagram(levels, (((p,),),) * depth)
+    return tuple(p ** i for i in range(depth + 1))
 
 
 def uhf_k0_membership(p: int, x: Union[int, Fraction]) -> bool:
@@ -243,7 +193,7 @@ def effros_shen(theta: QuadElement, cf: Optional[contfrac.PeriodicCF] = None) ->
     rotated = period[1:] + period[:1]
     return StationaryDiagram(
         B=period_fold(rotated),
-        seed=MatrixAlgebraList((q_c, q_prev)),
+        seed=(q_c, q_prev),
         period_length=length,
         seed_traces=(xi_prev, xi_c),
     )

@@ -188,11 +188,12 @@ def _cmd_omega(args, box):
 
 def _cmd_dimgroup(args, box):
     if args.uhf_p is not None:
+        if args.D is not None:
+            raise ValueError("give either --D or --uhf-p, not both")
         _check_limit("UHF chain", args.uhf_p, args.depth)
         _check_limit("UHF prime", args.uhf_p)
-        diagram = bratteli.uhf_diagram(args.uhf_p, args.depth)
         params = {"uhf_p": args.uhf_p, "depth": args.depth}
-        payload = {**params, "sizes": [lv.sizes[0] for lv in diagram.levels]}
+        payload = {**params, "sizes": list(bratteli.uhf_diagram(args.uhf_p, args.depth))}
         return params, "pass", payload, _rows(payload, "p", "depth", "sizes", p=payload["uhf_p"])
     if args.D is None:
         raise ValueError("give either --D or --uhf-p")
@@ -201,7 +202,7 @@ def _cmd_dimgroup(args, box):
     shift_ok = bratteli.shift_action_check(group)
     payload = {
         "D": args.D,
-        "seed": list(diagram.seed.sizes),
+        "seed": list(diagram.seed),
         "matrix": [list(r) for r in diagram.B],
         "period": diagram.period_length,
         "lambda": str(group.eigenvalue),
@@ -242,10 +243,7 @@ def _cmd_count(args, box):
     _check_limit("F_(p^2) enumeration" if args.r == 2 else "point count", args.p)
     curve = _resolve_curve(args)
     if args.r == 1:
-        data = elliptic.trace_of_frobenius(curve, args.p)
-        if not data.good:
-            raise elliptic.BadReductionError(f"p = {args.p} is bad for this curve")
-        count = args.p + 1 - data.a_p
+        count = args.p + 1 - elliptic.trace_of_frobenius(curve, args.p)
     else:
         count = elliptic.count_points_extension(curve, args.p, args.r)
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p, "r": args.r}
@@ -256,15 +254,13 @@ def _cmd_count(args, box):
 def _cmd_ap(args, box):
     _check_limit("point count", args.p)
     curve = _resolve_curve(args)
-    data = elliptic.trace_of_frobenius(curve, args.p)
-    if not data.good:
-        raise elliptic.BadReductionError(f"p = {args.p} is bad for this curve")
+    a_p = elliptic.trace_of_frobenius(curve, args.p)
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p}
-    payload = {**params, "ap": data.a_p}
+    payload = {**params, "ap": a_p}
     if args.D is None:
         return params, "pass", payload, _rows(payload, "p", "ap")
     other = elliptic.hecke_ap_cm(args.D, args.p)
-    payload.update({"ap_norm_form": other, "match": other == data.a_p})
+    payload.update({"ap_norm_form": other, "match": other == a_p})
     columns = ("p", "ap_point_count", "ap_norm_form", "match")
     rows = _rows(payload, *columns, ap_point_count=payload["ap"])
     params["D"] = args.D
@@ -286,6 +282,10 @@ def _cmd_zeta_local(args, box):
 
 
 def _cmd_lfun(args, box):
+    unused = {"zeta": ("--D", "--a4", "--a6"), "auto": ("--a4", "--a6")}.get(args.which, ())
+    given = [flag for flag in unused if getattr(args, flag[2:]) is not None]
+    if given:
+        raise ValueError(f"--which {args.which} does not use {'/'.join(given)}")
     _check_limit("prime sieve", args.bound)
     if args.which == "zeta":
         approx = lfunction.zeta_partial(args.s, args.bound)
@@ -369,8 +369,7 @@ def _cmd_adelic(args, box):
             raise ValueError(f"ramified prime {x.strip()!r} is not an integer") from None
         _check_limit("ramified prime", ramified[-1])
     seed = bratteli.effros_shen(quadfield.omega_of(args.D))
-    spec = groupalg.assemble_restricted_product(ramified, args.bound, seed, args.depth)
-    serialized = groupalg.serialize_restricted_product(spec)
+    spec = groupalg.assemble_restricted_product(ramified, args.bound, args.depth)
     payload = {
         "ramified": sorted(spec.ramified),
         "factors": [
@@ -378,7 +377,7 @@ def _cmd_adelic(args, box):
             for p, t in sorted(spec.factors.items())
         ],
         "infinite": {
-            "seed": list(seed.seed.sizes),
+            "seed": list(seed.seed),
             "matrix": [list(r) for r in seed.B],
             "period": seed.period_length,
         },
@@ -389,7 +388,11 @@ def _cmd_adelic(args, box):
         "depth": args.depth,
         "D": args.D,
     }
-    return params, "pass", payload, [line.split("\t") for line in serialized.splitlines()]
+    rows = [("ramified", params["ramified"])]
+    rows += [("factor", f["p"], "levels", f["levels"]) for f in payload["factors"]]
+    inf = payload["infinite"]
+    rows.append(("infinite", "seed", inf["seed"], "matrix", inf["matrix"], "period", inf["period"]))
+    return params, "pass", payload, rows
 
 
 # -- parser and driver -------------------------------------------------------------

@@ -43,7 +43,6 @@ from kzero.primes import is_prime, sieve
 
 __all__ = [
     "CurveQ",
-    "FrobeniusData",
     "FrobeniusMatrices",
     "LocalZeta",
     "ApCache",
@@ -79,15 +78,6 @@ class CurveQ:
     def __post_init__(self) -> None:
         if discriminant(self) == 0:
             raise ValueError(f"curve y^2 = x^3 + {self.a4}x + {self.a6} is singular")
-
-
-@dataclass(frozen=True)
-class FrobeniusData:
-    """Trace record at p; a_p is defined exactly when the reduction is good."""
-
-    p: int
-    good: bool
-    a_p: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -291,13 +281,10 @@ def _good_ap(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> int:
     return a_p
 
 
-def trace_of_frobenius(c: CurveQ, p: int) -> FrobeniusData:
-    """a_p = p + 1 - |E(F_p)| at good p; a bad prime yields a good=False record."""
-    try:
-        _require_good(c, p)
-    except BadReductionError:
-        return FrobeniusData(p, False, None)
-    return FrobeniusData(p, True, _good_ap(c, p))
+def trace_of_frobenius(c: CurveQ, p: int) -> int:
+    """a_p = p + 1 - |E(F_p)| at good p; a bad prime raises `BadReductionError`."""
+    _require_good(c, p)
+    return _good_ap(c, p)
 
 
 def count_points_extension(c: CurveQ, p: int, r: int) -> int:

@@ -28,12 +28,9 @@ re-checks the full invariant for data from elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from kzero.primes import is_prime, sieve
-
-if TYPE_CHECKING:
-    from kzero.bratteli import StationaryDiagram
 
 __all__ = [
     "RepDegreeProfile",
@@ -47,7 +44,6 @@ __all__ = [
     "self_similarity_check",
     "self_similar_tower",
     "assemble_restricted_product",
-    "serialize_restricted_product",
 ]
 
 
@@ -238,17 +234,15 @@ def self_similar_tower(p: int, depth: int, window: int) -> tuple[ProfiniteTower,
 
 @dataclass(frozen=True)
 class RestrictedProductSpec:
-    """Per-prime factor descriptors plus one distinguished infinite-place factor."""
+    """Per-prime factor descriptors of a restricted product, keyed by prime."""
 
     ramified: frozenset[int]
     factors: dict[int, ProfiniteTower]
-    infinite_factor: StationaryDiagram
 
 
 def assemble_restricted_product(
     ramified: Iterable[int],
     p_bound: int,
-    infinite_seed: StationaryDiagram,
     depth: int = 2,
 ) -> RestrictedProductSpec:
     """Collect validated cyclic towers at every unramified prime up to p_bound.
@@ -262,18 +256,4 @@ def assemble_restricted_product(
         if not is_prime(p):
             raise ValueError(f"ramified set contains non-prime {p}")
     factors = {p: cyclic_tower(p, depth) for p in sieve(p_bound) if p not in ram}
-    return RestrictedProductSpec(ram, factors, infinite_seed)
-
-
-def serialize_restricted_product(spec: RestrictedProductSpec) -> str:
-    """One text record per prime, then the infinite-place record."""
-    lines = ["ramified\t" + (",".join(str(p) for p in sorted(spec.ramified)) or "-")]
-    for p in sorted(spec.factors):
-        tower = spec.factors[p]
-        sizes = ",".join(str(lv.order) for lv in tower.levels)
-        lines.append(f"factor\t{p}\tlevels\t{sizes}")
-    inf = spec.infinite_factor
-    matrix = ";".join(",".join(str(x) for x in row) for row in inf.B)
-    seed = ",".join(str(x) for x in inf.seed.sizes)
-    lines.append(f"infinite\tseed\t{seed}\tmatrix\t{matrix}\tperiod\t{inf.period_length}")
-    return "\n".join(lines) + "\n"
+    return RestrictedProductSpec(ram, factors)

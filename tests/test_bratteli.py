@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kzero.bratteli import (
-    BratteliDiagram,
-    MatrixAlgebraList,
     StationaryDiagram,
     _is_primitive,
     effros_shen,
@@ -34,28 +32,9 @@ def golden_diagram():
 # -- building blocks ---------------------------------------------------------------
 
 
-def test_matrix_algebra_list():
-    assert MatrixAlgebraList([2, 3]).sizes == (2, 3)
-    with pytest.raises(ValueError):
-        MatrixAlgebraList(())
-    with pytest.raises(ValueError):
-        MatrixAlgebraList((1, 0))
-
-
-def test_diagram_shape_validation():
-    levels = (MatrixAlgebraList((1,)), MatrixAlgebraList((2,)))
-    BratteliDiagram(levels, (((2,),),))
-    with pytest.raises(ValueError):
-        BratteliDiagram(levels, ())  # missing matrix
-    with pytest.raises(ValueError):
-        BratteliDiagram(levels, (((3,),),))  # does not fit into size 2
-    with pytest.raises(ValueError):
-        BratteliDiagram(levels, (((1, 1),),))  # wrong shape
-
-
 def test_stationary_validation():
-    seed, traces = MatrixAlgebraList((1, 1)), golden_diagram().seed_traces
-    StationaryDiagram(GOLDEN_B, seed, 1, traces)
+    seed, traces = (1, 1), golden_diagram().seed_traces
+    assert StationaryDiagram([[1, 1], [1, 0]], [1, 1], 1, traces) == StationaryDiagram(GOLDEN_B, seed, 1, traces)
     # every refusal is a ValueError raised by the constructor, so it survives python -O
     refused = (
         (((2,),), seed, 1, traces),  # 1x1
@@ -66,7 +45,9 @@ def test_stationary_validation():
         (((1, 1), (0, 1)), seed, 1, traces),  # reducible
         (((3, 1), (1, 1)), seed, 1, traces),  # det 2: the K0 limit is not finitely generated
         (((2, 2), (1, 1)), seed, 1, traces),  # det 0, rational Perron eigenvalue 3
-        (GOLDEN_B, MatrixAlgebraList((1,)), 1, traces),  # one seed block
+        (GOLDEN_B, (1,), 1, traces),  # one seed block
+        (GOLDEN_B, (1, 1, 1), 1, traces),  # three seed blocks
+        (GOLDEN_B, (1, 0), 1, traces),  # an empty seed block
         (GOLDEN_B, seed, 0, traces),  # period 0
         (GOLDEN_B, seed, 1, (QuadElement(-1, 0, 5), traces[1])),  # negative trace
     )
@@ -79,10 +60,10 @@ def test_stationary_validation():
 
 
 def test_uhf_diagram_shape():
-    d = uhf_diagram(5, 3)
-    assert [lv.sizes for lv in d.levels] == [(1,), (5,), (25,), (125,)]
+    sizes = uhf_diagram(5, 3)
+    assert sizes == (1, 5, 25, 125)
     # every step is unital: each level is p times the one below
-    assert all(hi.sizes[0] == 5 * lo.sizes[0] for lo, hi in zip(d.levels, d.levels[1:]))
+    assert all(hi == 5 * lo for lo, hi in zip(sizes, sizes[1:]))
     with pytest.raises(ValueError):
         uhf_diagram(4, 3)
     with pytest.raises(ValueError):
@@ -134,7 +115,7 @@ def test_period_fold_composes():
 def test_effros_shen_golden():
     s = golden_diagram()
     assert s.B == GOLDEN_B
-    assert s.seed.sizes == (1, 1)
+    assert s.seed == (1, 1)
     assert s.period_length == 1
     w = omega_of(5)
     assert s.seed_traces == (w - 1, -(w - 2))  # xi_0 = frac(omega), xi_1 = 1 - frac(omega)
@@ -204,6 +185,21 @@ def test_pf_data_quadratic():
         assert lhs == lam * vec[j]
 
 
+def test_constructor_accepts_exactly_the_nonnegative_primitive_unimodular_matrices():
+    traces = golden_diagram().seed_traces
+    for entries in itertools.product(range(-3, 4), repeat=4):
+        b = (entries[:2], entries[2:])
+        (b00, b01), (b10, b11) = b
+        square = [[sum(b[i][k] * b[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+        wanted = min(entries) >= 0 and min(map(min, square)) > 0 and abs(b00 * b11 - b01 * b10) == 1
+        try:
+            StationaryDiagram(b, (1, 1), 1, traces)
+        except ValueError:
+            assert not wanted, b
+        else:
+            assert wanted, b
+
+
 def test_is_primitive_matches_a_positive_square():
     # brute force: B is primitive iff B^2 is entrywise positive (Wielandt bound for n = 2)
     for entries in itertools.product(range(4), repeat=4):
@@ -231,7 +227,7 @@ def test_pf_eigen_equation_exact_on_folds(word):
     b = period_fold(word)
     (b00, b01), (b10, b11) = b
     d = square_free_part((b00 + b11) ** 2 - 4 * (b00 * b11 - b01 * b10))
-    diag = StationaryDiagram(b, MatrixAlgebraList((1, 1)), len(word), (QuadElement.rational(1, d),) * 2)
+    diag = StationaryDiagram(b, (1, 1), len(word), (QuadElement.rational(1, d),) * 2)
     lam, vec = pf_data(diag)
     for j in range(len(b)):
         lhs = sum((vec[i] * b[i][j] for i in range(len(b))), start=lam * 0)

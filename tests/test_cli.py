@@ -162,6 +162,51 @@ def test_adelic_records(tmp_path):
     ]
 
 
+def _primes_by_trial_division(bound):
+    return [p for p in range(2, bound + 1) if all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("ramified, bound, depth, d", (
+    ("", 7, 2, 5),
+    ("2,3", 7, 2, 5),
+    ("7,3,3", 30, 1, 2),
+    ("5,97", 50, 2, 7),
+    ("2", 10, 4, 13),
+    ("", 1, 3, 3),
+))
+def test_adelic_records_match_a_recomputation(ramified, bound, depth, d):
+    argv = ("adelic", "--ramified", ramified, "--bound", str(bound), "--depth", str(depth), "--D", str(d))
+    _, code, tsv = invoke(*argv)
+    _, json_code, text = invoke(*argv, "--format", "json")
+    assert code == json_code == 0
+    ram = sorted({int(x) for x in ramified.split(",") if x})
+    body = [line.split("\t") for line in tsv.splitlines() if not line.startswith("#")]
+    assert body[0] == ["ramified", ",".join(map(str, ram)) or "-"]
+    factors, infinite = body[1:-1], body[-1]
+    # one factor row per prime up to the bound that is not ramified, in order
+    assert [row[:3] for row in factors] == [
+        ["factor", str(p), "levels"] for p in _primes_by_trial_division(bound) if p not in ram
+    ]
+    # each factor's levels are p^0, ..., p^depth
+    for row in factors:
+        assert row[3].split(",") == [str(int(row[1]) ** i) for i in range(depth + 1)]
+    # the TSV rows and the JSON payload agree
+    doc = json.loads(text)
+    assert doc["parameters"]["ramified"] == body[0][1]
+    payload = doc["payload"]
+    assert payload["ramified"] == ram
+    assert payload["factors"] == [
+        {"p": int(row[1]), "levels": [int(x) for x in row[3].split(",")]} for row in factors
+    ]
+    inf = payload["infinite"]
+    assert infinite == [
+        "infinite",
+        "seed", ",".join(map(str, inf["seed"])),
+        "matrix", ";".join(",".join(map(str, r)) for r in inf["matrix"]),
+        "period", str(inf["period"]),
+    ]
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 
@@ -213,6 +258,35 @@ def test_a_value_that_defeats_the_check_is_a_usage_error(tmp_path, capsys, argv)
 def test_main_returns_exit_code(tmp_path, capsys):
     assert main(["omega", "--D", "5"]) == 0
     capsys.readouterr()
+
+
+SUBCOMMANDS = ("contfrac", "unit", "omega", "dimgroup", "tower", "sl2", "count", "ap", "zeta-local",
+               "lfun", "match", "prop3", "coherence", "adelic")
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert len(SUBCOMMANDS) == 14
+    text = _help(capsys)
+    assert text.startswith("usage: kzero ")
+    listed = text[text.index("{") + 1 : text.index("}")].split(",")
+    assert listed == list(SUBCOMMANDS)
+    # each subcommand heads one line of the list that describes them
+    described = {line.split()[0] for line in text.splitlines() if line.startswith("    ")}
+    assert set(SUBCOMMANDS) <= described
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_help(capsys, command):
+    text = _help(capsys, command)
+    assert text.startswith(f"usage: kzero {command} ")
+    assert "--format {json,tsv}" in text
 
 
 # -- cache handling ------------------------------------------------------------------
@@ -513,6 +587,36 @@ def test_a_table_curve_and_coefficients_together_are_refused(tmp_path, capsys, a
     named = "/".join(g for g in given if g.startswith("--"))
     assert f"give either --D or {named}, not both" in capsys.readouterr().err
     assert not cache.exists()
+
+
+def test_dimgroup_refuses_a_field_and_a_uhf_prime_together(tmp_path, capsys, monkeypatch):
+    argv = ("dimgroup", "--D", "5", "--uhf-p", "3", "--depth", "2")
+    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
+    assert err == "kzero dimgroup: give either --D or --uhf-p, not both\n"
+
+
+@pytest.mark.parametrize("which, given, named", (
+    ("zeta", ("--D", "2"), "--D"),
+    ("zeta", ("--a4", "5"), "--a4"),
+    ("zeta", ("--a6", "7"), "--a6"),
+    ("zeta", ("--D", "1", "--a4", "5", "--a6", "7"), "--D/--a4/--a6"),
+    ("auto", ("--D", "1", "--a4", "5"), "--a4"),
+    ("auto", ("--D", "1", "--a6", "7"), "--a6"),
+    ("auto", ("--D", "1", "--a4", "5", "--a6", "7"), "--a4/--a6"),
+))
+def test_lfun_refuses_a_curve_flag_it_does_not_use(tmp_path, capsys, monkeypatch, which, given, named):
+    argv = ("lfun", "--which", which, *given, "--s", "3", "--bound", "50")
+    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
+    assert err == f"kzero lfun: --which {which} does not use {named}\n"
+
+
+@pytest.mark.parametrize("command", ("ap", "count"))
+def test_a_bad_prime_is_refused_naming_the_curve(capsys, command):
+    # 3 divides the discriminant -432 of y^2 = x^3 + 1
+    _, code, out = invoke(command, "--a4", "0", "--a6", "1", "--p", "3")
+    assert code == 2
+    assert out == f"# kzero {command} v1\n# status error\n"
+    assert capsys.readouterr().err == f"kzero {command}: p = 3 is a prime of bad reduction for (0, 1)\n"
 
 
 NUMPY_PROBE = """

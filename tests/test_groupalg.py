@@ -3,7 +3,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kzero.bratteli import effros_shen, period_fold
 from kzero.groupalg import (
     ConnectingMap,
     ProfiniteTower,
@@ -13,17 +12,11 @@ from kzero.groupalg import (
     cyclic_profile,
     cyclic_tower,
     self_similarity_check,
-    serialize_restricted_product,
     sl2_degree_profile,
     validate_tower,
 )
-from kzero.quadfield import omega_of
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
-
-
-def golden_seed():
-    return effros_shen(omega_of(5))
 
 
 # -- degree profiles ----------------------------------------------------------------
@@ -170,47 +163,29 @@ def test_self_similarity_wrong_branching_control():
 
 
 def test_assemble_restricted_product():
-    spec = assemble_restricted_product([2, 3], 11, golden_seed())
+    spec = assemble_restricted_product([2, 3], 11)
     assert spec.ramified == frozenset({2, 3})
     assert sorted(spec.factors) == [5, 7, 11]
     for p, tower in spec.factors.items():
         assert tower.prime == p
         assert tower.depth == 2
-    assert spec.infinite_factor.B == period_fold([1])
 
 
 def test_assemble_depth_override():
-    spec = assemble_restricted_product([], 5, golden_seed(), depth=4)
+    spec = assemble_restricted_product([], 5, depth=4)
     assert spec.factors[5].depth == 4
     assert sorted(spec.factors) == [2, 3, 5]
 
 
 def test_assemble_rejects_bad_ramified():
     with pytest.raises(ValueError):
-        assemble_restricted_product([6], 11, golden_seed())
-
-
-def test_serialize_restricted_product_golden():
-    spec = assemble_restricted_product([2, 3], 7, golden_seed())
-    text = serialize_restricted_product(spec)
-    lines = text.splitlines()
-    assert lines[0] == "ramified\t2,3"
-    assert lines[1] == "factor\t5\tlevels\t1,5,25"
-    assert lines[2] == "factor\t7\tlevels\t1,7,49"
-    assert lines[3] == "infinite\tseed\t1,1\tmatrix\t1,1;1,0\tperiod\t1"
-    assert text.endswith("\n")
-
-
-def test_serialize_no_ramified():
-    spec = assemble_restricted_product([], 3, golden_seed())
-    text = serialize_restricted_product(spec)
-    assert text.splitlines()[0] == "ramified\t-"
+        assemble_restricted_product([6], 11)
 
 
 @given(st.sets(st.sampled_from(ODD_PRIMES), max_size=3), st.sampled_from([3, 5, 7, 11]))
 @settings(max_examples=30, deadline=None)
 def test_assemble_partition_property(ramified, bound):
-    spec = assemble_restricted_product(sorted(ramified), bound, golden_seed())
+    spec = assemble_restricted_product(sorted(ramified), bound)
     # unramified factor primes and ramified primes never overlap
     assert not (set(spec.factors) & spec.ramified)
     for p in spec.factors:

@@ -46,7 +46,7 @@ def test_sieved_factors_equal_checked_ones():
     assert zeta_partial(3, 100).factors == tuple(LocalPolynomial(p, (1, -1)) for p in sieve(100))
     curve = cm_curve_for(1)
     checked = tuple(
-        LocalPolynomial(p, (1, -trace_of_frobenius(curve, p).a_p, p)) for p in good_primes(curve, 100)
+        LocalPolynomial(p, (1, -trace_of_frobenius(curve, p), p)) for p in good_primes(curve, 100)
     )
     assert motivic_l1_partial(curve, 3, 100).factors == checked
     assert automorphic_l_partial(1, 1, 3, 100).factors == checked
