@@ -40,7 +40,7 @@ _DEFAULT_CACHE = "./apcache.tsv"
 # What each sized input bounds: (the input, its largest value).  A larger
 # value is refused with exit 2 before any work.  Timed at the limit on 2 vCPUs:
 _LIMITS = {
-    "point count": ("p", 10 ** 18),  # ap, count: 0.4 s, growing as p^(1/4)
+    "point count": ("p", 10 ** 18),  # ap, count: 0.8 s, growing as p^(1/4)
     "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 0.8 s, as p^2
     "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: 19 s at most, 70 MB
     "tower": ("p^depth", 10 ** 6),  # tower: 0.9 s and 75 MB
@@ -190,13 +190,16 @@ def _cmd_dimgroup(args, box):
     if args.uhf_p is not None:
         if args.D is not None:
             raise ValueError("give either --D or --uhf-p, not both")
-        _check_limit("UHF chain", args.uhf_p, args.depth)
+        depth = 3 if args.depth is None else args.depth
+        _check_limit("UHF chain", args.uhf_p, depth)
         _check_limit("UHF prime", args.uhf_p)
-        params = {"uhf_p": args.uhf_p, "depth": args.depth}
-        payload = {**params, "sizes": list(bratteli.uhf_diagram(args.uhf_p, args.depth))}
+        params = {"uhf_p": args.uhf_p, "depth": depth}
+        payload = {**params, "sizes": list(bratteli.uhf_diagram(args.uhf_p, depth))}
         return params, "pass", payload, _rows(payload, "p", "depth", "sizes", p=payload["uhf_p"])
     if args.D is None:
         raise ValueError("give either --D or --uhf-p")
+    if args.depth is not None:
+        raise ValueError("--D does not use --depth")
     diagram = bratteli.effros_shen(quadfield.omega_of(args.D))
     group = bratteli.stationary_k0(diagram)
     shift_ok = bratteli.shift_action_check(group)
@@ -282,7 +285,11 @@ def _cmd_zeta_local(args, box):
 
 
 def _cmd_lfun(args, box):
-    unused = {"zeta": ("--D", "--a4", "--a6"), "auto": ("--a4", "--a6")}.get(args.which, ())
+    unused = {
+        "zeta": ("--D", "--a4", "--a6", "--i"),
+        "motivic": ("--i",),
+        "auto": ("--a4", "--a6"),
+    }[args.which]
     given = [flag for flag in unused if getattr(args, flag[2:]) is not None]
     if given:
         raise ValueError(f"--which {args.which} does not use {'/'.join(given)}")
@@ -295,7 +302,8 @@ def _cmd_lfun(args, box):
     else:
         if args.D is None:
             raise ValueError("--which auto needs --D")
-        approx = lfunction.automorphic_l_partial(args.D, args.i, args.s, args.bound)
+        i = 1 if args.i is None else args.i
+        approx = lfunction.automorphic_l_partial(args.D, i, args.s, args.bound)
     payload = {
         "which": args.which,
         "s": [args.s.real, args.s.imag],
@@ -310,7 +318,7 @@ def _cmd_lfun(args, box):
     if args.which != "zeta" and args.D is not None:
         params["D"] = args.D
     if args.which == "auto":
-        params["i"] = args.i
+        params["i"] = i
     rows = _rows(
         payload, "which", "s", "bound", "value_re", "value_im", "factors",
         s=params["s"] + ("," + params["s_im"] if "s_im" in params else ""),
@@ -426,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("dimgroup", _cmd_dimgroup, help="stationary or UHF dimension group")
     p.add_argument("--D", type=int)
     p.add_argument("--uhf-p", type=int, dest="uhf_p")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=int)  # --uhf-p only; 3 when not given
 
     p = add("tower", _cmd_tower, help="cyclic profinite tower self-similarity")
     p.add_argument("--p", type=int, required=True)
@@ -456,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int)
     p.add_argument("--a4", type=int)
     p.add_argument("--a6", type=int)
-    p.add_argument("--i", type=int, default=1, choices=(0, 1, 2))
+    p.add_argument("--i", type=int, choices=(0, 1, 2))  # --which auto only; 1 when not given
 
     p = add("match", _cmd_match, help="per-prime motivic vs automorphic traces")
     p.add_argument("--D", type=int, required=True)

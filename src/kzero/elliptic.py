@@ -144,39 +144,30 @@ def _point_count(c: CurveQ, p: int) -> int:
 # baby-step giant-step walk ends; at or below it the root count runs.
 _BSGS_MIN_P = 229
 
-_Point = Optional[tuple[int, int]]  # affine (x, y); None is the point at infinity
+
+def _multiple(k: int, x: int, y: int, A: int, p: int) -> tuple:
+    """k (x, y), k >= 0, on y^2 = x^3 + A x + B mod p by left-to-right double-and-add; O is (None, None)."""
+    u = v = None
+    for bit in bin(k)[2:]:
+        if v:  # double; (u, v) is neither O nor of order 2
+            lam = (3 * u * u + A) * pow(2 * v, -1, p) % p
+            w = (lam * lam - 2 * u) % p
+            u, v = w, (lam * (u - w) - v) % p
+        elif u is not None:  # 2 (u, 0) = O
+            u = v = None
+        if bit == "1":  # add (x, y)
+            if u is None:
+                u, v = x, y
+            elif u != x or (v + y) % p:
+                lam = ((y - v) * pow(x - u, -1, p) if u != x else (3 * u * u + A) * pow(2 * v, -1, p)) % p
+                w = (lam * lam - u - x) % p
+                u, v = w, (lam * (u - w) - v) % p
+            else:
+                u = v = None
+    return u, v
 
 
-def _ec_add(P: _Point, Q: _Point, A: int, p: int) -> _Point:
-    """P + Q on y^2 = x^3 + A x + B over F_p (B is implied by the points)."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
-
-
-def _ec_mul(k: int, P: _Point, A: int, p: int) -> _Point:
-    """k P for k >= 0 by double-and-add."""
-    R: _Point = None
-    while k:
-        if k & 1:
-            R = _ec_add(R, P, A, p)
-        P = _ec_add(P, P, A, p)
-        k >>= 1
-    return R
-
-
-def _annihilator(R: _Point, klo: int, khi: int, A: int, p: int) -> int:
+def _annihilator(R: tuple, klo: int, khi: int, A: int, p: int) -> int:
     """g with ord(R) | g | k for every k in [klo, khi] with k R = O.
 
     Some such k must exist.  Baby steps j R, j = 1..m, find ord(R) outright
@@ -187,36 +178,43 @@ def _annihilator(R: _Point, klo: int, khi: int, A: int, p: int) -> int:
     multiples in [klo, khi] are found; two give ord(R) as their difference,
     and a lone one is returned itself.
     """
-    if R is None:
-        return 1
+    rx, ry = x, y = R  # (None, None) is O
     m = isqrt((khi - klo) // 2) + 1
-    baby: dict[int, tuple[int, int]] = {}  # x of j R -> (j, y of j R)
-    S = R
+    baby = {None: (0, None)}  # x of j R -> (j, y of j R), j = 0..m; 0 R = O
     for j in range(1, m + 1):
-        x, y = S
         if y == 0:
             return 2 * j
-        if x in baby:  # j R = -j' R; j R = j' R would have met O at j - j'
+        if x in baby:  # j R = -j' R (j' = 0 only if R = O); j R = j' R would have met O at j - j'
             return j + baby[x][0]
-        baby[x] = (j, y)
-        prev, S = S, _ec_add(S, R, A, p)
-        if S is None:
-            return j + 1
-    step = _ec_add(S, prev, A, p)  # (m + 1) R + m R
-    if step is None:
-        return 2 * m + 1
+        baby[x] = (j, y)  # then (j + 1) R: the tangent at j = 1, else the chord (x = rx returned)
+        lam = ((3 * x * x + A) * pow(2 * y, -1, p) if j == 1 else (y - ry) * pow(x - rx, -1, p)) % p
+        px, py = x, y
+        x = (lam * lam - x - rx) % p
+        y = (lam * (px - x) - py) % p
+    stride = 2 * m + 1
+    if x == px:  # (m + 1) R = -m R
+        return stride
+    lam = (y - py) * pow(x - px, -1, p) % p  # stride R = (m + 1) R + m R
+    sx = (lam * lam - x - px) % p
+    sy = (lam * (px - sx) - py) % p
+    c = (klo + m) // stride * stride  # the first centre on a multiple of stride whose window reaches klo
+    cx, cy = _multiple(c // stride, sx, sy, A, p)
     found = []
-    c = klo + m
-    C = _ec_mul(c, R, A, p)
     while c - m <= khi:
-        if C is None:
-            found.append(c)
-        elif C[0] in baby:
-            j, y = baby[C[0]]
-            found.append(c - j if C[1] == y else c + j)
-        C = _ec_add(C, step, A, p)
-        c += 2 * m + 1
-    found = [k for k in found if k <= khi]
+        if cx in baby:  # c R = +-j R
+            j, y = baby[cx]
+            found.append(c - j if cy == y else c + j)
+        if cx is None:  # C += stride R
+            cx, cy = sx, sy
+        elif cx != sx or (cy + sy) % p:
+            lam = ((sy - cy) * pow(sx - cx, -1, p) if cx != sx
+                   else (3 * cx * cx + A) * pow(2 * cy, -1, p)) % p
+            x = (lam * lam - cx - sx) % p
+            cx, cy = x, (lam * (cx - x) - cy) % p
+        else:
+            cx = cy = None
+        c += stride
+    found = [k for k in found if klo <= k <= khi]  # the first window may begin below klo (c may be 0)
     if not found:
         raise AssertionError(f"no multiple of a point's order in [{klo}, {khi}] mod {p}")
     return found[1] - found[0] if len(found) > 1 else found[0]
@@ -237,7 +235,9 @@ def _bsgs_order(a4: int, a6: int, p: int) -> int:
     modulo lcm(div[1], div[-1]) (Chinese remainder theorem); the walk stops
     when that class meets [lo, hi] once.  By Mestre's theorem, E or E' has a
     point whose order has a single multiple in [lo, hi], so for p > 229 the
-    walk ends before x reaches p; if it does not, that is raised.
+    walk ends before x reaches p; if it does not, that is raised.  Giant
+    windows centre on multiples q (2m + 1) of the stride, so the giant walk
+    starts at q (2m + 1) R: log2(p / 2m) doublings of the stride, not log2(p).
     """
     r = isqrt(4 * p)  # |a_p| <= r, as 4p is not a square
     lo, hi = p + 1 - r, p + 1 + r
@@ -249,7 +249,7 @@ def _bsgs_order(a4: int, a6: int, p: int) -> int:
         s = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
         A = a4 * d * d % p
         L = div[s]
-        R = _ec_mul(L, (d * x % p, d * d % p), A, p)
+        R = _multiple(L, d * x % p, d * d % p, A, p)
         div[s] = L * _annihilator(R, -(-lo // L), hi // L, A, p)
         L1, L2 = div[1], div[-1]
         g = gcd(L1, L2)

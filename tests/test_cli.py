@@ -85,6 +85,10 @@ def test_dimgroup_uhf(tmp_path):
     _, code, out = invoke("dimgroup", "--uhf-p", "3", "--depth", "4", "--format", "json")
     assert code == 0
     assert json.loads(out)["payload"]["sizes"] == [1, 3, 9, 27, 81]
+    _, code, out = invoke("dimgroup", "--uhf-p", "3")  # --depth defaults to 3
+    assert code == 0
+    assert out == invoke("dimgroup", "--uhf-p", "3", "--depth", "3")[2]
+    assert "# depth=3 uhf_p=3\n" in out
 
 
 def test_tower_and_coherence(tmp_path):
@@ -603,11 +607,25 @@ def test_dimgroup_refuses_a_field_and_a_uhf_prime_together(tmp_path, capsys, mon
     ("auto", ("--D", "1", "--a4", "5"), "--a4"),
     ("auto", ("--D", "1", "--a6", "7"), "--a6"),
     ("auto", ("--D", "1", "--a4", "5", "--a6", "7"), "--a4/--a6"),
+    # --i, the order, belongs to auto alone; given, even at its default 1, it is refused
+    ("zeta", ("--i", "2"), "--i"),
+    ("zeta", ("--i", "1"), "--i"),
+    ("zeta", ("--D", "2", "--i", "0"), "--D/--i"),
+    ("motivic", ("--D", "1", "--i", "0"), "--i"),
+    ("motivic", ("--a4", "-1", "--a6", "0", "--i", "1"), "--i"),
 ))
 def test_lfun_refuses_a_curve_flag_it_does_not_use(tmp_path, capsys, monkeypatch, which, given, named):
     argv = ("lfun", "--which", which, *given, "--s", "3", "--bound", "50")
     err = _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
     assert err == f"kzero lfun: --which {which} does not use {named}\n"
+
+
+@pytest.mark.parametrize("depth", ("9", "3"))
+def test_dimgroup_refuses_a_depth_without_a_uhf_prime(tmp_path, capsys, monkeypatch, depth):
+    built = _count_calls(monkeypatch, bratteli, "effros_shen")
+    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, ("dimgroup", "--D", "7", "--depth", depth))
+    assert err == "kzero dimgroup: --D does not use --depth\n"
+    assert built == {"effros_shen": 0}
 
 
 @pytest.mark.parametrize("command", ("ap", "count"))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,130 @@ def test_bsgs_shares_no_helper_with_the_norm_form_route(monkeypatch):
     assert calls == []
     elliptic.hecke_ap_cm(1, 1000033)  # the wrappers do see the norm-form route's calls
     assert calls == ["hecke_ap_cm", "cornacchia", "tonelli", "_smallest_nonresidue"]
+
+
+# A textbook group law, local to these tests so that they share nothing with
+# the kernel: O is None, and the inverse is Fermat's, not pow(v, -1, p).
+def _add(P, Q, A, p):
+    if P is None or Q is None:
+        return P if Q is None else Q
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if x1 == x2:
+        lam = (3 * x1 * x1 + A) * pow(2 * y1, p - 2, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _mul(k, P, A, p):
+    # right to left, where the kernel doubles left to right
+    R = None
+    while k:
+        if k & 1:
+            R = _add(R, P, A, p)
+        P = _add(P, P, A, p)
+        k >>= 1
+    return R
+
+
+def _points(A, B, p, count):
+    """The first `count` affine points of y^2 = x^3 + A x + B mod p by x, with y checked."""
+    points = []
+    for x in itertools.count():
+        f = (x * x * x + A * x + B) % p
+        if f and pow(f, (p - 1) // 2, p) == 1:
+            y = tonelli(f, p)
+            assert y * y % p == f
+            points.append((x, y))
+            if len(points) == count:
+                return points
+
+
+def _order(P, A, p):
+    n, Q = 1, P
+    while Q is not None:
+        n, Q = n + 1, _add(Q, P, A, p)
+    return n
+
+
+KERNEL_CURVES = ROUTE_CURVES[:3] + (CurveQ(-424243, 171719), CurveQ(98765, -1234567))
+
+
+@pytest.mark.parametrize("e", (6, 9, 12))
+def test_bsgs_orders_annihilate_points_on_the_curve_and_its_twist(e):
+    for c in KERNEL_CURVES:
+        primes = [p for p in itertools.islice(itertools.count(10 ** e), 2000) if is_prime(p)]
+        for p in [p for p in primes if discriminant(c) % p][:3]:
+            a_p = p + 1 - count_points_fp(c, p)
+            assert a_p * a_p <= 4 * p
+            n = next(n for n in itertools.count(2) if pow(n, (p - 1) // 2, p) == p - 1)
+            A, B = c.a4 % p, c.a6 % p
+            for P in _points(A, B, p, 3):  # |E(F_p)| = p + 1 - a_p
+                assert _mul(p + 1 - a_p, P, A, p) is None, (c, p, P)
+            A, B = A * n * n % p, B * n * n * n % p  # the quadratic twist by a non-residue n
+            for P in _points(A, B, p, 3):  # |E'(F_p)| = p + 1 + a_p
+                assert _mul(p + 1 + a_p, P, A, p) is None, (c, p, P)
+
+
+@given(
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.sampled_from([p for p in sieve(5000) if p > 229]),
+)
+@settings(max_examples=100, deadline=None)
+def test_bsgs_agrees_with_the_character_sum_on_random_curves(a4, a6, p):
+    assume(4 * a4 ** 3 + 27 * a6 ** 2 != 0)
+    c = CurveQ(a4, a6)
+    assume(discriminant(c) % p != 0)
+    assert count_points_fp(c, p) == _character_sum(c, p)
+
+
+def test_bsgs_scalar_multiple_agrees_with_the_textbook_law():
+    p = 1009
+    cases = [(A, P) for A, B in ((-1, 0), (0, 1), (4, 0), (2, 3)) for P in _points(A, B, p, 4)]
+    cases += [(-1, (1, 0)), (0, (0, 1)), (4, (2, 4))]  # points of order 2, 3 and 4
+    for A, P in cases:
+        for k in range(3 * _order(P, A, p) + 2):
+            Q = _mul(k, P, A, p)
+            assert elliptic._multiple(k, *P, A, p) == ((None, None) if Q is None else Q), (A, P, k)
+
+
+def _annihilates(g, n, klo, khi):
+    # _annihilator's contract for a point of order n: n | g | every multiple of n in [klo, khi]
+    return g % n == 0 and all(k % g == 0 for k in range(klo, khi + 1) if k % n == 0)
+
+
+@pytest.mark.parametrize("A, R, n", (
+    (-1, (1, 0), 2),  # y^2 = x^3 - x: a root of the cubic
+    (0, (0, 1), 3),  # y^2 = x^3 + 1: an inflection point
+    (4, (2, 4), 4),  # y^2 = x^3 + 4x: 2 (2, 4) = (0, 0)
+))
+def test_annihilator_of_points_of_order_2_3_and_4(A, R, n):
+    p = 1009
+    assert _order(R, A, p) == n
+    for klo, khi in ((1, 12), (n, n), (5, 40), (1000, 1100), (990, 1030)):
+        g = elliptic._annihilator(R, klo, khi, A, p)
+        assert _annihilates(g, n, klo, khi), (n, klo, khi, g)
+    assert elliptic._annihilator((None, None), 3, 9, A, p) == 1  # O has order 1
+
+
+def test_annihilator_windows_from_a_centre_at_0():
+    p, A, B = 1009, 2, 3
+    R = max(_points(A, B, p, 20), key=lambda P: _order(P, A, p))
+    n = _order(R, A, p)
+    for klo, khi in ((1, n + 5), (1, 3 * n), (2, 2 * n - 1)):
+        m = isqrt((khi - klo) // 2) + 1
+        assert klo <= m < (n - 1) // 2  # the first window is centred at 0; baby steps miss n
+        g = elliptic._annihilator(R, klo, khi, A, p)
+        assert _annihilates(g, n, klo, khi), (n, klo, khi, g)
+    # no multiple of n in [1, n - 1]: the window at 0 finds k = 0, which lies below klo
+    with pytest.raises(AssertionError, match="no multiple of a point's order in \\[1, "):
+        elliptic._annihilator(R, 1, n - 1, A, p)
+    with pytest.raises(AssertionError, match="no multiple"):
+        elliptic._annihilator(R, n + 1, 2 * n - 1, A, p)
 
 
 def _fp2_meshgrid(c, p):
