@@ -40,6 +40,9 @@ _DEFAULT_CACHE = "./apcache.tsv"
 # What each sized input bounds: (the input, its largest value).  A larger
 # value is refused with exit 2 before any work.  Timed at the limit on 2 vCPUs:
 _LIMITS = {
+    # contfrac, unit, omega, dimgroup, coherence, adelic: 0.3 s at D = 9931639, the longest
+    # period (8952) of the 10^5 D below the limit
+    "quadratic field": ("D", 10 ** 7),
     "point count": ("p", 10 ** 18),  # ap, count: 0.8 s, growing as p^(1/4)
     "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 0.8 s, as p^2
     "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: 19 s at most, 70 MB
@@ -51,6 +54,10 @@ _LIMITS = {
     "ramified prime": ("p", 10 ** 18),  # adelic --ramified: 0.01 s, for the same reason
     "SL2 degree list": ("p", 10 ** 6),  # sl2: 0.6 s
 }
+# The regulator of Q(sqrt(D)) is below sqrt(Delta)(ln(Delta)/2 + 1) with Delta <= 4D, so
+# within the quadratic field limit no printed integer, at most epsilon^2, has more digits
+# than this.  `run` lets Python convert that many; its default limit is 4300.
+_FIELD_DIGITS = 53600
 
 
 @dataclass
@@ -144,6 +151,7 @@ def _resolve_curve(args: argparse.Namespace) -> elliptic.CurveQ:
 
 
 def _cmd_contfrac(args, box):
+    _check_limit("quadratic field", args.D)
     w = quadfield.omega_of(args.D)
     cf = contfrac.expand(w)
     ok = True
@@ -164,6 +172,7 @@ def _cmd_contfrac(args, box):
 
 
 def _cmd_unit(args, box):
+    _check_limit("quadratic field", args.D)
     res = quadfield.fundamental_unit(args.D)
     stable = quadfield.stabilizes_order(res.epsilon)
     payload = {
@@ -176,6 +185,7 @@ def _cmd_unit(args, box):
 
 
 def _cmd_omega(args, box):
+    _check_limit("quadratic field", args.D)
     w = quadfield.omega_of(args.D)
     payload = {
         "D": args.D,
@@ -200,6 +210,7 @@ def _cmd_dimgroup(args, box):
         raise ValueError("give either --D or --uhf-p")
     if args.depth is not None:
         raise ValueError("--D does not use --depth")
+    _check_limit("quadratic field", args.D)
     diagram = bratteli.effros_shen(quadfield.omega_of(args.D))
     group = bratteli.stationary_k0(diagram)
     shift_ok = bratteli.shift_action_check(group)
@@ -354,6 +365,7 @@ def _cmd_prop3(args, box):
 
 
 def _cmd_coherence(args, box):
+    _check_limit("quadratic field", args.D)
     cf = contfrac.expand(quadfield.omega_of(args.D))  # one expansion serves both checks
     es = coherence.effros_shen_coherence(args.D, cf)
     stable = quadfield.stabilizes_order(quadfield.fundamental_unit(args.D, cf).epsilon)
@@ -368,6 +380,7 @@ def _cmd_coherence(args, box):
 
 
 def _cmd_adelic(args, box):
+    _check_limit("quadratic field", args.D)
     _check_limit("restricted product", args.bound, args.depth + 1)
     ramified = []
     for x in filter(str.strip, args.ramified.split(",")):
@@ -406,85 +419,59 @@ def _cmd_adelic(args, box):
 # -- parser and driver -------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "tsv"), default="tsv",
-                        help="output format on stdout (default tsv)")
-    common.add_argument("--cache", default=None,
-                        help="a_p cache path for lfun --which motivic, match and prop3"
-                        f" (default {_DEFAULT_CACHE})")
+_INT = {"type": int}
+_NEEDED = {"type": int, "required": True}
+_CURVE = (("--a4", _INT), ("--a6", _INT), ("--D", _INT), ("--p", _NEEDED))
+_S = {"type": _parse_s, "required": True}
+# Each subcommand once, in the order of `kzero --help`: handler, help line, and
+# its flags as (flag, argparse keywords).  Every one also takes --format and --cache.
+_COMMANDS = {
+    "contfrac": (_cmd_contfrac, "continued fraction of omega", (("--D", _NEEDED),)),
+    "unit": (_cmd_unit, "fundamental unit and stability check", (("--D", _NEEDED),)),
+    "omega": (_cmd_omega, "integer-ring generator of Q(sqrt(D))", (("--D", _NEEDED),)),
+    # --depth: --uhf-p only; 3 when not given
+    "dimgroup": (_cmd_dimgroup, "stationary or UHF dimension group",
+                 (("--D", _INT), ("--uhf-p", _INT), ("--depth", _INT))),
+    "tower": (_cmd_tower, "cyclic profinite tower self-similarity", (
+        ("--p", _NEEDED), ("--depth", {"type": int, "default": 4}),
+        ("--window", {"type": int, "default": 3}))),
+    "sl2": (_cmd_sl2, "irreducible degree profile of SL2(F_p)", (("--p", _NEEDED),)),
+    "count": (_cmd_count, "point count over F_p or a small extension",
+              (*_CURVE, ("--r", {"type": int, "default": 1, "choices": (1, 2, 3)}))),
+    "ap": (_cmd_ap, "Frobenius trace (and norm-form comparison with --D)", _CURVE),
+    "zeta-local": (_cmd_zeta_local, "local zeta factor with its log identity", _CURVE),
+    # --i: --which auto only; 1 when not given
+    "lfun": (_cmd_lfun, "partial Euler product value", (
+        ("--which", {"choices": ("zeta", "motivic", "auto"), "required": True}),
+        ("--s", _S), ("--bound", _NEEDED), ("--D", _INT), ("--a4", _INT), ("--a6", _INT),
+        ("--i", {"type": int, "choices": (0, 1, 2)}))),
+    "match": (_cmd_match, "per-prime motivic vs automorphic traces",
+              (("--D", _NEEDED), ("--bound", _NEEDED))),
+    "prop3": (_cmd_prop3, "factorization residual of the assembled products", (
+        ("--D", _NEEDED), ("--s", _S), ("--bound", _NEEDED),
+        ("--tol", {"type": _parse_tol, "default": 1e-10}))),
+    "coherence": (_cmd_coherence, "module coherence checks for one D", (("--D", _NEEDED),)),
+    "adelic": (_cmd_adelic, "restricted-product descriptor records", (
+        ("--ramified", {"default": ""}), ("--bound", _NEEDED),
+        ("--depth", {"type": int, "default": 2}), ("--D", {"type": int, "default": 5}))),
+}
+_COMMON = (
+    ("--format", {"choices": ("json", "tsv"), "default": "tsv",
+                  "help": "output format on stdout (default tsv)"}),
+    ("--cache", {"help": "a_p cache path for lfun --which motivic, match and prop3"
+                         f" (default {_DEFAULT_CACHE})"}),
+)
 
+
+def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """Every subcommand's name and help line, as `kzero --help` lists them; `command`'s flags."""
     parser = argparse.ArgumentParser(prog="kzero", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("contfrac", _cmd_contfrac, help="continued fraction of omega")
-    p.add_argument("--D", type=int, required=True)
-
-    p = add("unit", _cmd_unit, help="fundamental unit and stability check")
-    p.add_argument("--D", type=int, required=True)
-
-    p = add("omega", _cmd_omega, help="integer-ring generator of Q(sqrt(D))")
-    p.add_argument("--D", type=int, required=True)
-
-    p = add("dimgroup", _cmd_dimgroup, help="stationary or UHF dimension group")
-    p.add_argument("--D", type=int)
-    p.add_argument("--uhf-p", type=int, dest="uhf_p")
-    p.add_argument("--depth", type=int)  # --uhf-p only; 3 when not given
-
-    p = add("tower", _cmd_tower, help="cyclic profinite tower self-similarity")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--window", type=int, default=3)
-
-    p = add("sl2", _cmd_sl2, help="irreducible degree profile of SL2(F_p)")
-    p.add_argument("--p", type=int, required=True)
-
-    for name, handler, hlp in (
-        ("count", _cmd_count, "point count over F_p or a small extension"),
-        ("ap", _cmd_ap, "Frobenius trace (and norm-form comparison with --D)"),
-        ("zeta-local", _cmd_zeta_local, "local zeta factor with its log identity"),
-    ):
-        p = add(name, handler, help=hlp)
-        p.add_argument("--a4", type=int)
-        p.add_argument("--a6", type=int)
-        p.add_argument("--D", type=int)
-        p.add_argument("--p", type=int, required=True)
-        if name == "count":
-            p.add_argument("--r", type=int, default=1, choices=(1, 2, 3))
-
-    p = add("lfun", _cmd_lfun, help="partial Euler product value")
-    p.add_argument("--which", choices=("zeta", "motivic", "auto"), required=True)
-    p.add_argument("--s", type=_parse_s, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--D", type=int)
-    p.add_argument("--a4", type=int)
-    p.add_argument("--a6", type=int)
-    p.add_argument("--i", type=int, choices=(0, 1, 2))  # --which auto only; 1 when not given
-
-    p = add("match", _cmd_match, help="per-prime motivic vs automorphic traces")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-
-    p = add("prop3", _cmd_prop3, help="factorization residual of the assembled products")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--s", type=_parse_s, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--tol", type=_parse_tol, default=1e-10)
-
-    p = add("coherence", _cmd_coherence, help="module coherence checks for one D")
-    p.add_argument("--D", type=int, required=True)
-
-    p = add("adelic", _cmd_adelic, help="restricted-product descriptor records")
-    p.add_argument("--ramified", default="")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--D", type=int, default=5)
-
+    for name, (_, hlp, flags) in _COMMANDS.items():
+        named = name == command  # any other is a stub without even -h
+        p = sub.add_parser(name, help=hlp, add_help=named)
+        for flag, kwargs in (*_COMMON, *flags) if named else ():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -510,13 +497,24 @@ def _emit(result: CommandResult, rows: Sequence[Sequence], fmt: str, out: TextIO
 
 def run(argv: Sequence[str], stdout: Optional[TextIO] = None) -> tuple[CommandResult, int]:
     """Execute one subcommand; returns the result and the process exit code."""
-    out = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(list(argv))
+    argv = list(argv)
+    # argparse takes the first positional argument as the command; no name is an option
+    args = _build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: nothing to raise
+    if digits:
+        sys.set_int_max_str_digits(max(digits, _FIELD_DIGITS))
+    try:
+        return _execute(args, stdout if stdout is not None else sys.stdout)
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
+
+
+def _execute(args: argparse.Namespace, out: TextIO) -> tuple[CommandResult, int]:
     box = _CacheBox(args.cache or _DEFAULT_CACHE)
     try:
         try:
-            parameters, status, payload, rows = args.handler(args, box)
+            parameters, status, payload, rows = _COMMANDS[args.command][0](args, box)
         finally:
             box.flush()  # traces counted before a failure are kept too
     except AssertionError as exc:

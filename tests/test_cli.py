@@ -2,7 +2,9 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -266,6 +268,41 @@ def test_main_returns_exit_code(tmp_path, capsys):
 
 SUBCOMMANDS = ("contfrac", "unit", "omega", "dimgroup", "tower", "sl2", "count", "ap", "zeta-local",
                "lfun", "match", "prop3", "coherence", "adelic")
+CURVE = ("--a4", "--a6", "--D", "--p")
+# each subcommand's own flags, in the order its --help lists them after -h, --format, --cache
+FLAGS = {
+    "contfrac": ("--D",),
+    "unit": ("--D",),
+    "omega": ("--D",),
+    "dimgroup": ("--D", "--uhf-p", "--depth"),
+    "tower": ("--p", "--depth", "--window"),
+    "sl2": ("--p",),
+    "count": (*CURVE, "--r"),
+    "ap": CURVE,
+    "zeta-local": CURVE,
+    "lfun": ("--which", "--s", "--bound", "--D", "--a4", "--a6", "--i"),
+    "match": ("--D", "--bound"),
+    "prop3": ("--D", "--s", "--bound", "--tol"),
+    "coherence": ("--D",),
+    "adelic": ("--ramified", "--bound", "--depth", "--D"),
+}
+# a small argv that each subcommand runs with exit 0
+SMALL = {
+    "contfrac": ("--D", "7"),
+    "unit": ("--D", "2"),
+    "omega": ("--D", "13"),
+    "dimgroup": ("--D", "7"),
+    "tower": ("--p", "3"),
+    "sl2": ("--p", "5"),
+    "count": ("--D", "1", "--p", "5"),
+    "ap": ("--D", "1", "--p", "13"),
+    "zeta-local": ("--D", "1", "--p", "5"),
+    "lfun": ("--which", "zeta", "--s", "2", "--bound", "30"),
+    "match": ("--D", "1", "--bound", "50"),
+    "prop3": ("--D", "1", "--s", "3", "--bound", "50"),
+    "coherence": ("--D", "3"),
+    "adelic": ("--bound", "7"),
+}
 
 
 def _help(capsys, *argv):
@@ -277,6 +314,7 @@ def _help(capsys, *argv):
 
 def test_top_level_help_lists_every_subcommand(capsys):
     assert len(SUBCOMMANDS) == 14
+    assert tuple(FLAGS) == tuple(SMALL) == SUBCOMMANDS
     text = _help(capsys)
     assert text.startswith("usage: kzero ")
     listed = text[text.index("{") + 1 : text.index("}")].split(",")
@@ -291,6 +329,60 @@ def test_subcommand_help(capsys, command):
     text = _help(capsys, command)
     assert text.startswith(f"usage: kzero {command} ")
     assert "--format {json,tsv}" in text
+    # an option line starts with two spaces; a wrapped help line starts further in
+    listed = re.findall(r"^  (-[^\s,]+)", text, re.MULTILINE)
+    assert listed == ["-h", "--format", "--cache", *FLAGS[command]]
+
+
+def test_only_the_named_subcommand_is_built_with_its_flags():
+    parser = cli._build_parser("ap")
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    built = {name: [s for a in p._actions for s in a.option_strings] for name, p in subparsers.choices.items()}
+    assert list(built) == list(SUBCOMMANDS)
+    assert built.pop("ap") == ["-h", "--help", "--format", "--cache", *FLAGS["ap"]]
+    assert all(flags == [] for flags in built.values())
+
+
+def test_no_arguments_is_a_usage_error_listing_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([])
+    assert exc.value.code == 2
+    err = " ".join(capsys.readouterr().err.split())  # undo the usage line's wrapping
+    assert err.startswith("usage: kzero ")
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in err
+    assert "required: command" in err
+
+
+def test_an_unknown_subcommand_is_an_invalid_choice_naming_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["bogus", "--D", "5"])
+    assert exc.value.code == 2
+    err = " ".join(capsys.readouterr().err.split())
+    assert re.search(r"invalid choice: '?bogus'?", err)
+    choices = err[err.index("choose from") :]
+    assert re.findall(r"[a-z][a-z0-9-]*", choices)[2:] == list(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", (
+    ("omega", "--D", "5", "--p", "3"),
+    ("ap", "--D", "1", "--p", "5", "--which", "zeta"),
+    *((command, *SMALL[command], "--window", "3") for command in SUBCOMMANDS if command != "tower"),
+    ("tower", *SMALL["tower"], "--which", "zeta"),
+))
+def test_a_flag_of_another_subcommand_is_unrecognized(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--cache", str(tmp_path / "c.tsv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " in capsys.readouterr().err
+    assert not (tmp_path / "c.tsv").exists()
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_takes_a_cache_path_and_json(tmp_path, command):
+    result, code, out = invoke(command, *SMALL[command], "--cache", str(tmp_path / "c.tsv"),
+                               "--format", "json")
+    assert code == 0
+    assert json.loads(out)["command"] == command == result.command
 
 
 # -- cache handling ------------------------------------------------------------------
@@ -438,6 +530,9 @@ def test_module_execution(tmp_path):
     ("coherence", "--D", "433"),
     ("unit", "--D", "9999991"),
     ("contfrac", "--D", "9999991"),
+    # the longest period (8952) of the 10^5 D below the field limit: a unit of 4556 digits
+    ("unit", "--D", "9931639"),
+    ("dimgroup", "--D", "9931639"),
 ))
 def test_large_discriminant_returns(tmp_path, argv):
     # the fundamental unit of these fields is huge; the Perron eigenvalue must
@@ -751,6 +846,8 @@ WORK = (
     (lfunction, ("zeta_partial", "local_factor_match", "proposition3_check")),
     (groupalg, ("cyclic_tower", "sl2_degree_profile", "assemble_restricted_product")),
     (bratteli, ("uhf_diagram",)),
+    (quadfield, ("omega_of", "fundamental_unit")),
+    (contfrac, ("expand",)),
 )
 
 
@@ -780,6 +877,9 @@ def _refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
     (("sl2", "--p"), "SL2 degree list", 10 ** 6),
     (("dimgroup", "--depth", "1", "--uhf-p"), "UHF prime", 10 ** 18),
     (("adelic", "--bound", "7", "--ramified"), "ramified prime", 10 ** 18),
+    *((argv, "quadratic field", 10 ** 7) for argv in (
+        ("contfrac", "--D"), ("unit", "--D"), ("omega", "--D"), ("dimgroup", "--D"),
+        ("coherence", "--D"), ("adelic", "--bound", "7", "--D"))),
 ))
 def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, count, limit):
     name, table_limit = cli._LIMITS[count]
@@ -805,6 +905,42 @@ def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypa
 ))
 def test_a_power_above_its_limit_is_refused_unevaluated(tmp_path, capsys, monkeypatch, argv, message):
     assert message in _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
+
+
+FIELD_COMMANDS = ("contfrac", "unit", "omega", "dimgroup", "coherence", "adelic")
+
+
+@pytest.mark.parametrize("command", FIELD_COMMANDS)
+def test_a_field_at_or_past_its_limit_never_shows_pythons_digit_limit(tmp_path, capsys, command):
+    name, limit = cli._LIMITS["quadratic field"]
+    at = next(d for d in range(limit, 1, -1) if quadfield.is_squarefree(d))
+    for d in (9931639, at, limit + 1, 1000000007):  # 9931639: a unit of 4556 digits
+        argv = (command, "--D", str(d), *(("--bound", "7") if command == "adelic" else ()))
+        _, code, out = invoke(*argv, "--cache", str(tmp_path / "c.tsv"))
+        err = capsys.readouterr().err
+        assert "integer string conversion" not in out + err
+        if d <= limit:
+            assert code in (0, 1), err
+        else:
+            assert code == 2 and f"{name} = {d} is above the quadratic field limit" in err
+
+
+def test_the_digit_allowance_covers_the_regulator_bound_at_the_field_limit():
+    delta = 4 * cli._LIMITS["quadratic field"][1]  # the largest discriminant of a D within it
+    regulator = math.sqrt(delta) * (math.log(delta) / 2 + 1)
+    assert cli._FIELD_DIGITS >= 2 * regulator / math.log(10) + 1  # epsilon^2 at most
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit to raise")
+def test_run_restores_pythons_digit_limit(tmp_path):
+    before = sys.get_int_max_str_digits()
+    try:
+        for limit in (0, 640, 4300, 10 ** 6):  # 0: no limit
+            sys.set_int_max_str_digits(limit)
+            assert invoke("dimgroup", "--D", "9931639")[1] == 0
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_ap_runs_at_the_largest_prime_within_the_limit(tmp_path):
