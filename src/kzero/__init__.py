@@ -21,10 +21,47 @@ of them in `sys.modules` and on the package without running them; a
 module's code runs when one of its attributes is first read.  So a CLI
 process runs only the modules its command uses: `kzero omega` runs
 `quadfield` alone.
+
+`Frozen` is the base of the library's validated records.  It gives them the
+immutability, equality and hashing of a frozen dataclass without importing
+`dataclasses`, which loads `inspect`: about 12 ms of a CLI run on 2 vCPUs.
 """
 
 import importlib.util
 import sys
+
+
+class Frozen:
+    """An immutable record whose fields are the subclass's `__slots__`.
+
+    The subclass's `__init__` checks its arguments and stores each field with
+    `object.__setattr__`.  Two records are equal when they are of the same
+    class and their fields are equal in slot order, and the hash follows the
+    same fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def _register_lazily(name: str):

@@ -26,12 +26,11 @@ as the rank-1 warm-up case: one block per level, each p times the last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Optional, Sequence, Union
 
-from kzero import contfrac
+from kzero import Frozen, contfrac
 from kzero.coherence import RealModule, module_equal, module_scale
 from kzero.primes import is_prime
 from kzero.quadfield import QuadElement
@@ -61,8 +60,7 @@ def _is_primitive(b: Matrix) -> bool:
 # -- diagram types -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StationaryDiagram:
+class StationaryDiagram(Frozen):
     """A 2x2 primitive unimodular multiplicity matrix repeated from a seed level.
 
     `seed` is the pair of block sizes (q_c, q_{c-1}) at the seed level.
@@ -71,16 +69,15 @@ class StationaryDiagram:
     pair at the seed level; see the module docstring for why it is required.
     """
 
-    B: Matrix
-    seed: tuple[int, int]
-    period_length: int
-    seed_traces: tuple[QuadElement, QuadElement]
+    __slots__ = ("B", "seed", "period_length", "seed_traces")
 
-    def __post_init__(self) -> None:
-        b = tuple(tuple(int(x) for x in row) for row in self.B)
+    def __init__(self, B: Matrix, seed: tuple[int, int], period_length: int,
+                 seed_traces: tuple[QuadElement, QuadElement]) -> None:
+        b = tuple(tuple(int(x) for x in row) for row in B)
         object.__setattr__(self, "B", b)
-        object.__setattr__(self, "seed", tuple(int(s) for s in self.seed))
-        object.__setattr__(self, "seed_traces", tuple(self.seed_traces))
+        object.__setattr__(self, "seed", tuple(int(s) for s in seed))
+        object.__setattr__(self, "period_length", period_length)
+        object.__setattr__(self, "seed_traces", tuple(seed_traces))
         if len(b) != 2 or any(len(row) != 2 for row in b):
             raise ValueError(f"stationary multiplicity matrix must be 2x2, got {b}")
         # no negative entry passes the next two checks: primitivity needs
@@ -100,8 +97,7 @@ class StationaryDiagram:
             raise ValueError("need two strictly positive traces")
 
 
-@dataclass(frozen=True)
-class DimensionGroup:
+class DimensionGroup(NamedTuple):
     """K0 data of a stationary diagram.
 
     `rank` and `matrix` present the inductive system (Z^rank --matrix--> ...);

@@ -28,9 +28,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import NamedTuple, Optional, Sequence, TextIO
 
 from kzero import bratteli, coherence, contfrac, elliptic, groupalg, lfunction, quadfield
 
@@ -52,6 +50,7 @@ _LIMITS = {
     # dimgroup --uhf-p: 0.01 s; Miller-Rabin is proven below 3.2 * 10^23 only (see primes)
     "UHF prime": ("p", 10 ** 18),
     "ramified prime": ("p", 10 ** 18),  # adelic --ramified: 0.01 s, for the same reason
+    "ramified list": ("length", 1000),  # adelic --ramified: 0.14 s for 1000 primes near 10^18
     "SL2 degree list": ("p", 10 ** 6),  # sl2: 0.6 s
 }
 # The regulator of Q(sqrt(D)) is below sqrt(Delta)(ln(Delta)/2 + 1) with Delta <= 4D, so
@@ -60,8 +59,7 @@ _LIMITS = {
 _FIELD_DIGITS = 53600
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     """What a subcommand computed: parameters, pass/fail/error, and payload."""
 
     command: str
@@ -136,6 +134,19 @@ def _check_limit(what: str, value: int, exp: int = 1) -> None:
         raise ValueError(f"{name} = {shown} is above the {what} limit {name} <= {limit}")
 
 
+def _check_bound_reaches(bound: int, D: Optional[int] = None) -> None:
+    """Refuse a bound below the first prime the products would take: the first good
+    prime of the table curve for D, or 2 without D.  The products would be empty, and
+    a check over them would pass having compared nothing."""
+    if D is None:
+        first, which = 2, "the first prime"
+    else:
+        first = elliptic.first_good_prime(elliptic.cm_curve_for(D))
+        which = f"the first good prime of the curve for D = {D}"
+    if bound < first:
+        raise ValueError(f"bound = {bound} is below {first}, {which}, so no prime would be visited")
+
+
 def _resolve_curve(args: argparse.Namespace) -> elliptic.CurveQ:
     if args.D is not None:
         given = [flag for flag, v in (("--a4", args.a4), ("--a6", args.a6)) if v is not None]
@@ -151,6 +162,8 @@ def _resolve_curve(args: argparse.Namespace) -> elliptic.CurveQ:
 
 
 def _cmd_contfrac(args, box):
+    from fractions import Fraction  # here, not at the top, so the trace commands never load it
+
     _check_limit("quadratic field", args.D)
     w = quadfield.omega_of(args.D)
     cf = contfrac.expand(w)
@@ -305,6 +318,7 @@ def _cmd_lfun(args, box):
     if given:
         raise ValueError(f"--which {args.which} does not use {'/'.join(given)}")
     _check_limit("prime sieve", args.bound)
+    _check_bound_reaches(args.bound)
     if args.which == "zeta":
         approx = lfunction.zeta_partial(args.s, args.bound)
     elif args.which == "motivic":
@@ -340,6 +354,7 @@ def _cmd_lfun(args, box):
 
 def _cmd_match(args, box):
     _check_limit("prime sieve", args.bound)
+    _check_bound_reaches(args.bound, args.D)
     report = lfunction.local_factor_match(args.D, args.bound, box.get())
     params = {"D": args.D, "bound": args.bound}
     payload = {**params, "primes": len(report.rows), "mismatches": list(report.mismatches)}
@@ -350,6 +365,7 @@ def _cmd_match(args, box):
 
 def _cmd_prop3(args, box):
     _check_limit("prime sieve", args.bound)
+    _check_bound_reaches(args.bound, args.D)
     residual = lfunction.proposition3_check(args.D, args.s, args.bound, box.get())
     ok = residual < args.tol
     payload = {
@@ -381,9 +397,12 @@ def _cmd_coherence(args, box):
 
 def _cmd_adelic(args, box):
     _check_limit("quadratic field", args.D)
+    _check_bound_reaches(args.bound)
     _check_limit("restricted product", args.bound, args.depth + 1)
+    given = list(filter(str.strip, args.ramified.split(",")))
+    _check_limit("ramified list", len(given))
     ramified = []
-    for x in filter(str.strip, args.ramified.split(",")):
+    for x in given:
         try:
             ramified.append(int(x))
         except ValueError:

@@ -21,12 +21,11 @@ equality of the Effros-Shen dimension group with Z+Z*omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Optional, Union
 
-from kzero import elliptic
+from kzero import Frozen, elliptic
 from kzero.quadfield import QuadElement, is_squarefree, omega_of
 
 if TYPE_CHECKING:
@@ -61,8 +60,7 @@ def _coord_pair(g: Scalar) -> tuple[Fraction, Fraction, Optional[int]]:
     return Fraction(g), Fraction(0), None
 
 
-@dataclass(frozen=True)
-class RealModule:
+class RealModule(Frozen):
     """Z-span of at most two generators inside R.
 
     D is the ambient field marker: a square-free integer > 1 for Q(sqrt(D)),
@@ -70,19 +68,20 @@ class RealModule:
     rationals; irrational generators must match D.
     """
 
-    D: Optional[int]
-    generators: tuple[Scalar, ...]
+    __slots__ = ("D", "generators")
 
-    def __post_init__(self) -> None:
-        if self.D is not None:
-            if self.D <= 1 or not is_squarefree(self.D):
-                raise ValueError(f"ambient D must be square-free and > 1, got {self.D}")
-        if len(self.generators) > 2:
+    def __init__(self, D: Optional[int], generators: tuple[Scalar, ...]) -> None:
+        if D is not None:
+            if D <= 1 or not is_squarefree(D):
+                raise ValueError(f"ambient D must be square-free and > 1, got {D}")
+        if len(generators) > 2:
             raise ValueError("rank > 2 modules are not supported")
-        for g in self.generators:
+        for g in generators:
             _, b, d = _coord_pair(g)
-            if d is not None and d != self.D:
-                raise ValueError(f"generator in Q(sqrt({d})) does not match ambient D={self.D}")
+            if d is not None and d != D:
+                raise ValueError(f"generator in Q(sqrt({d})) does not match ambient D={D}")
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "generators", generators)
 
     @staticmethod
     def span(*generators: Scalar) -> "RealModule":
@@ -216,20 +215,20 @@ def k0_automorphic(D: int) -> RealModule:
     return RealModule(D, (Fraction(1), w))
 
 
-@dataclass(frozen=True)
-class TraceCohomology:
+class TraceCohomology(Frozen):
     """Degree-indexed list of real modules, degrees 0..2n.
 
     The length is odd and the end degrees have rank 1.
     """
 
-    modules: tuple[RealModule, ...]
+    __slots__ = ("modules",)
 
-    def __post_init__(self) -> None:
-        if len(self.modules) % 2 != 1:
+    def __init__(self, modules: tuple[RealModule, ...]) -> None:
+        if len(modules) % 2 != 1:
             raise ValueError("degree range 0..2n has odd length")
-        if self.modules[0].rank != 1 or self.modules[-1].rank != 1:
+        if modules[0].rank != 1 or modules[-1].rank != 1:
             raise ValueError("extreme degrees must have rank 1")
+        object.__setattr__(self, "modules", modules)
 
 
 def trace_cohomology_ecm(D: int) -> TraceCohomology:

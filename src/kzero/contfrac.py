@@ -22,37 +22,36 @@ the integer part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt, lcm
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
+from kzero import Frozen
 from kzero.quadfield import QuadElement
 
 __all__ = ["PeriodicCF", "Convergent", "expand", "convergents", "partial_quotients"]
 
 
-@dataclass(frozen=True)
-class PeriodicCF:
+class PeriodicCF(Frozen):
     """Eventually periodic partial-quotient sequence.
 
     The expansion reads preperiod followed by period repeated forever.
     preperiod is nonempty (it holds at least a_0) and period is nonempty.
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self) -> None:
-        if not self.preperiod:
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]) -> None:
+        if not preperiod:
             raise ValueError("preperiod must contain at least a_0")
-        if not self.period:
+        if not period:
             raise ValueError("period must be nonempty")
-        if any(a <= 0 for a in self.preperiod[1:]) or any(a <= 0 for a in self.period):
+        if any(a <= 0 for a in preperiod[1:]) or any(a <= 0 for a in period):
             raise ValueError("partial quotients after a_0 must be positive")
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """Convergent p/q at the given index, automatically in lowest terms."""
 
     index: int

@@ -33,13 +33,15 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
+from kzero import Frozen
 from kzero.primes import is_prime, sieve
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CurveQ",
@@ -49,6 +51,7 @@ __all__ = [
     "BadReductionError",
     "discriminant",
     "good_primes",
+    "first_good_prime",
     "count_points_fp",
     "trace_of_frobenius",
     "count_points_extension",
@@ -67,21 +70,20 @@ class BadReductionError(ValueError):
     """Raised when a prime of bad reduction is used where a good one is required."""
 
 
-@dataclass(frozen=True)
-class CurveQ:
+class CurveQ(Frozen):
     """Short Weierstrass curve y^2 = x^3 + a4 x + a6 over Q, nonsingular."""
 
-    a4: int
-    a6: int
-    cm_discriminant: Optional[int] = None
+    __slots__ = ("a4", "a6", "cm_discriminant")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a4: int, a6: int, cm_discriminant: Optional[int] = None) -> None:
+        object.__setattr__(self, "a4", a4)
+        object.__setattr__(self, "a6", a6)
+        object.__setattr__(self, "cm_discriminant", cm_discriminant)
         if discriminant(self) == 0:
-            raise ValueError(f"curve y^2 = x^3 + {self.a4}x + {self.a6} is singular")
+            raise ValueError(f"curve y^2 = x^3 + {a4}x + {a6} is singular")
 
 
-@dataclass(frozen=True)
-class FrobeniusMatrices:
+class FrobeniusMatrices(NamedTuple):
     """Degree-0/1/2 Frobenius actions: [1], the companion of T^2 - a_p T + p, [p]."""
 
     h0: tuple[tuple[int, ...], ...]
@@ -96,6 +98,14 @@ def discriminant(c: CurveQ) -> int:
 def good_primes(c: CurveQ, bound: int) -> list[int]:
     delta = discriminant(c)
     return [p for p in sieve(bound) if delta % p != 0]
+
+
+def first_good_prime(c: CurveQ) -> int:
+    """The smallest prime of good reduction for c; 2 never is one."""
+    bound = 8  # the discriminant is nonzero, so some doubling of this reaches one
+    while not (good := good_primes(c, bound)):
+        bound *= 2
+    return good[0]
 
 
 @lru_cache(maxsize=512)
@@ -419,8 +429,7 @@ def _smallest_nonresidue(p: int) -> int:
 # -- local zeta factor -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalZeta:
+class LocalZeta(NamedTuple):
     """Z_p(t) = numerator(t) / ((1 - t)(1 - p t)) with numerator 1 - a_p t + p t^2."""
 
     p: int
@@ -430,25 +439,25 @@ class LocalZeta:
     def numerator(self) -> tuple[int, int, int]:
         return (1, -self.a_p, self.p)
 
-    def series(self, order: int) -> list[Fraction]:
-        """Taylor coefficients of Z_p(t) through t^order, exactly."""
-        num = [Fraction(x) for x in self.numerator]
-        inv_one = _series_geometric(Fraction(1), order)
-        inv_p = _series_geometric(Fraction(self.p), order)
-        return _series_mul(_series_mul(num, inv_one, order), inv_p, order)
+    def series(self, order: int) -> list[int]:
+        """Taylor coefficients of Z_p(t) through t^order, exactly: they are integers."""
+        inv_one = [1] * (order + 1)
+        inv_p = [self.p ** k for k in range(order + 1)]
+        return _series_mul(_series_mul(list(self.numerator), inv_one, order), inv_p, order)
 
     def log_series(self, order: int) -> list[Fraction]:
         """Coefficients of log Z_p(t) through t^order via the formal logarithm."""
-        z = self.series(order)
+        from fractions import Fraction  # only the formal logarithm divides
+
         # log(1 + w) = w - w^2/2 + w^3/3 - ... with w = Z - 1 (no constant term)
-        w = [Fraction(0)] + z[1:]
+        w = [0] + self.series(order)[1:]
         out = [Fraction(0)] * (order + 1)
-        power = [Fraction(1)] + [Fraction(0)] * order
+        power = [1] + [0] * order
         for k in range(1, order + 1):
             power = _series_mul(power, w, order)
             sign = 1 if k % 2 == 1 else -1
             for i in range(order + 1):
-                out[i] += sign * power[i] / k
+                out[i] += Fraction(sign * power[i], k)
         return out
 
     def __str__(self) -> str:
@@ -460,16 +469,8 @@ class LocalZeta:
         return f"({''.join(terms)})/((1-t)(1-{self.p}t))"
 
 
-def _series_geometric(ratio: Fraction, order: int) -> list[Fraction]:
-    # 1/(1 - ratio*t) through t^order
-    out = [Fraction(1)]
-    for _ in range(order):
-        out.append(out[-1] * ratio)
-    return out
-
-
-def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
+def _series_mul(a: list[int], b: list[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
     for i, ai in enumerate(a[: order + 1]):
         if ai == 0:
             continue
@@ -484,6 +485,8 @@ def weil_zeta_local(c: CurveQ, p: int) -> LocalZeta:
     The formal log of the returned rational function is checked against
     |E(F_{p^r})| t^r / r through r = 3 before returning.
     """
+    from fractions import Fraction  # as in LocalZeta.log_series
+
     _require_good(c, p)
     zeta = LocalZeta(p, _good_ap(c, p))
     logs = zeta.log_series(3)

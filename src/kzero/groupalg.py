@@ -27,9 +27,9 @@ re-checks the full invariant for data from elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
+from kzero import Frozen
 from kzero.primes import is_prime, sieve
 
 __all__ = [
@@ -47,42 +47,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RepDegreeProfile:
+class RepDegreeProfile(Frozen):
     """Multiset of irreducible degrees of a finite group, Burnside-checked."""
 
-    group_label: str
-    order: int
-    degrees: tuple[int, ...]
+    __slots__ = ("group_label", "order", "degrees")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(sorted(int(d) for d in self.degrees)))
-        if self.order < 1 or any(d < 1 for d in self.degrees):
+    def __init__(self, group_label: str, order: int, degrees: Iterable[int]) -> None:
+        degrees = tuple(sorted(int(d) for d in degrees))
+        if order < 1 or any(d < 1 for d in degrees):
             raise ValueError("order and degrees must be positive")
-        if sum(d * d for d in self.degrees) != self.order:
+        if sum(d * d for d in degrees) != order:
             raise ValueError(
-                f"Burnside identity fails for {self.group_label}: "
-                f"sum of squared degrees {sum(d * d for d in self.degrees)} != order {self.order}"
+                f"Burnside identity fails for {group_label}: "
+                f"sum of squared degrees {sum(d * d for d in degrees)} != order {order}"
             )
+        object.__setattr__(self, "group_label", group_label)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "degrees", degrees)
 
 
-@dataclass(frozen=True)
-class ConnectingMap:
+class ConnectingMap(Frozen):
     """A 0/1 multiplicity matrix with exactly one 1 per row, stored sparsely.
 
     Row r has its 1 in column parent[r].  Row count is len(parent); the
     column count is explicit since trailing empty columns are meaningful.
     """
 
-    parent: tuple[int, ...]
-    cols: int
+    __slots__ = ("parent", "cols")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parent", tuple(int(x) for x in self.parent))
-        if self.cols < 1 or not self.parent:
+    def __init__(self, parent: Iterable[int], cols: int) -> None:
+        parent = tuple(int(x) for x in parent)
+        if cols < 1 or not parent:
             raise ValueError("connecting map must have at least one row and column")
-        if any(c < 0 or c >= self.cols for c in self.parent):
+        if any(c < 0 or c >= cols for c in parent):
             raise ValueError("parent index out of column range")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "cols", cols)
 
     @property
     def rows(self) -> int:
@@ -95,28 +95,28 @@ class ConnectingMap:
         return tuple(sums)
 
 
-@dataclass(frozen=True)
-class ProfiniteTower:
+class ProfiniteTower(Frozen):
     """Levels of block profiles joined by sparse 0/1 connecting maps.
 
     Construction checks shapes only; see `validate_tower` for the full
     column-sum invariant of the cyclic model.
     """
 
-    prime: int
-    levels: tuple[RepDegreeProfile, ...]
-    connecting: tuple[ConnectingMap, ...]
+    __slots__ = ("prime", "levels", "connecting")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(self.levels))
-        object.__setattr__(self, "connecting", tuple(self.connecting))
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if len(self.connecting) != len(self.levels) - 1:
+    def __init__(self, prime: int, levels: Iterable[RepDegreeProfile],
+                 connecting: Iterable[ConnectingMap]) -> None:
+        levels, connecting = tuple(levels), tuple(connecting)
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        if len(connecting) != len(levels) - 1:
             raise ValueError("need one connecting map per consecutive level pair")
-        for i, cm in enumerate(self.connecting):
-            if cm.cols != len(self.levels[i].degrees) or cm.rows != len(self.levels[i + 1].degrees):
+        for i, cm in enumerate(connecting):
+            if cm.cols != len(levels[i].degrees) or cm.rows != len(levels[i + 1].degrees):
                 raise ValueError(f"connecting map {i} shape does not match its levels")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "connecting", connecting)
 
     @property
     def depth(self) -> int:
@@ -232,8 +232,7 @@ def self_similar_tower(p: int, depth: int, window: int) -> tuple[ProfiniteTower,
     return tower, _shift_similar(tower, window)
 
 
-@dataclass(frozen=True)
-class RestrictedProductSpec:
+class RestrictedProductSpec(NamedTuple):
     """Per-prime factor descriptors of a restricted product, keyed by prime."""
 
     ramified: frozenset[int]

@@ -20,9 +20,9 @@ absolute convergence; no analytic continuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
+from kzero import Frozen
 from kzero.elliptic import ApCache, CurveQ, _good_ap, _norm_form_ap, cm_curve_for, good_primes
 from kzero.primes import is_prime, sieve
 
@@ -46,8 +46,7 @@ class ConvergenceDomainError(ValueError):
     """Raised when an evaluation point leaves the half-plane of convergence."""
 
 
-@dataclass(frozen=True)
-class LocalPolynomial:
+class LocalPolynomial(Frozen):
     """Integer polynomial P with P(0) = 1 and degree <= 2, attached to a prime.
 
     The local Euler factor at p is P(p^{-s})^{-1}.  The constructor checks
@@ -55,13 +54,13 @@ class LocalPolynomial:
     from `sieve` with `_sieved`, which does not test p again.
     """
 
-    p: int
-    coefficients: tuple[int, ...]
+    __slots__ = ("p", "coefficients")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int, coefficients: tuple[int, ...]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coefficients", tuple(int(c) for c in coefficients))
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self._check_coefficients()
 
     @classmethod
@@ -88,8 +87,7 @@ class LocalPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class EulerProductApprox:
+class EulerProductApprox(NamedTuple):
     """A partial Euler product: evaluation point, factor list, folded value.
 
     The value is the product of inverse local factors in ascending-p order.
@@ -166,8 +164,7 @@ def automorphic_l_partial(D: int, i: int, s: ComplexLike, P: int) -> EulerProduc
     return EulerProductApprox(z, P, factors, _fold(factors, z))
 
 
-@dataclass(frozen=True)
-class MatchRow:
+class MatchRow(NamedTuple):
     """Per-prime comparison of the two a_p routes; det is p on both sides."""
 
     p: int
@@ -176,8 +173,7 @@ class MatchRow:
     match: bool
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     """All good primes up to the bound with their trace comparison."""
 
     D: int

@@ -19,10 +19,11 @@ maps Z + Z*omega onto itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+
+from kzero import Frozen
 
 if TYPE_CHECKING:
     from kzero.contfrac import PeriodicCF
@@ -55,8 +56,7 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QuadElement:
+class QuadElement(Frozen):
     """a + b*sqrt(D) with exact Fraction coordinates.
 
     D must be square-free and different from 0 and 1, so sqrt(D) is
@@ -64,17 +64,16 @@ class QuadElement:
     different fields never mix in arithmetic.
     """
 
-    a: Fraction
-    b: Fraction
-    D: int
+    __slots__ = ("a", "b", "D")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if not isinstance(self.D, int):
+    def __init__(self, a: Rational, b: Rational, D: int) -> None:
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        if not isinstance(D, int):
             raise TypeError("D must be an integer")
-        if self.D in (0, 1) or not is_squarefree(self.D):
-            raise ValueError(f"D must be square-free and not 0 or 1, got {self.D}")
+        if D in (0, 1) or not is_squarefree(D):
+            raise ValueError(f"D must be square-free and not 0 or 1, got {D}")
+        object.__setattr__(self, "D", D)
 
     # -- construction helpers ------------------------------------------------
 

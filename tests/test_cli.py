@@ -178,7 +178,7 @@ def _primes_by_trial_division(bound):
     ("7,3,3", 30, 1, 2),
     ("5,97", 50, 2, 7),
     ("2", 10, 4, 13),
-    ("", 1, 3, 3),
+    ("2", 2, 3, 3),  # every prime up to the bound is ramified: no factor rows
 ))
 def test_adelic_records_match_a_recomputation(ramified, bound, depth, d):
     argv = ("adelic", "--ramified", ramified, "--bound", str(bound), "--depth", str(depth), "--D", str(d))
@@ -811,6 +811,35 @@ def test_a_readme_command_executes_only_the_modules_it_uses(tmp_path, command):
     assert executed_in_child(tmp_path, code, *argv, "--cache", "c.tsv") == expected
 
 
+# the commands that make no Fraction, and so never load fractions or what it imports
+NO_FRACTIONS = {"ap", "count", "lfun", "match", "prop3", "sl2", "tower"}
+
+# prints the modules a command loads beyond those of a bare interpreter, which a
+# site may have extended, so only what kzero loads is counted
+LOADED_PROBE = """
+import io, sys
+bare = set(sys.modules)
+from kzero.cli import run
+code = run(sys.argv[1:], stdout=io.StringIO())[1]
+print(code, *sorted(set(sys.modules) - bare))
+"""
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_a_readme_command_loads_neither_dataclasses_nor_fractions_it_does_not_use(tmp_path, command):
+    argv = shlex.split(command)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *argv, "--cache", "c.tsv"],
+        capture_output=True, text=True, cwd=str(tmp_path), env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0" and "kzero.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    if argv[0] in NO_FRACTIONS:
+        assert not {"fractions", "decimal", "numbers"} & set(loaded)
+
+
 def test_import_kzero_executes_no_submodule(tmp_path):
     assert executed_in_child(tmp_path, "import kzero") == set()
 
@@ -880,12 +909,14 @@ def _refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
     *((argv, "quadratic field", 10 ** 7) for argv in (
         ("contfrac", "--D"), ("unit", "--D"), ("omega", "--D"), ("dimgroup", "--D"),
         ("coherence", "--D"), ("adelic", "--bound", "7", "--D"))),
+    (("adelic", "--bound", "7", "--ramified"), "ramified list", 1000),
 ))
 def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, count, limit):
     name, table_limit = cli._LIMITS[count]
     assert table_limit == limit
     p = next(q for q in range(limit + 1, 2 * limit) if is_prime(q))  # the first prime past it
-    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, (*argv, str(p)))
+    value = ",".join(["2"] * p) if count == "ramified list" else str(p)  # a list of p primes
+    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, (*argv, value))
     assert f"{name} = {p} is above the {count} limit {name} <= {limit}" in err
 
 
@@ -905,6 +936,38 @@ def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypa
 ))
 def test_a_power_above_its_limit_is_refused_unevaluated(tmp_path, capsys, monkeypatch, argv, message):
     assert message in _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
+
+
+# a bound below the first prime the command would visit: its products would be
+# empty, and match and prop3 would pass having compared nothing
+@pytest.mark.parametrize("argv, first, which", (
+    (("match", "--D", "2", "--bound", "4"), 5, "the first good prime of the curve for D = 2"),
+    (("match", "--D", "1", "--bound", "2"), 3, "the first good prime of the curve for D = 1"),
+    (("prop3", "--D", "3", "--s", "3", "--bound", "4"), 5, "the first good prime of the curve for D = 3"),
+    (("prop3", "--D", "1", "--s", "3", "--bound", "0"), 3, "the first good prime of the curve for D = 1"),
+    (("lfun", "--which", "zeta", "--s", "3", "--bound", "-3"), 2, "the first prime"),
+    (("lfun", "--which", "auto", "--D", "1", "--s", "3", "--bound", "1"), 2, "the first prime"),
+    (("adelic", "--bound", "-5"), 2, "the first prime"),
+    (("adelic", "--ramified", "2", "--depth", "3", "--bound", "1"), 2, "the first prime"),
+))
+def test_a_bound_below_the_first_prime_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                                   first, which):
+    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
+    assert err == f"kzero {argv[0]}: bound = {argv[-1]} is below {first}, {which}, so no prime would be visited\n"
+
+
+@pytest.mark.parametrize("argv", (
+    ("match", "--D", "1", "--bound", "3"),
+    ("match", "--D", "2", "--bound", "5"),
+    ("prop3", "--D", "3", "--s", "3", "--bound", "5"),
+    ("lfun", "--which", "zeta", "--s", "3", "--bound", "2"),
+    ("adelic", "--bound", "2"),
+))
+def test_a_bound_at_the_first_prime_runs(tmp_path, argv):
+    result, code, _ = invoke(*argv, "--cache", str(tmp_path / "c.tsv"))
+    assert code == 0
+    if argv[0] == "match":
+        assert result.payload["primes"] == 1  # the first good prime alone
 
 
 FIELD_COMMANDS = ("contfrac", "unit", "omega", "dimgroup", "coherence", "adelic")

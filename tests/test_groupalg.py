@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
