@@ -10,15 +10,16 @@ in Q(sqrt(D)).
 
 The trace normalization is the delicate point.  The inductive limit of
 Z^2 --B--> Z^2 --B--> ... maps into R by pairing level-k coordinates with a
-positive left Perron eigenvector t of B, scaled so consecutive levels are
-consistent.  For diagrams built from a continued fraction the consistent
-scale is pinned down by the convergents: at the fold level c the trace pair
-is (|q_{c-1}*theta - p_{c-1}|, |q_c*theta - p_c|), which spans Z + Z*theta
-at every level because one step of the recurrence is unimodular.  An
-arbitrary positive rescaling of t (say, last coordinate 1) generates a
-module that can differ from Z + Z*theta by a non-unit factor, which is why
-`StationaryDiagram` requires the exact trace pair and `stationary_k0`
-embeds the group through it.
+positive left Perron eigenvector v of B, scaled so that the trace is unital:
+at the seed level tau = v / (v . seed) gives the block sizes total trace 1.
+Any other positive rescaling of v (say, last coordinate 1) generates a
+module that can differ from the true one by a non-unit factor, so
+`stationary_k0` embeds the group as the span of tau, read off B and the
+seed sizes alone.  For a diagram folded from theta's continued fraction,
+tau is the trace pair (|q_{c-1}*theta - p_{c-1}|, |q_c*theta - p_c|) of the
+convergents, which spans Z + Z*theta.  The diagram keeps that pair as
+`seed_traces`, and `shift_action_check` ties theta's expansion to the fold
+by the exact eigen-equation xi B = lambda xi on it.
 
 The UHF p-power chain and the Z[1/p] membership predicate live here too,
 as the rank-1 warm-up case: one block per level, each p times the last.
@@ -31,7 +32,7 @@ from math import isqrt
 from typing import NamedTuple, Optional, Sequence, Union
 
 from kzero import Frozen, contfrac
-from kzero.coherence import RealModule, module_equal, module_scale
+from kzero.coherence import RealModule
 from kzero.primes import is_prime
 from kzero.quadfield import QuadElement
 
@@ -66,7 +67,8 @@ class StationaryDiagram(Frozen):
     `seed` is the pair of block sizes (q_c, q_{c-1}) at the seed level.
     `period_length` records how many elementary continued-fraction steps one
     application of B represents.  `seed_traces` is the exact positive trace
-    pair at the seed level; see the module docstring for why it is required.
+    pair that theta's convergents give at the seed level; see the module
+    docstring for what checks it.
     """
 
     __slots__ = ("B", "seed", "period_length", "seed_traces")
@@ -162,10 +164,10 @@ def effros_shen(theta: QuadElement, cf: Optional[contfrac.PeriodicCF] = None) ->
     expansion by a full period, so B = block(a_{c+L}) * ... * block(a_{c+1}).
 
     The seed traces are xi_{c-1} = |q_{c-1} theta - p_{c-1}| and
-    xi_c = |q_c theta - p_c|; they pair with the dimension vector to give a
-    unital trace (q_c xi_{c-1} + q_{c-1} xi_c = 1) and they form a left
-    Perron eigenvector of B, so the diagram's K0 image in R is
-    Z*xi_{c-1} + Z*xi_c = Z + Z*theta on the nose.
+    xi_c = |q_c theta - p_c|.  They pair with the dimension vector to give a
+    unital trace (q_c xi_{c-1} + q_{c-1} xi_c = 1) and span Z + Z*theta.
+    When B is the right fold they are also a left Perron eigenvector of B,
+    and so equal the trace tau that `stationary_k0` reads off B.
 
     frac(theta) has the same complete quotients as theta after the first,
     so its expansion is theta's with a_0 replaced by 0 (expand keeps a_0 in
@@ -231,15 +233,20 @@ def stationary_k0(s: StationaryDiagram) -> DimensionGroup:
     """Dimension group of a stationary diagram and its real embedding.
 
     The limit of Z^2 under B lands in R as the rank-2 module spanned by the
-    diagram's exact trace pair.
+    unital trace tau = v / (v . seed), v the Perron eigenvector of B.
     """
-    return DimensionGroup(2, s.B, RealModule.span(*s.seed_traces), pf_data(s).eigenvalue)
+    pf = pf_data(s)
+    v0, v1 = pf.eigenvector
+    total = v0 * s.seed[0] + v1 * s.seed[1]
+    return DimensionGroup(2, s.B, RealModule.span(v0 / total, v1 / total), pf.eigenvalue)
 
 
-def shift_action_check(group: DimensionGroup) -> bool:
-    """True iff multiplying the embedded K0 module by lambda maps it onto itself.
+def shift_action_check(s: StationaryDiagram, group: DimensionGroup) -> bool:
+    """True iff the seed traces xi satisfy xi B = lambda xi exactly.
 
     `group` is the diagram's `stationary_k0`, which the caller already holds.
     """
-    module = group.real_embedding
-    return module_equal(module_scale(module, group.eigenvalue), module)
+    (b00, b01), (b10, b11) = s.B
+    x0, x1 = s.seed_traces
+    lam = group.eigenvalue
+    return x0 * b00 + x1 * b10 == lam * x0 and x0 * b01 + x1 * b11 == lam * x1

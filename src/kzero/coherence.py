@@ -2,21 +2,19 @@
 
 A RealModule is Z*g1 + ... + Z*gm (m <= 2) where each generator is either a
 rational number or an element of one fixed field Q(sqrt(D)).  Working in
-coordinates over the basis {1, sqrt(D)} turns membership into exact rational
+coordinates over the basis {1, sqrt(D)} turns equality into exact rational
 linear algebra: a module has a canonical Hermite-form basis, so two modules
-are equal iff their bases are, and M contains N iff adding N's generators to
-M's basis leaves the Hermite basis unchanged.  Everything is decidable and no
-tolerance appears anywhere.
+are equal iff their bases are.  Everything is decidable and no tolerance
+appears anywhere.
 
 Modules over different irrational fields are deliberately incomparable:
-asking whether Z+Z*sqrt(2) contains Z+Z*sqrt(3) raises instead of returning
+asking whether Z+Z*sqrt(2) equals Z+Z*sqrt(3) raises instead of returning
 false, since downstream checks would silently pass on such category errors.
 Purely rational modules embed into every field.
 
 On top of the module layer sit the checks this package exists for:
-`k0_automorphic` (Z+Z*omega), the degree-indexed `TraceCohomology` table for
-the CM curves, the coherence containment test over all degrees, and the
-equality of the Effros-Shen dimension group with Z+Z*omega.
+`k0_automorphic` (Z+Z*omega) and the equality of the Effros-Shen dimension
+group, embedded by the trace read off its matrix B, with Z+Z*omega.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Optional, Union
 
-from kzero import Frozen, elliptic
+from kzero import Frozen
 from kzero.quadfield import QuadElement, is_squarefree, omega_of
 
 if TYPE_CHECKING:
@@ -35,14 +33,9 @@ Scalar = Union[int, Fraction, QuadElement]
 
 __all__ = [
     "RealModule",
-    "TraceCohomology",
     "IncomparableFieldsError",
-    "module_contains",
     "module_equal",
-    "module_scale",
     "k0_automorphic",
-    "trace_cohomology_ecm",
-    "g_coherence_check",
     "effros_shen_coherence",
 ]
 
@@ -176,37 +169,10 @@ def _ambient(M: RealModule, N: RealModule) -> None:
         )
 
 
-def module_contains(M: RealModule, N: RealModule) -> bool:
-    """True iff N lies in M: adding N's generators to M's basis keeps the basis.
-
-    Rational modules embed into any field; two genuinely irrational ambient
-    fields must agree or the comparison is refused.
-    """
-    _ambient(M, N)
-    basis = M.basis()
-    return _hermite_basis(basis + N.coords()) == basis
-
-
 def module_equal(M: RealModule, N: RealModule) -> bool:
     """Equality as subsets of R: equal canonical bases."""
     _ambient(M, N)
     return M.basis() == N.basis()
-
-
-def module_scale(M: RealModule, c: Scalar) -> RealModule:
-    """The module c*M = {c*x : x in M}; c must be a nonzero field element."""
-    cu, cv, cd = _coord_pair(c)
-    if cu == 0 and cv == 0:
-        raise ValueError("scaling by zero collapses the module")
-    field = M.D if cd is None else cd
-    if M.D is not None and cd is not None and M.D != cd:
-        raise IncomparableFieldsError("scalar lives in a different field than the module")
-    return RealModule(field, tuple(g * c for g in M.generators))
-
-
-def z_module() -> RealModule:
-    """The integers as a rational RealModule."""
-    return RealModule(None, (Fraction(1),))
 
 
 def k0_automorphic(D: int) -> RealModule:
@@ -215,45 +181,12 @@ def k0_automorphic(D: int) -> RealModule:
     return RealModule(D, (Fraction(1), w))
 
 
-class TraceCohomology(Frozen):
-    """Degree-indexed list of real modules, degrees 0..2n.
-
-    The length is odd and the end degrees have rank 1.
-    """
-
-    __slots__ = ("modules",)
-
-    def __init__(self, modules: tuple[RealModule, ...]) -> None:
-        if len(modules) % 2 != 1:
-            raise ValueError("degree range 0..2n has odd length")
-        if modules[0].rank != 1 or modules[-1].rank != 1:
-            raise ValueError("extreme degrees must have rank 1")
-        object.__setattr__(self, "modules", modules)
-
-
-def trace_cohomology_ecm(D: int) -> TraceCohomology:
-    """Degree table [Z, Z+Z*omega, Z] for the CM curve attached to D.
-
-    Only table discriminants with D > 1 are supported; D = 1 has no real
-    quadratic side to compare against.
-    """
-    supported = [d for d in elliptic.cm_table_discriminants() if d > 1]
-    if D not in supported:
-        raise ValueError(f"unsupported discriminant {D}; supported: {supported}")
-    return TraceCohomology((z_module(), k0_automorphic(D), z_module()))
-
-
-def g_coherence_check(H: TraceCohomology, K0: RealModule) -> bool:
-    """True iff every degree of H is contained in K0."""
-    return all(module_contains(K0, m) for m in H.modules)
-
-
 def effros_shen_coherence(D: int, cf: Optional[PeriodicCF] = None) -> bool:
     """True iff the Effros-Shen dimension group of frac(omega) equals Z+Z*omega.
 
     The diagram is built from the continued fraction of omega minus its
-    integer part; its stationary K0 real embedding is then compared, as a
-    subgroup of R, with Z+Z*omega.  Exact arithmetic end to end.  A caller
+    integer part; its stationary K0 real embedding, spanned by the unital
+    trace read off B, is then compared, as a subgroup of R, with Z+Z*omega.  Exact arithmetic end to end.  A caller
     that already holds omega's expansion passes it as `cf`.
     """
     from kzero import bratteli  # deferred: bratteli imports this module

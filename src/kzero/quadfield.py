@@ -81,33 +81,43 @@ class QuadElement(Frozen):
     def rational(a: Rational, D: int) -> "QuadElement":
         return QuadElement(Fraction(a), Fraction(0), D)
 
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, D: int) -> "QuadElement":
+        """An element of a field that an operand already carries; D is not tested
+        again, and the coordinates must already be Fractions."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "D", D)
+        return x
+
     def _coerce(self, other: object) -> "QuadElement":
         if isinstance(other, QuadElement):
             if other.D != self.D:
                 raise ValueError(f"field mismatch: D={self.D} vs D={other.D}")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElement(Fraction(other), Fraction(0), self.D)
+            return QuadElement._of(Fraction(other), Fraction(0), self.D)
         raise TypeError(f"cannot interpret {other!r} as a quadratic field element")
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: object) -> "QuadElement":
         o = self._coerce(other)
-        return QuadElement(self.a + o.a, self.b + o.b, self.D)
+        return QuadElement._of(self.a + o.a, self.b + o.b, self.D)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QuadElement":
         o = self._coerce(other)
-        return QuadElement(self.a - o.a, self.b - o.b, self.D)
+        return QuadElement._of(self.a - o.a, self.b - o.b, self.D)
 
     def __neg__(self) -> "QuadElement":
-        return QuadElement(-self.a, -self.b, self.D)
+        return QuadElement._of(-self.a, -self.b, self.D)
 
     def __mul__(self, other: object) -> "QuadElement":
         o = self._coerce(other)
-        return QuadElement(
+        return QuadElement._of(
             self.a * o.a + self.b * o.b * self.D,
             self.a * o.b + self.b * o.a,
             self.D,
@@ -121,7 +131,7 @@ class QuadElement(Frozen):
         if n == 0:
             raise ZeroDivisionError("division by zero element")
         # 1/o = conj(o)/norm(o); norm is nonzero for nonzero o since D is not a square
-        return self * QuadElement(o.a / n, -o.b / n, self.D)
+        return self * QuadElement._of(o.a / n, -o.b / n, self.D)
 
     def __rtruediv__(self, other: object) -> "QuadElement":
         return self._coerce(other) / self

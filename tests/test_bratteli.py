@@ -249,8 +249,11 @@ def test_stationary_k0_golden_module():
 @pytest.mark.parametrize("d", SQUAREFREE)
 def test_stationary_k0_matches_integer_ring(d):
     w = omega_of(d)
-    group = stationary_k0(effros_shen(w - w.floor()))
+    diagram = effros_shen(w - w.floor())
+    group = stationary_k0(diagram)
     assert module_equal(group.real_embedding, k0_automorphic(d))
+    # the trace read off B is the convergents' trace pair, so dimgroup prints the same embedding
+    assert group.real_embedding.generators == diagram.seed_traces
 
 
 def test_telescoping_preserves_the_module():
@@ -267,5 +270,9 @@ def test_telescoping_preserves_the_module():
 @pytest.mark.parametrize("d", SQUAREFREE)
 def test_shift_action_on_expansions(d):
     w = omega_of(d)
-    assert shift_action_check(stationary_k0(effros_shen(w - w.floor())))
+    diagram = effros_shen(w - w.floor())
+    assert shift_action_check(diagram, stationary_k0(diagram))
+    # xi_{c-1} > xi_c, so the swapped pair is no eigenvector of B
+    swapped = StationaryDiagram(diagram.B, diagram.seed, diagram.period_length, diagram.seed_traces[::-1])
+    assert not shift_action_check(swapped, stationary_k0(swapped))
 

@@ -102,17 +102,7 @@ def test_tower_and_coherence(tmp_path):
                           "--cache", str(tmp_path / "c.tsv"))
     assert code == 0
     doc = json.loads(out)
-    assert doc["payload"] == {
-        "D": 3,
-        "effros_shen": True,
-        "unit_stable": True,
-        "g_coherence": True,
-    }
-
-    # D outside the curve table: the g-coherence column is not applicable
-    _, code, out = invoke("coherence", "--D", "7", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["payload"]["g_coherence"] is None
+    assert doc["payload"] == {"D": 3, "effros_shen": True, "unit_stable": True}
 
 
 def test_count_ap_zeta_local(tmp_path):
@@ -780,7 +770,7 @@ EXECUTED = {
     "tower": {"groupalg", "primes"},
     "sl2": {"groupalg", "primes"},
     "dimgroup": {"bratteli", "coherence", "primes", "quadfield"},  # and contfrac with --D
-    "coherence": LIBRARY - {"groupalg", "lfunction"},
+    "coherence": LIBRARY - {"elliptic", "groupalg", "lfunction"},
     "adelic": LIBRARY - {"elliptic", "lfunction"},
 }
 
@@ -949,6 +939,12 @@ def test_a_power_above_its_limit_is_refused_unevaluated(tmp_path, capsys, monkey
     (("lfun", "--which", "auto", "--D", "1", "--s", "3", "--bound", "1"), 2, "the first prime"),
     (("adelic", "--bound", "-5"), 2, "the first prime"),
     (("adelic", "--ramified", "2", "--depth", "3", "--bound", "1"), 2, "the first prime"),
+    (("lfun", "--which", "motivic", "--D", "2", "--s", "3", "--bound", "3"), 5,
+     "the first good prime of the curve for D = 2"),
+    (("lfun", "--which", "motivic", "--a4", "-270", "--a6", "1512", "--s", "3", "--bound", "4"), 5,
+     "the first good prime of the curve (-270, 1512)"),
+    (("lfun", "--which", "auto", "--D", "3", "--s", "3", "--bound", "4"), 5,
+     "the first good prime of the curve for D = 3"),
 ))
 def test_a_bound_below_the_first_prime_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
                                                                    first, which):

@@ -75,6 +75,18 @@ def test_mixed_scalar_operations():
     assert (1 / QuadElement(0, 1, 5)) == QuadElement(0, Fraction(1, 5), 5)
 
 
+def test_arithmetic_tests_d_only_at_the_public_constructor(monkeypatch):
+    from kzero import quadfield
+
+    tested = []
+    monkeypatch.setattr(quadfield, "is_squarefree", lambda n: tested.append(n) or True)
+    x, y = QuadElement(1, 1, 5), QuadElement(2, -1, 5)
+    assert tested == [5, 5]
+    z = (x + y) * (x - y) / -x + 1 - Fraction(1, 2) * y
+    assert tested == [5, 5]
+    assert z == QuadElement(z.a, z.b, 5) and tested == [5, 5, 5]
+
+
 def test_cross_field_operations_rejected():
     with pytest.raises(ValueError):
         QuadElement(0, 1, 2) + QuadElement(0, 1, 3)

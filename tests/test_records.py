@@ -11,7 +11,6 @@ RECORDS = {
     "PeriodicCF": lambda: contfrac.PeriodicCF((1,), (2, 3)),
     "StationaryDiagram": lambda: bratteli.effros_shen(quadfield.omega_of(7)),
     "RealModule": lambda: coherence.k0_automorphic(5),
-    "TraceCohomology": lambda: coherence.trace_cohomology_ecm(2),
     "CurveQ": lambda: elliptic.CurveQ(-1, 0),
     "RepDegreeProfile": lambda: groupalg.sl2_degree_profile(5),
     "ConnectingMap": lambda: groupalg.ConnectingMap((0, 0, 1), 2),
