@@ -169,25 +169,19 @@ def effros_shen(theta: QuadElement, cf: Optional[contfrac.PeriodicCF] = None) ->
     When B is the right fold they are also a left Perron eigenvector of B,
     and so equal the trace tau that `stationary_k0` reads off B.
 
-    frac(theta) has the same complete quotients as theta after the first,
-    so its expansion is theta's with a_0 replaced by 0 (expand keeps a_0 in
-    the preperiod, and frac(theta) < 1 is never purely periodic). A caller
-    that already holds theta's expansion passes it as `cf`.
+    They are read off theta's own convergents p_k/q_k: those of frac(theta)
+    are (p_k - a_0 q_k)/q_k, which give the same xi.  `expand` refuses a
+    rational or imaginary theta; a caller that already holds theta's
+    expansion passes it as `cf`.
     """
-    if theta.b == 0:
-        raise ValueError("theta must be irrational")
-    if theta.D < 0:
-        raise ValueError("theta must be real")
-    frac_part = theta - theta.floor()
-    full = contfrac.expand(theta) if cf is None else cf
-    cf = contfrac.PeriodicCF((0, *full.preperiod[1:]), full.period)
+    cf = contfrac.expand(theta) if cf is None else cf
     c = len(cf.preperiod)
     period = cf.period
     length = len(period)
     convs = contfrac.convergents(cf, c + 1)
     q_c, q_prev = convs[c].q, convs[c - 1].q
-    xi_prev = _xi(frac_part, convs[c - 1])
-    xi_c = _xi(frac_part, convs[c])
+    xi_prev = _xi(theta, convs[c - 1])
+    xi_c = _xi(theta, convs[c])
     rotated = period[1:] + period[:1]
     return StationaryDiagram(
         B=period_fold(rotated),
@@ -225,8 +219,8 @@ def pf_data(s: StationaryDiagram) -> PFData:
     m = isqrt(disc // d)
     if m * m * d != disc:  # raised, not asserted: it must survive python -O
         raise AssertionError(f"discriminant {disc} of {s.B} is not a square times D = {d}")
-    lam = QuadElement(Fraction(tr, 2), Fraction(m, 2), d)
-    return PFData(lam, ((lam - b11) / Fraction(b01), QuadElement.rational(1, d)))
+    lam = QuadElement._of(Fraction(tr, 2), Fraction(m, 2), d)
+    return PFData(lam, ((lam - b11) / Fraction(b01), QuadElement._of(Fraction(1), Fraction(0), d)))
 
 
 def stationary_k0(s: StationaryDiagram) -> DimensionGroup:
@@ -238,7 +232,7 @@ def stationary_k0(s: StationaryDiagram) -> DimensionGroup:
     pf = pf_data(s)
     v0, v1 = pf.eigenvector
     total = v0 * s.seed[0] + v1 * s.seed[1]
-    return DimensionGroup(2, s.B, RealModule.span(v0 / total, v1 / total), pf.eigenvalue)
+    return DimensionGroup(2, s.B, RealModule(v0 / total, v1 / total), pf.eigenvalue)
 
 
 def shift_action_check(s: StationaryDiagram, group: DimensionGroup) -> bool:

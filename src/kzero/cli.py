@@ -44,6 +44,9 @@ _LIMITS = {
     "point count": ("p", 10 ** 18),  # ap, count: 0.8 s, growing as p^(1/4)
     "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 0.8 s, as p^2
     "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: 19 s at most, 70 MB
+    # lfun, prop3: float t ln p errs by |t| ln(10^6) 2^-52 = 3e-10 rad here; a product at t and at the next double
+    # of t agrees to 1e-11 (at 10^16, to 0.7)
+    "Euler factor phase": ("|Im s|", 10 ** 5),
     "tower": ("p^depth", 10 ** 6),  # tower: 0.9 s and 75 MB
     "restricted product": ("bound^(depth+1)", 10 ** 6),  # adelic: 0.8 s
     "UHF chain": ("p^depth", 10 ** 100),  # dimgroup --uhf-p: 0.2 s
@@ -319,6 +322,7 @@ def _cmd_lfun(args, box):
     if given:
         raise ValueError(f"--which {args.which} does not use {'/'.join(given)}")
     _check_limit("prime sieve", args.bound)
+    _check_limit("Euler factor phase", abs(args.s.imag))
     _check_bound_reaches(args.bound)
     if args.which == "zeta":
         approx = lfunction.zeta_partial(args.s, args.bound)
@@ -369,6 +373,7 @@ def _cmd_match(args, box):
 
 def _cmd_prop3(args, box):
     _check_limit("prime sieve", args.bound)
+    _check_limit("Euler factor phase", abs(args.s.imag))
     _check_bound_reaches(args.bound, elliptic.cm_curve_for(args.D))
     residual = lfunction.proposition3_check(args.D, args.s, args.bound, box.get())
     ok = residual < args.tol

@@ -24,7 +24,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Optional, Union
 
 from kzero import Frozen
-from kzero.quadfield import QuadElement, is_squarefree, omega_of
+from kzero.quadfield import QuadElement, omega_of
 
 if TYPE_CHECKING:
     from kzero.contfrac import PeriodicCF
@@ -56,29 +56,16 @@ def _coord_pair(g: Scalar) -> tuple[Fraction, Fraction, Optional[int]]:
 class RealModule(Frozen):
     """Z-span of at most two generators inside R.
 
-    D is the ambient field marker: a square-free integer > 1 for Q(sqrt(D)),
-    or None for a purely rational module.  Generators may always include
-    rationals; irrational generators must match D.
+    D, the ambient field, is read off the generators, which were checked when
+    built, or is None when all are rational.  Generators of two fields raise
+    `IncomparableFieldsError`; an imaginary field is refused.
     """
 
     __slots__ = ("D", "generators")
 
-    def __init__(self, D: Optional[int], generators: tuple[Scalar, ...]) -> None:
-        if D is not None:
-            if D <= 1 or not is_squarefree(D):
-                raise ValueError(f"ambient D must be square-free and > 1, got {D}")
+    def __init__(self, *generators: Scalar) -> None:
         if len(generators) > 2:
             raise ValueError("rank > 2 modules are not supported")
-        for g in generators:
-            _, b, d = _coord_pair(g)
-            if d is not None and d != D:
-                raise ValueError(f"generator in Q(sqrt({d})) does not match ambient D={D}")
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "generators", generators)
-
-    @staticmethod
-    def span(*generators: Scalar) -> "RealModule":
-        """Module spanned by the given generators; ambient field inferred."""
         field = None
         for g in generators:
             _, _, d = _coord_pair(g)
@@ -86,7 +73,10 @@ class RealModule(Frozen):
                 if field is not None and field != d:
                     raise IncomparableFieldsError(f"generators mix Q(sqrt({field})) and Q(sqrt({d}))")
                 field = d
-        return RealModule(field, tuple(generators))
+        if field is not None and field < 0:
+            raise ValueError(f"Q(sqrt({field})) is not a real field")
+        object.__setattr__(self, "D", field)
+        object.__setattr__(self, "generators", generators)
 
     def coords(self) -> list[tuple[Fraction, Fraction]]:
         """Generator coordinates over {1, sqrt(D)}."""
@@ -162,23 +152,19 @@ def _hnf_two_columns(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
     return e, f, g
 
 
-def _ambient(M: RealModule, N: RealModule) -> None:
+def module_equal(M: RealModule, N: RealModule) -> bool:
+    """Equality as subsets of R: equal canonical bases."""
     if M.D is not None and N.D is not None and M.D != N.D:
         raise IncomparableFieldsError(
             f"modules in Q(sqrt({M.D})) and Q(sqrt({N.D})) are not comparable"
         )
-
-
-def module_equal(M: RealModule, N: RealModule) -> bool:
-    """Equality as subsets of R: equal canonical bases."""
-    _ambient(M, N)
     return M.basis() == N.basis()
 
 
 def k0_automorphic(D: int) -> RealModule:
     """Z + Z*omega for the real field Q(sqrt(D))."""
     w = omega_of(D)
-    return RealModule(D, (Fraction(1), w))
+    return RealModule(Fraction(1), w)
 
 
 def effros_shen_coherence(D: int, cf: Optional[PeriodicCF] = None) -> bool:
@@ -191,5 +177,6 @@ def effros_shen_coherence(D: int, cf: Optional[PeriodicCF] = None) -> bool:
     """
     from kzero import bratteli  # deferred: bratteli imports this module
 
-    group = bratteli.stationary_k0(bratteli.effros_shen(omega_of(D), cf))
-    return module_equal(group.real_embedding, k0_automorphic(D))
+    w = omega_of(D)
+    group = bratteli.stationary_k0(bratteli.effros_shen(w, cf))
+    return module_equal(group.real_embedding, RealModule(Fraction(1), w))

@@ -22,6 +22,7 @@ the integer part.
 
 from __future__ import annotations
 
+from itertools import chain, cycle, islice
 from math import isqrt, lcm
 from typing import Iterator, NamedTuple
 
@@ -60,19 +61,8 @@ class Convergent(NamedTuple):
 
 
 def partial_quotients(cf: PeriodicCF, count: int) -> Iterator[int]:
-    """Yield the first `count` partial quotients a_0, a_1, ..."""
-    emitted = 0
-    for a in cf.preperiod:
-        if emitted >= count:
-            return
-        yield a
-        emitted += 1
-    while emitted < count:
-        for a in cf.period:
-            if emitted >= count:
-                return
-            yield a
-            emitted += 1
+    """The first `count` partial quotients a_0, a_1, ...: the preperiod, then the period cycled."""
+    return islice(chain(cf.preperiod, cycle(cf.period)), max(count, 0))
 
 
 def expand(x: QuadElement) -> PeriodicCF:

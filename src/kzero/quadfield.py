@@ -215,8 +215,8 @@ def omega_of(D: int) -> QuadElement:
     """
     _check_real_d(D)
     if D % 4 == 1:
-        return QuadElement(Fraction(1, 2), Fraction(1, 2), D)
-    return QuadElement(Fraction(0), Fraction(1), D)
+        return QuadElement._of(Fraction(1, 2), Fraction(1, 2), D)
+    return QuadElement._of(Fraction(0), Fraction(1), D)
 
 
 def _omega_poly(D: int) -> tuple[int, int]:
@@ -247,7 +247,7 @@ def fundamental_unit(D: int, cf: Optional[PeriodicCF] = None) -> FundamentalUnit
     if unit_norm not in (1, -1):
         raise AssertionError(f"convergent {p}/{q} of omega gives no unit for D={D}")
     # p - q*conj(omega) = (p - q*t) + q*omega > 1 since conj(omega) < 0
-    eps = QuadElement(Fraction(p - q * t), Fraction(0), D) + q * w
+    eps = q * w + (p - q * t)
     if not eps > 1:  # raised, not asserted: it must survive python -O
         raise AssertionError(f"unit {eps} of D={D} is not > 1")
     return FundamentalUnitResult(eps, unit_norm)
@@ -267,17 +267,16 @@ def unit_stability_check(D: int) -> bool:
 
 
 def stabilizes_order(eps: QuadElement) -> bool:
-    """True iff eps*(Z + Z*omega) = Z + Z*omega exactly, in eps's field.
+    """True iff eps*(Z + Z*omega) = Z + Z*omega exactly, in eps's real field.
 
-    Expresses eps*1 and eps*omega in the basis {1, omega}; stability holds
-    iff all four coordinates are integers and the change of basis has
-    determinant +-1.
+    With (x, y) eps's coordinates in {1, omega} and omega^2 = t*omega - n,
+    eps*omega = -n*y + (x + t*y)*omega; stability holds iff x and y are
+    integers and this change of basis has determinant +-1.
     """
-    w = omega_of(eps.D)
-    c1 = coordinates_in_order(eps)
-    c2 = coordinates_in_order(eps * w)
-    coords = (*c1, *c2)
-    if any(c.denominator != 1 for c in coords):
+    if eps.D < 0:
+        raise ValueError(f"eps must lie in a real field, got D = {eps.D}")
+    t, n = _omega_poly(eps.D)
+    x, y = coordinates_in_order(eps)
+    if x.denominator != 1 or y.denominator != 1:
         return False
-    det = c1[0] * c2[1] - c1[1] * c2[0]
-    return det in (1, -1)
+    return x * (x + t * y) + n * y * y in (1, -1)

@@ -923,6 +923,13 @@ def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypa
      "p = 318665857834031151167461 is above the UHF prime limit p <= 1000000000000000000"),
     (("adelic", "--ramified", "318665857834031151167461", "--bound", "7"),
      "p = 318665857834031151167461 is above the ramified prime limit p <= 1000000000000000000"),
+    # past the limit: at 1e16 the next double of Im s moves the value by 0.7, and at 1e308 the power fails
+    (("lfun", "--which", "zeta", "--s", "1.5,1e16", "--bound", "20"),
+     "|Im s| = 1e+16 is above the Euler factor phase limit |Im s| <= 100000"),
+    (("lfun", "--which", "zeta", "--s", "3,1e308", "--bound", "100"),
+     "|Im s| = 1e+308 is above the Euler factor phase limit |Im s| <= 100000"),
+    (("prop3", "--D", "1", "--s", "3,1e308", "--bound", "10"),
+     "|Im s| = 1e+308 is above the Euler factor phase limit |Im s| <= 100000"),
 ))
 def test_a_power_above_its_limit_is_refused_unevaluated(tmp_path, capsys, monkeypatch, argv, message):
     assert message in _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)

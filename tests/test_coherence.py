@@ -35,24 +35,24 @@ def module_contains(m, n):
 
 def module_scale(m, c):
     """c*M, spanned by c times M's generators."""
-    return RealModule.span(*(c * g for g in m.generators))
+    return RealModule(*(c * g for g in m.generators))
 
 
 def z_module():
-    return RealModule.span(Fraction(1))
+    return RealModule(Fraction(1))
 
 
 # -- construction and basis -------------------------------------------------------
 
 
 def test_span_infers_field():
-    m = RealModule.span(Fraction(1), sqrt2())
+    m = RealModule(Fraction(1), sqrt2())
     assert m.D == 2
     assert m.rank == 2
 
 
 def test_rational_module_has_no_field():
-    m = RealModule.span(Fraction(1, 2), Fraction(1, 3))
+    m = RealModule(Fraction(1, 2), Fraction(1, 3))
     assert m.D is None
     assert m.rank == 1
     assert m.basis() == [(Fraction(1, 6), Fraction(0))]
@@ -60,43 +60,43 @@ def test_rational_module_has_no_field():
 
 def test_rational_quad_elements_are_field_agnostic():
     # a QuadElement with b = 0 carries no field information
-    m = RealModule.span(QuadElement.rational(2, 7), QuadElement(0, 1, 3))
+    m = RealModule(QuadElement.rational(2, 7), QuadElement(0, 1, 3))
     assert m.D == 3
 
 
 def test_mixed_fields_rejected():
     with pytest.raises(ValueError):
-        RealModule.span(QuadElement(0, 1, 2), QuadElement(0, 1, 3))
+        RealModule(QuadElement(0, 1, 2), QuadElement(0, 1, 3))
 
 
 def test_too_many_generators_rejected():
     with pytest.raises(ValueError):
-        RealModule.span(Fraction(1), sqrt2(), 1 + sqrt2())
+        RealModule(Fraction(1), sqrt2(), 1 + sqrt2())
 
 
 def test_zero_module():
-    m = RealModule.span(Fraction(0))
+    m = RealModule(Fraction(0))
     assert m.rank == 0
     assert m.basis() == []
     assert module_contains(z_module(), m)
 
 
 def test_basis_is_canonical_hermite_form():
-    a = RealModule.span(Fraction(1), sqrt2())
-    b = RealModule.span(1 + sqrt2(), 1 + 2 * sqrt2())  # same lattice, other gens
+    a = RealModule(Fraction(1), sqrt2())
+    b = RealModule(1 + sqrt2(), 1 + 2 * sqrt2())  # same lattice, other gens
     assert a.basis() == b.basis()
     assert a.basis() == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
 
 
 def test_basis_with_denominators():
     w = omega_of(5)  # (1 + sqrt 5)/2
-    m = RealModule.span(Fraction(1), w)
+    m = RealModule(Fraction(1), w)
     # Hermite rows (e, f), (0, g): the pivot row absorbs omega
     assert m.basis() == [(Fraction(1, 2), Fraction(1, 2)), (Fraction(0), Fraction(1))]
 
 
 def test_rank_one_irrational():
-    m = RealModule.span(3 * sqrt2())
+    m = RealModule(3 * sqrt2())
     assert m.rank == 1
     assert m.basis() == [(Fraction(0), Fraction(3))]
 
@@ -105,43 +105,43 @@ def test_rank_one_irrational():
 
 
 def test_containment_golden():
-    big = RealModule.span(Fraction(1, 2), sqrt2())
-    small = RealModule.span(Fraction(1), 2 * sqrt2())
+    big = RealModule(Fraction(1, 2), sqrt2())
+    small = RealModule(Fraction(1), 2 * sqrt2())
     assert module_contains(big, small)
     assert not module_contains(small, big)
 
 
 def test_containment_is_reflexive_and_antisymmetric():
-    m = RealModule.span(Fraction(1), omega_of(13))
-    n = RealModule.span(omega_of(13), Fraction(1))
+    m = RealModule(Fraction(1), omega_of(13))
+    n = RealModule(omega_of(13), Fraction(1))
     assert module_contains(m, n) and module_contains(n, m)
     assert module_equal(m, n)
 
 
 def test_rank_mismatch_containment():
-    plane = RealModule.span(Fraction(1), sqrt2())
-    line = RealModule.span(Fraction(5))
+    plane = RealModule(Fraction(1), sqrt2())
+    line = RealModule(Fraction(5))
     assert module_contains(plane, line)
     assert not module_contains(line, plane)
 
 
 def test_index_two_sublattice():
-    m = RealModule.span(Fraction(1), sqrt2())
-    n = RealModule.span(Fraction(2), sqrt2())  # index 2 inside m
+    m = RealModule(Fraction(1), sqrt2())
+    n = RealModule(Fraction(2), sqrt2())  # index 2 inside m
     assert module_contains(m, n)
     assert not module_equal(m, n)
 
 
 def test_incomparable_fields_raise():
-    a = RealModule.span(Fraction(1), QuadElement(0, 1, 2))
-    b = RealModule.span(Fraction(1), QuadElement(0, 1, 3))
+    a = RealModule(Fraction(1), QuadElement(0, 1, 2))
+    b = RealModule(Fraction(1), QuadElement(0, 1, 3))
     with pytest.raises(IncomparableFieldsError):
         module_equal(a, b)
 
 
 def test_rational_modules_compare_with_field_modules():
     # Z sits inside Z + Z*sqrt(2) even though Z carries no D
-    assert module_contains(RealModule.span(Fraction(1), sqrt2()), z_module())
+    assert module_contains(RealModule(Fraction(1), sqrt2()), z_module())
 
 
 @given(
@@ -152,9 +152,9 @@ def test_rational_modules_compare_with_field_modules():
 @settings(max_examples=80)
 def test_containment_respects_integer_combinations(d, u, v):
     w = omega_of(d)
-    m = RealModule.span(Fraction(1), w)
+    m = RealModule(Fraction(1), w)
     x = Fraction(u) + v * w
-    assert module_contains(m, RealModule.span(x))
+    assert module_contains(m, RealModule(x))
 
 
 def _integer_rows(*rows):
@@ -224,8 +224,8 @@ def _module_pairs(draw):
 
 def _module(d, rows):
     if d is None:
-        return RealModule.span(*(x for x, _ in rows))
-    return RealModule.span(*(QuadElement(x, y, d) for x, y in rows))
+        return RealModule(*(x for x, _ in rows))
+    return RealModule(*(QuadElement(x, y, d) for x, y in rows))
 
 
 @given(_module_pairs())
@@ -255,7 +255,7 @@ def test_scaling_by_integer_shrinks(d, k):
 
 
 def test_scale_golden():
-    m = RealModule.span(Fraction(1), sqrt2())
+    m = RealModule(Fraction(1), sqrt2())
     doubled = module_scale(m, Fraction(2))
     assert doubled.basis() == [(Fraction(2), Fraction(0)), (Fraction(0), Fraction(2))]
     back = module_scale(doubled, Fraction(1, 2))
@@ -263,7 +263,7 @@ def test_scale_golden():
 
 
 def test_scale_by_irrational():
-    m = RealModule.span(Fraction(1), sqrt2())
+    m = RealModule(Fraction(1), sqrt2())
     rotated = module_scale(m, sqrt2())
     # sqrt(2) * (Z + Z sqrt 2) = Z sqrt 2 + 2 Z, an index-2 sublattice
     assert module_contains(m, rotated)
@@ -282,7 +282,7 @@ def test_unit_scaling_fixes_the_order():
 def test_non_unit_scaling_moves_the_order():
     m = k0_automorphic(5)
     half_golden = omega_of(5) / 2
-    n = RealModule.span(Fraction(1), half_golden)
+    n = RealModule(Fraction(1), half_golden)
     # scaling Z + Z(omega/2) by omega leaves the lattice
     assert not module_equal(module_scale(n, omega_of(5)), n)
     # while the full order is preserved

@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from kzero import bratteli, cli
+from kzero import bratteli, cli, contfrac, elliptic, lfunction
 
 _FOLD = bratteli.period_fold
 _DIAGRAM = bratteli.StationaryDiagram
@@ -51,3 +51,76 @@ def test_a_fault_changes_the_exit(monkeypatch, fault, attr, replacement, argv, c
     assert _exit(argv) == 0
     monkeypatch.setattr(bratteli, attr, replacement)
     assert _exit(argv) == code
+
+
+_EXPAND = contfrac.expand
+_LOG_SERIES = elliptic.LocalZeta.log_series
+_FP2_COUNT = elliptic._fp2_count
+
+
+def _flip_at_13(norm_form_ap):
+    # the norm-form a_p with its sign flipped at p = 13 alone
+    return lambda D, p: -norm_form_ap(D, p) if p == 13 else norm_form_ap(D, p)
+
+
+def _bumped_period(x):
+    # omega's expansion with its first period quotient increased by 1
+    cf = _EXPAND(x)
+    return contfrac.PeriodicCF(cf.preperiod, (cf.period[0] + 1, *cf.period[1:]))
+
+
+def _log_t3_off_by_one(zeta, order):
+    out = _LOG_SERIES(zeta, order)
+    out[3] += 1
+    return out
+
+
+# (fault, owner of the attribute, attribute, replacement, argv, exit with the fault)
+MORE_FAULTS = (
+    ("norm-form sign flipped at 13", lfunction, "_norm_form_ap", _flip_at_13(elliptic._norm_form_ap),
+     ("match", "--D", "1", "--bound", "200"), 1),
+    ("norm-form sign flipped at 13", elliptic, "_norm_form_ap", _flip_at_13(elliptic._norm_form_ap),
+     ("ap", "--D", "1", "--p", "13"), 1),
+    ("first period quotient + 1", contfrac, "expand", _bumped_period, ("contfrac", "--D", "7"), 1),
+    ("log coefficient of t^3 + 1", elliptic.LocalZeta, "log_series", _log_t3_off_by_one,
+     ("zeta-local", "--D", "1", "--p", "5"), 1),
+    ("F_(p^2) enumeration + 1", elliptic, "_fp2_count", lambda c, p: _FP2_COUNT(c, p) + 1,
+     ("count", "--D", "1", "--p", "5", "--r", "2"), 1),
+)
+
+
+@pytest.mark.parametrize("fault, owner, attr, replacement, argv, code", MORE_FAULTS,
+                         ids=[f"{f[0]}: {' '.join(f[4])}" for f in MORE_FAULTS])
+def test_a_fault_outside_bratteli_changes_the_exit(monkeypatch, tmp_path, fault, owner, attr, replacement,
+                                                    argv, code):
+    monkeypatch.chdir(tmp_path)  # match keeps its a_p cache in the working directory
+    assert _exit(argv) == 0
+    monkeypatch.setattr(owner, attr, replacement)
+    assert _exit(argv) == code
+
+
+class RouteCrossed(Exception):
+    """What a trace route's helper raises once it is patched out."""
+
+
+def _crossed(*args):
+    raise RouteCrossed
+
+
+_LFUN = ("lfun", "--s", "3", "--bound", "2000", "--D", "1", "--which")
+
+# (route, its helpers patched to raise, the --which that must run without them, the --which that uses them)
+ROUTES = (
+    ("point count", ("_point_count",), "auto", "motivic"),
+    ("norm form", ("cornacchia", "_is_split"), "motivic", "auto"),
+)
+
+
+@pytest.mark.parametrize("route, helpers, runs, needs", ROUTES, ids=[r[0] for r in ROUTES])
+def test_the_two_trace_routes_share_no_helper(monkeypatch, tmp_path, route, helpers, runs, needs):
+    for name in helpers:
+        monkeypatch.setattr(elliptic, name, _crossed)
+    # a fresh cache for each run, so the motivic route counts every a_p
+    assert _exit((*_LFUN, runs, "--cache", str(tmp_path / "runs.tsv"))) == 0
+    with pytest.raises(RouteCrossed):  # the patch does break the route that uses the helpers
+        _exit((*_LFUN, needs, "--cache", str(tmp_path / "needs.tsv")))
