@@ -3,7 +3,7 @@
 Subpackages by theme:
 
 - primes: primality and the prime sieve shared by the other modules.
-- quadfield: exact elements a + b*sqrt(D) of a quadratic field, fundamental
+- quadfield: exact elements (x + y*sqrt(D))/den of a quadratic field, fundamental
   units, and the distinguished generator omega of the ring of integers.
 - contfrac: periodic continued fractions of quadratic irrationals.
 - bratteli: stationary 2x2 diagrams of continued fractions, their dimension
@@ -34,10 +34,10 @@ import sys
 class Frozen:
     """An immutable record whose fields are the subclass's `__slots__`.
 
-    The subclass's `__init__` checks its arguments and stores each field with
-    `object.__setattr__`.  Two records are equal when they are of the same
-    class and their fields are equal in slot order, and the hash follows the
-    same fields.
+    The subclass's `__init__` (`__new__` for `QuadElement`) checks its
+    arguments and stores each field with `object.__setattr__`.  Two records
+    are equal when they are of the same class and their fields are equal in
+    slot order, and the hash follows the same fields.
     """
 
     __slots__ = ()

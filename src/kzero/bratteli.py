@@ -219,8 +219,9 @@ def pf_data(s: StationaryDiagram) -> PFData:
     m = isqrt(disc // d)
     if m * m * d != disc:  # raised, not asserted: it must survive python -O
         raise AssertionError(f"discriminant {disc} of {s.B} is not a square times D = {d}")
-    lam = QuadElement._of(Fraction(tr, 2), Fraction(m, 2), d)
-    return PFData(lam, ((lam - b11) / Fraction(b01), QuadElement._of(Fraction(1), Fraction(0), d)))
+    # lambda = (tr + m*sqrt(d))/2, and v = ((lambda - b11)/b01, 1)
+    lam = QuadElement._of(tr, m, 2, d)
+    return PFData(lam, (QuadElement._of(tr - 2 * b11, m, 2 * b01, d), QuadElement._of(1, 0, 1, d)))
 
 
 def stationary_k0(s: StationaryDiagram) -> DimensionGroup:

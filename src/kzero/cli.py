@@ -137,6 +137,14 @@ def _check_limit(what: str, value: int, exp: int = 1) -> None:
         raise ValueError(f"{name} = {shown} is above the {what} limit {name} <= {limit}")
 
 
+def _s_parameters(s: complex) -> tuple[dict, str]:
+    """Refuse |Im s| past its limit; the parameters s and, for Im s != 0, s_im,
+    and the TSV cell "re" or "re,im" of s."""
+    _check_limit("Euler factor phase", abs(s.imag))
+    params = {"s": _fmt(s.real), **({"s_im": _fmt(s.imag)} if s.imag else {})}
+    return params, ",".join(params.values())
+
+
 def _check_bound_reaches(bound: int, curve: Optional[elliptic.CurveQ] = None) -> None:
     """Refuse a bound below the first prime the products would take: the first good
     prime of the curve, or 2 without one.  The products would be empty, and a check
@@ -166,18 +174,11 @@ def _resolve_curve(args: argparse.Namespace) -> elliptic.CurveQ:
 
 
 def _cmd_contfrac(args, box):
-    from fractions import Fraction  # here, not at the top, so the trace commands never load it
-
     _check_limit("quadratic field", args.D)
     w = quadfield.omega_of(args.D)
     cf = contfrac.expand(w)
-    ok = True
-    for conv in contfrac.convergents(cf, 8):
-        # |omega - p/q| < 1/q^2, checked exactly in the field
-        delta = w - Fraction(conv.p, conv.q)
-        if delta.sign() < 0:
-            delta = -delta
-        ok = ok and delta < Fraction(1, conv.q * conv.q)
+    # |omega - p/q| < 1/q^2, checked exactly in the field as -1 < (q*omega - p)*q < 1
+    ok = all(-1 < (w * c.q - c.p) * c.q < 1 for c in contfrac.convergents(cf, 8))
     payload = {
         "D": args.D,
         "omega": str(w),
@@ -322,7 +323,7 @@ def _cmd_lfun(args, box):
     if given:
         raise ValueError(f"--which {args.which} does not use {'/'.join(given)}")
     _check_limit("prime sieve", args.bound)
-    _check_limit("Euler factor phase", abs(args.s.imag))
+    s_params, s_cell = _s_parameters(args.s)
     _check_bound_reaches(args.bound)
     if args.which == "zeta":
         approx = lfunction.zeta_partial(args.s, args.bound)
@@ -345,17 +346,14 @@ def _cmd_lfun(args, box):
         "value_im": float(approx.value.imag),
         "factor_count": len(approx.factors),
     }
-    params = {"which": args.which, "s": _fmt(args.s.real), "bound": args.bound}
-    if args.s.imag:
-        params["s_im"] = _fmt(args.s.imag)
+    params = {"which": args.which, **s_params, "bound": args.bound}
     if args.which != "zeta" and args.D is not None:
         params["D"] = args.D
     if args.which == "auto":
         params["i"] = i
     rows = _rows(
         payload, "which", "s", "bound", "value_re", "value_im", "factors",
-        s=params["s"] + ("," + params["s_im"] if "s_im" in params else ""),
-        factors=payload["factor_count"],
+        s=s_cell, factors=payload["factor_count"],
     )
     return params, "pass", payload, rows
 
@@ -373,7 +371,7 @@ def _cmd_match(args, box):
 
 def _cmd_prop3(args, box):
     _check_limit("prime sieve", args.bound)
-    _check_limit("Euler factor phase", abs(args.s.imag))
+    s_params, s_cell = _s_parameters(args.s)
     _check_bound_reaches(args.bound, elliptic.cm_curve_for(args.D))
     residual = lfunction.proposition3_check(args.D, args.s, args.bound, box.get())
     ok = residual < args.tol
@@ -384,8 +382,8 @@ def _cmd_prop3(args, box):
         "residual": residual,
         "tol": args.tol,
     }
-    params = {"D": args.D, "s": _fmt(args.s.real), "bound": args.bound}
-    rows = _rows(payload, *payload, "ok", s=params["s"], ok=ok)
+    params = {"D": args.D, **s_params, "bound": args.bound}
+    rows = _rows(payload, *payload, "ok", s=s_cell, ok=ok)
     return params, ("pass" if ok else "fail"), payload, rows
 
 

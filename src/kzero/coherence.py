@@ -2,10 +2,11 @@
 
 A RealModule is Z*g1 + ... + Z*gm (m <= 2) where each generator is either a
 rational number or an element of one fixed field Q(sqrt(D)).  Working in
-coordinates over the basis {1, sqrt(D)} turns equality into exact rational
-linear algebra: a module has a canonical Hermite-form basis, so two modules
-are equal iff their bases are.  Everything is decidable and no tolerance
-appears anywhere.
+coordinates over the basis {1, sqrt(D)} turns equality into exact integer
+linear algebra: the generators' rational coordinates are put over one common
+denominator, the integer rows get a canonical Hermite-form basis, and two
+modules are equal iff their bases are.  Everything is decidable and no
+tolerance appears anywhere.
 
 Modules over different irrational fields are deliberately incomparable:
 asking whether Z+Z*sqrt(2) equals Z+Z*sqrt(3) raises instead of returning
@@ -20,7 +21,7 @@ group, embedded by the trace read off its matrix B, with Z+Z*omega.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Union
 
 from kzero import Frozen
@@ -44,15 +45,6 @@ class IncomparableFieldsError(ValueError):
     """Raised when two modules live in different irrational fields."""
 
 
-def _coord_pair(g: Scalar) -> tuple[Fraction, Fraction, Optional[int]]:
-    # returns (coordinate on 1, coordinate on sqrt(D), D or None for rational)
-    if isinstance(g, QuadElement):
-        if g.b == 0:
-            return g.a, Fraction(0), None
-        return g.a, g.b, g.D
-    return Fraction(g), Fraction(0), None
-
-
 class RealModule(Frozen):
     """Z-span of at most two generators inside R.
 
@@ -66,21 +58,18 @@ class RealModule(Frozen):
     def __init__(self, *generators: Scalar) -> None:
         if len(generators) > 2:
             raise ValueError("rank > 2 modules are not supported")
-        field = None
-        for g in generators:
-            _, _, d = _coord_pair(g)
-            if d is not None:
-                if field is not None and field != d:
-                    raise IncomparableFieldsError(f"generators mix Q(sqrt({field})) and Q(sqrt({d}))")
-                field = d
-        if field is not None and field < 0:
-            raise ValueError(f"Q(sqrt({field})) is not a real field")
-        object.__setattr__(self, "D", field)
+        fields = [g.D for g in generators if isinstance(g, QuadElement) and g.y]
+        if len(set(fields)) > 1:
+            raise IncomparableFieldsError(f"generators mix Q(sqrt({fields[0]})) and Q(sqrt({fields[1]}))")
+        if fields and fields[0] < 0:
+            raise ValueError(f"Q(sqrt({fields[0]})) is not a real field")
+        object.__setattr__(self, "D", fields[0] if fields else None)
         object.__setattr__(self, "generators", generators)
 
     def coords(self) -> list[tuple[Fraction, Fraction]]:
         """Generator coordinates over {1, sqrt(D)}."""
-        return [_coord_pair(g)[:2] for g in self.generators]
+        return [(g.a, g.b) if isinstance(g, QuadElement) else (Fraction(g), Fraction(0))
+                for g in self.generators]
 
     def basis(self) -> list[tuple[Fraction, Fraction]]:
         """Canonical (Hermite-form) basis rows; length = rank."""
@@ -100,12 +89,10 @@ def _hermite_basis(rows: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction
     rows = [rc for rc in rows if rc != (0, 0)]
     if not rows:
         return []
-    # clear denominators: work with integer rows over a common scale 1/L
-    denom = 1
-    for x, y in rows:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-        denom = denom * y.denominator // gcd(denom, y.denominator)
-    int_rows = [(int(x * denom), int(y * denom)) for x, y in rows]
+    # clear denominators: integer rows over the common scale 1/denom
+    denom = lcm(*(c.denominator for row in rows for c in row))
+    int_rows = [(x.numerator * (denom // x.denominator), y.numerator * (denom // y.denominator))
+                for x, y in rows]
     e, f, g = _hnf_two_columns(int_rows)
     out: list[tuple[Fraction, Fraction]] = []
     if e:
@@ -123,13 +110,12 @@ def _hnf_two_columns(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
     are present.
     """
     pivot: tuple[int, int] | None = None
-    tail: list[int] = []
+    g = 0  # gcd of the second coordinates of rows reduced to (0, y)
     for a, b in rows:
         cur = (a, b)
         while True:
             if cur[0] == 0:
-                if cur[1]:
-                    tail.append(cur[1])
+                g = gcd(g, cur[1])
                 break
             if pivot is None:
                 pivot = cur
@@ -139,9 +125,6 @@ def _hnf_two_columns(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
                 pivot, cur = cur, pivot
             k = cur[0] // pivot[0]
             cur = (cur[0] - k * pivot[0], cur[1] - k * pivot[1])
-    g = 0
-    for t in tail:
-        g = gcd(g, t)
     if pivot is None:
         return 0, 0, g
     e, f = pivot
@@ -163,8 +146,7 @@ def module_equal(M: RealModule, N: RealModule) -> bool:
 
 def k0_automorphic(D: int) -> RealModule:
     """Z + Z*omega for the real field Q(sqrt(D))."""
-    w = omega_of(D)
-    return RealModule(Fraction(1), w)
+    return RealModule(Fraction(1), omega_of(D))
 
 
 def effros_shen_coherence(D: int, cf: Optional[PeriodicCF] = None) -> bool:

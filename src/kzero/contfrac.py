@@ -1,7 +1,8 @@
 """Periodic continued fractions of real quadratic irrationals, exactly.
 
-`expand` writes its input once as x_0 = (P + sqrt(d))/Q with integers P, Q
-and d, where Q divides d - P^2, and then runs the integer recurrence
+`expand` reads its input's integer triple (x + y*sqrt(D))/den as
+x_0 = (P + sqrt(d))/Q with integers P, Q and d, where Q divides d - P^2, and
+then runs the integer recurrence
 (Cohen, A Course in Computational Algebraic Number Theory, 5.7)
 
     a_k = floor((P_k + sqrt(d))/Q_k),
@@ -23,7 +24,7 @@ the integer part.
 from __future__ import annotations
 
 from itertools import chain, cycle, islice
-from math import isqrt, lcm
+from math import isqrt
 from typing import Iterator, NamedTuple
 
 from kzero import Frozen
@@ -70,13 +71,12 @@ def expand(x: QuadElement) -> PeriodicCF:
 
     Raises ValueError for rational or imaginary input.
     """
-    if x.b == 0:
+    if x.y == 0:
         raise ValueError("input is rational; expansion would terminate")
     if x.D < 0:
         raise ValueError("input is not real")
     # x = (P + B*sqrt(D))/Q with integers and B > 0, i.e. (P + sqrt(d))/Q
-    Q = lcm(x.a.denominator, x.b.denominator)
-    P, B = int(x.a * Q), int(x.b * Q)
+    P, B, Q = x.x, x.y, x.den
     if B < 0:
         P, B, Q = -P, -B, -Q
     d = B * B * x.D

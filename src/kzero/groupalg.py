@@ -250,6 +250,8 @@ def assemble_restricted_product(
     generic cyclic tower of the given depth, which `cyclic_tower` has
     validated.
     """
+    if depth < 1:  # refused here too, since no tower is built when every prime is ramified
+        raise ValueError("depth must be >= 1")
     ram = frozenset(int(p) for p in ramified)
     for p in sorted(ram):
         if not is_prime(p):

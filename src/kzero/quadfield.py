@@ -1,10 +1,11 @@
 """Exact arithmetic in quadratic fields Q(sqrt(D)).
 
-Elements are stored as a + b*sqrt(D) with exact rational coordinates and a
-square-free integer D (positive for real fields, negative for imaginary
-ones).  No floating point is used anywhere in this module: order comparisons,
-floors and norms are decided by exact integer arithmetic, which is what makes
-the module-membership questions downstream decidable.
+Elements are stored as (x + y*sqrt(D))/den with integers x, y and den > 0 in
+lowest terms; D is square-free (positive for real fields, negative for
+imaginary ones).  Arithmetic, order, floors and printing work on that integer
+triple and never on floating point, which keeps the module-membership
+questions downstream decidable.  The coordinates a + b*sqrt(D), the norm and
+the trace are `Fraction` views, and only they load `fractions`.
 
 The real embedding fixes sqrt(D) as the positive root throughout, so `<, >`
 and `floor` have one coherent meaning for D > 0.  Imaginary elements support
@@ -19,16 +20,15 @@ maps Z + Z*omega onto itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt
-from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+from math import gcd, isqrt
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from kzero import Frozen
 
 if TYPE_CHECKING:
-    from kzero.contfrac import PeriodicCF
+    from fractions import Fraction
 
-Rational = Union[int, Fraction]
+    from kzero.contfrac import PeriodicCF
 
 __all__ = [
     "QuadElement",
@@ -57,143 +57,162 @@ def is_squarefree(n: int) -> bool:
 
 
 class QuadElement(Frozen):
-    """a + b*sqrt(D) with exact Fraction coordinates.
+    """(x + y*sqrt(D))/den with integers x, y and den.
 
     D must be square-free and different from 0 and 1, so sqrt(D) is
-    irrational and the coordinate pair (a, b) is unique.  Elements of
-    different fields never mix in arithmetic.
+    irrational.  With den > 0 and gcd(x, y, den) = 1 the triple is unique, so
+    equality and hashing compare it directly.  Elements of different fields
+    never mix in arithmetic.  The rational coordinates a + b*sqrt(D) are
+    read-only `Fraction` views.
     """
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("x", "y", "den", "D")
 
-    def __init__(self, a: Rational, b: Rational, D: int) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+    def __new__(cls, a: int | Fraction, b: int | Fraction, D: int) -> "QuadElement":
         if not isinstance(D, int):
             raise TypeError("D must be an integer")
         if D in (0, 1) or not is_squarefree(D):
             raise ValueError(f"D must be square-free and not 0 or 1, got {D}")
-        object.__setattr__(self, "D", D)
+        (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+        return cls._of(an * bd, bn * ad, ad * bd, D)
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def rational(a: Rational, D: int) -> "QuadElement":
-        return QuadElement(Fraction(a), Fraction(0), D)
+    def rational(a: int | Fraction, D: int) -> "QuadElement":
+        return QuadElement(a, 0, D)
 
     @classmethod
-    def _of(cls, a: Fraction, b: Fraction, D: int) -> "QuadElement":
-        """An element of a field that an operand already carries; D is not tested
-        again, and the coordinates must already be Fractions."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "a", a)
-        object.__setattr__(x, "b", b)
-        object.__setattr__(x, "D", D)
-        return x
+    def _of(cls, x: int, y: int, den: int, D: int) -> "QuadElement":
+        """(x + y*sqrt(D))/den, reduced, in a field that an operand already
+        carries; D is not tested again, and x, y and den != 0 are integers."""
+        if den < 0:
+            x, y, den = -x, -y, -den
+        g = gcd(x, y, den)
+        e = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (x // g, y // g, den // g, D)):
+            object.__setattr__(e, name, value)
+        return e
 
     def _coerce(self, other: object) -> "QuadElement":
         if isinstance(other, QuadElement):
             if other.D != self.D:
                 raise ValueError(f"field mismatch: D={self.D} vs D={other.D}")
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElement._of(Fraction(other), Fraction(0), self.D)
-        raise TypeError(f"cannot interpret {other!r} as a quadratic field element")
+        n, d = _ratio(other)
+        return QuadElement._of(n, 0, d, self.D)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: object) -> "QuadElement":
         o = self._coerce(other)
-        return QuadElement._of(self.a + o.a, self.b + o.b, self.D)
+        return QuadElement._of(self.x * o.den + o.x * self.den, self.y * o.den + o.y * self.den,
+                               self.den * o.den, self.D)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QuadElement":
         o = self._coerce(other)
-        return QuadElement._of(self.a - o.a, self.b - o.b, self.D)
+        return QuadElement._of(self.x * o.den - o.x * self.den, self.y * o.den - o.y * self.den,
+                               self.den * o.den, self.D)
 
     def __neg__(self) -> "QuadElement":
-        return QuadElement._of(-self.a, -self.b, self.D)
+        return QuadElement._of(-self.x, -self.y, self.den, self.D)
 
     def __mul__(self, other: object) -> "QuadElement":
         o = self._coerce(other)
-        return QuadElement._of(
-            self.a * o.a + self.b * o.b * self.D,
-            self.a * o.b + self.b * o.a,
-            self.D,
-        )
+        return QuadElement._of(self.x * o.x + self.y * o.y * self.D, self.x * o.y + self.y * o.x,
+                               self.den * o.den, self.D)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "QuadElement":
         o = self._coerce(other)
-        n = o.norm()
+        # 1/o = den*conj(o)/(x^2 - y^2 D); the norm is nonzero for nonzero o since D is not a square
+        n = o.x * o.x - o.y * o.y * self.D
         if n == 0:
             raise ZeroDivisionError("division by zero element")
-        # 1/o = conj(o)/norm(o); norm is nonzero for nonzero o since D is not a square
-        return self * QuadElement._of(o.a / n, -o.b / n, self.D)
+        return QuadElement._of((self.x * o.x - self.y * o.y * self.D) * o.den,
+                               (self.y * o.x - self.x * o.y) * o.den, self.den * n, self.D)
 
     def __rtruediv__(self, other: object) -> "QuadElement":
         return self._coerce(other) / self
 
-    # -- field-theoretic data ------------------------------------------------
+    # -- rational views: coordinates, norm and trace -------------------------
+
+    @property
+    def a(self) -> Fraction:
+        return _fraction(self.x, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return _fraction(self.y, self.den)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.D
+        return _fraction(self.x * self.x - self.y * self.y * self.D, self.den * self.den)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return _fraction(2 * self.x, self.den)
 
     # -- order structure (real fields only) ----------------------------------
 
     def sign(self) -> int:
-        """Exact sign under the real embedding (D > 0 required if b != 0)."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.D < 0:
+        """Exact sign under the real embedding (D > 0 required if y != 0)."""
+        x, y = self.x, self.y
+        if y and self.D < 0:
             raise ValueError("imaginary elements are not ordered")
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # opposite signs: compare a^2 against b^2 D; ties impossible (D not a square)
-        return sa if self.a * self.a > self.b * self.b * self.D else sb
+        # x + y*sqrt(D) has x's sign if x^2 > y^2 D and y's otherwise, since a
+        # tie would need x = y = 0 (D is not a square)
+        return (x > 0) - (x < 0) if x * x > y * y * self.D else (y > 0) - (y < 0)
 
     def __lt__(self, other: object) -> bool:
-        return (self - self._coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __gt__(self, other: object) -> bool:
-        return (self - self._coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def floor(self) -> int:
         """Exact floor under the real embedding."""
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        if self.D < 0:
+        x, y = self.x, self.y
+        if y and self.D < 0:
             raise ValueError("imaginary elements have no floor")
-        # write self = (P + Q*sqrt(D))/R with integers P, Q and R > 0
-        r = self.a.denominator * self.b.denominator
-        p = self.a.numerator * self.b.denominator
-        q = self.b.numerator * self.a.denominator
-        # |Q|*sqrt(D) is irrational, so with t = isqrt(Q^2 D) it lies strictly
-        # between t and t+1, and Q*sqrt(D) strictly between s and s+1, where
-        # s = t if Q > 0 and s = -t-1 if Q < 0.  No integer sits in the open
-        # interval ((P+s)/R, (P+s+1)/R), so the floor is the left endpoint's.
-        t = isqrt(q * q * self.D)
-        return (p + t) // r if q > 0 else (p - t - 1) // r
+        # for y != 0, |y|*sqrt(D) is irrational, so with t = isqrt(y^2 D) it lies
+        # strictly between t and t+1, and y*sqrt(D) strictly between s and s+1,
+        # where s = t if y > 0 and s = -t-1 if y < 0.  No integer sits in the open
+        # interval ((x+s)/den, (x+s+1)/den), so the floor is the left endpoint's.
+        t = isqrt(y * y * self.D)
+        return (x + t) // self.den if y >= 0 else (x - t - 1) // self.den
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
+        a = _ratio_str(self.x, self.den)
+        if self.y == 0:
+            return a
         root = f"sqrt({self.D})"
-        bpart = root if self.b == 1 else f"{self.b}*{root}"
-        if self.a == 0:
-            return bpart
-        sign = "+" if self.b > 0 else "-"
-        babs = root if abs(self.b) == 1 else f"{abs(self.b)}*{root}"
-        return f"{self.a} {sign} {babs}"
+        y = abs(self.y) if self.x else self.y
+        b = root if y == self.den else f"{_ratio_str(y, self.den)}*{root}"
+        if self.x == 0:
+            return b
+        return f"{a} {'+' if self.y > 0 else '-'} {b}"
+
+
+def _ratio(r: int | Fraction) -> tuple[int, int]:
+    # numerator and denominator of an int or Fraction, read without importing fractions
+    try:
+        return r.numerator, r.denominator
+    except AttributeError:
+        raise TypeError(f"cannot interpret {r!r} as a rational number") from None
+
+
+def _ratio_str(n: int, d: int) -> str:
+    # n/d in lowest terms as str(Fraction(n, d)) prints it, for d > 0
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    from fractions import Fraction  # only the rational views load fractions
+
+    return Fraction(n, d)
 
 
 class FundamentalUnitResult(NamedTuple):
@@ -203,20 +222,16 @@ class FundamentalUnitResult(NamedTuple):
     norm: int
 
 
-def _check_real_d(D: int) -> None:
-    if not isinstance(D, int) or D <= 1 or not is_squarefree(D):
-        raise ValueError(f"D must be a square-free integer > 1, got {D}")
-
-
 def omega_of(D: int) -> QuadElement:
     """Generator of the ring of integers of Q(sqrt(D)).
 
     (1 + sqrt(D))/2 when D = 1 mod 4, otherwise sqrt(D).
     """
-    _check_real_d(D)
+    if not isinstance(D, int) or D <= 1 or not is_squarefree(D):
+        raise ValueError(f"D must be a square-free integer > 1, got {D}")
     if D % 4 == 1:
-        return QuadElement._of(Fraction(1, 2), Fraction(1, 2), D)
-    return QuadElement._of(Fraction(0), Fraction(1), D)
+        return QuadElement._of(1, 1, 2, D)
+    return QuadElement._of(0, 1, 1, D)
 
 
 def _omega_poly(D: int) -> tuple[int, int]:
@@ -276,7 +291,9 @@ def stabilizes_order(eps: QuadElement) -> bool:
     if eps.D < 0:
         raise ValueError(f"eps must lie in a real field, got D = {eps.D}")
     t, n = _omega_poly(eps.D)
-    x, y = coordinates_in_order(eps)
-    if x.denominator != 1 or y.denominator != 1:
+    # eps = (x + y*sqrt(D))/den and sqrt(D) = (1 + t)*omega - t, so den*eps = (x - t*y) + (1 + t)*y*omega
+    x, y = eps.x - t * eps.y, (1 + t) * eps.y
+    if x % eps.den or y % eps.den:
         return False
+    x, y = x // eps.den, y // eps.den
     return x * (x + t * y) + n * y * y in (1, -1)

@@ -640,6 +640,29 @@ def test_a_ramified_prime_that_is_not_an_integer_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == "kzero adelic: ramified prime 'x' is not an integer\n"
 
 
+@pytest.mark.parametrize("depth", ("0", "-1"))
+def test_adelic_refuses_a_depth_below_1_when_every_prime_is_ramified(tmp_path, capsys, depth):
+    # no tower is built when every prime up to the bound is ramified, so the depth is refused up front
+    _, code, out = invoke("adelic", "--ramified", "2", "--bound", "2", "--depth", depth,
+                          "--cache", str(tmp_path / "c.tsv"))
+    assert code == 2
+    assert out == "# kzero adelic v1\n# status error\n"
+    assert capsys.readouterr().err == "kzero adelic: depth must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", (("lfun", "--which", "zeta"), ("prop3", "--D", "1")))
+def test_a_complex_s_is_printed_with_its_imaginary_part(tmp_path, command):
+    cache = str(tmp_path / "c.tsv")
+    _, code, out = invoke(*command, "--s", "2.5,7", "--bound", "50", "--cache", cache)
+    assert code == 0
+    lines = out.splitlines()
+    assert "s=2.5 s_im=7" in lines[1]
+    assert lines[3].split("\t")[1] == "2.5,7"
+    _, code, real = invoke(*command, "--s", "2.5", "--bound", "50", "--cache", cache)
+    assert code == 0
+    assert "s_im" not in real.splitlines()[1] and real.splitlines()[3].split("\t")[1] == "2.5"
+
+
 def test_prop3_builds_each_zeta_product_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, lfunction, "zeta_partial")
     _, code, _ = invoke("prop3", "--D", "1", "--s", "3", "--bound", "500", "--cache", str(tmp_path / "c.tsv"))
@@ -802,7 +825,7 @@ def test_a_readme_command_executes_only_the_modules_it_uses(tmp_path, command):
 
 
 # the commands that make no Fraction, and so never load fractions or what it imports
-NO_FRACTIONS = {"ap", "count", "lfun", "match", "prop3", "sl2", "tower"}
+NO_FRACTIONS = {"ap", "contfrac", "count", "lfun", "match", "prop3", "sl2", "tower", "unit"}
 
 # prints the modules a command loads beyond those of a bare interpreter, which a
 # site may have extended, so only what kzero loads is counted

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -272,3 +273,118 @@ def test_unit_stability(d):
 def test_unit_inverse_is_conjugate_up_to_sign():
     eps, n = fundamental_unit(2)
     assert eps * QuadElement(eps.a, -eps.b, eps.D) == QuadElement.rational(n, 2)
+
+
+# -- the integer triple against a test-local Fraction-pair reference ----------------
+
+REFERENCE_D = st.sampled_from([2, 3, 5, 7, 13, 19, 43, 10007, -1, -2, -3, -7])
+
+
+def ref_sign(a, b, d):
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    return sa if a * a > b * b * d else sb
+
+
+def ref_floor(a, b, d):
+    # the largest integer n with n <= a + b*sqrt(d), found from a float guess and moved by exact signs
+    n = math.floor(float(a) + float(b) * math.sqrt(abs(d)))  # b = 0 when d < 0
+    while ref_sign(a - n, b, d) < 0:
+        n -= 1
+    while ref_sign(a - n - 1, b, d) >= 0:
+        n += 1
+    return n
+
+
+def ref_str(a, b, d):
+    if b == 0:
+        return str(a)
+    root = f"sqrt({d})"
+    if a == 0:
+        return root if b == 1 else f"{b}*{root}"
+    return f"{a} {'+' if b > 0 else '-'} {root if abs(b) == 1 else f'{abs(b)}*{root}'}"
+
+
+def ref_ops(d):
+    def div(p, q):
+        n = q[0] * q[0] - q[1] * q[1] * d
+        return (p[0] * q[0] - p[1] * q[1] * d) / n, (p[1] * q[0] - p[0] * q[1]) / n
+
+    return {
+        "+": lambda p, q: (p[0] + q[0], p[1] + q[1]),
+        "-": lambda p, q: (p[0] - q[0], p[1] - q[1]),
+        "*": lambda p, q: (p[0] * q[0] + p[1] * q[1] * d, p[0] * q[1] + p[1] * q[0]),
+        "/": div,
+    }
+
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def assert_is(x, a, b, d):
+    """x is the reduced triple of a + b*sqrt(d)."""
+    assert x.D == d and x.den > 0 and math.gcd(x.x, x.y, x.den) == 1
+    assert (Fraction(x.x, x.den), Fraction(x.y, x.den)) == (a, b)
+    assert (x.a, x.b) == (a, b)
+
+
+def check_op(op, d, left, right, p, q):
+    """left op right against the reference on the pairs p and q of the operands."""
+    if op == "/" and q == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            OPS[op](left, right)
+    else:
+        assert_is(OPS[op](left, right), *ref_ops(d)[op](p, q), d)
+
+
+@given(REFERENCE_D, fractions, fractions, fractions, fractions, st.sampled_from(sorted(OPS)))
+def test_arithmetic_matches_the_fraction_pair_reference(d, a1, b1, a2, b2, op):
+    x, y = QuadElement(a1, b1, d), QuadElement(a2, b2, d)
+    assert_is(x, a1, b1, d)
+    check_op(op, d, x, y, (a1, b1), (a2, b2))
+    # a rational operand acts as the element (a2, 0); it may stand on the left of + * and /
+    check_op(op, d, x, a2, (a1, b1), (a2, 0))
+    if op != "-":
+        check_op(op, d, a2, x, (a2, 0), (a1, b1))
+    assert_is(-x, -a1, -b1, d)
+
+
+@given(REFERENCE_D, fractions, fractions)
+def test_sign_floor_and_str_match_the_fraction_pair_reference(d, a, b):
+    x = QuadElement(a, b, d)
+    assert str(x) == ref_str(a, b, d)
+    if d < 0 and b != 0:
+        with pytest.raises(ValueError):
+            x.sign()
+        with pytest.raises(ValueError):
+            x.floor()
+        return
+    assert x.sign() == ref_sign(a, b, d)
+    assert x.floor() == ref_floor(a, b, d)
+
+
+@given(REFERENCE_D, fractions, fractions, st.integers(-30, 30).filter(bool))
+def test_equal_values_are_one_triple_with_one_hash(d, a, b, k):
+    x = QuadElement(a, b, d)
+    # the same value reached through an unreduced route: times k, then divided by k
+    y = x * k / k
+    assert x == y and hash(x) == hash(y)
+    assert_is(y, a, b, d)
+    assert (x == QuadElement(a + 1, b, d)) is False and (x == QuadElement(a, b + 1, d)) is False
+    assert len({x, y, QuadElement(a, b, d)}) == 1
+
+
+def test_str_keeps_its_printed_forms():
+    assert str(QuadElement(Fraction(1, 2), Fraction(1, 2), 13)) == "1/2 + 1/2*sqrt(13)"
+    assert str(QuadElement(0, -1, 2)) == "-1*sqrt(2)"
+    assert str(QuadElement(Fraction(-3, 4), Fraction(-5, 6), 7)) == "-3/4 - 5/6*sqrt(7)"
+    assert str(QuadElement(0, Fraction(-2, 3), 5)) == "-2/3*sqrt(5)"
+
+
+def test_an_operand_that_is_not_rational_is_refused():
+    x = QuadElement(1, 1, 2)
+    with pytest.raises(TypeError):
+        x + 1.5
+    with pytest.raises(TypeError):
+        QuadElement(0.5, 1, 2)

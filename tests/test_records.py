@@ -40,4 +40,4 @@ def test_records_differ_by_field_and_by_class():
     assert x != (Fraction(1), Fraction(2), 5)  # a record is not its tuple of fields
     assert elliptic.CurveQ(-1, 0) != elliptic.CurveQ(-1, 0, cm_discriminant=1)
     assert len({x, quadfield.QuadElement(Fraction(2, 2), 2, 5)}) == 1
-    assert repr(x) == "QuadElement(a=Fraction(1, 1), b=Fraction(2, 1), D=5)"
+    assert repr(x) == "QuadElement(x=1, y=2, den=1, D=5)"
