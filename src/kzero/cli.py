@@ -42,7 +42,7 @@ _LIMITS = {
     # period (8952) of the 10^5 D below the limit
     "quadratic field": ("D", 10 ** 7),
     "point count": ("p", 10 ** 18),  # ap, count: 0.8 s, growing as p^(1/4)
-    "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 0.8 s, as p^2
+    "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 0.6 s, as p^2
     "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: 19 s at most, 70 MB
     # lfun, prop3: float t ln p errs by |t| ln(10^6) 2^-52 = 3e-10 rad here; a product at t and at the next double
     # of t agrees to 1e-11 (at 10^16, to 0.7)

@@ -26,7 +26,8 @@ A small append-only text cache maps (a4, a6, p) to a_p so that `lfunction`'s
 multi-prime Euler products and trace match are cheap on a rerun; the
 single-prime entries here take no cache and always count.  numpy is
 imported only by the F_{p^2} enumeration above `_FP2_NUMPY_MIN_P`, where it
-evaluates the blocks of lines; everything else runs without it.
+evaluates the blocks of lines; everything else runs without it.  It loads
+with one BLAS thread unless the caller set OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -344,10 +345,17 @@ def count_points_fp2_enumeration(c: CurveQ, p: int) -> int:
     with A0, A1 and A2 computed once per z0.  The norm depends on z1 only
     through t, so z1 and -z1 contribute alike: line z1 = 0 is counted once
     and each line 0 < z1 < p/2 twice.  The lines are summed in Python
-    integers up to `_FP2_NUMPY_MIN_P`; above it numpy evaluates the cubic on
-    blocks of (lines x p) elements, so memory stays O(p) plus one block of
-    about `_FP2_BLOCK` elements.  p at or above `_FP2_INT64_P` is refused
-    with ValueError, as the unreduced cubic could overflow int64 there.
+    integers up to `_FP2_NUMPY_MIN_P`.  Above it numpy evaluates blocks of
+    (lines x p) elements as
+
+        A0 + t A1 + (t^2 mod p) A2 + (-t^3 mod p),
+
+    with the three scalars computed once per line, so every value lies in
+    [0, 2p^2) before one reduction mod p.  The blocks are int32 below
+    `_FP2_INT32_P`, which covers every p the CLI accepts, and int64 above
+    it, written into two buffers of about `_FP2_BLOCK` elements, so memory
+    stays O(p).  p at or above `_FP2_INT64_P` is refused with ValueError, as
+    an unreduced product could overflow int64 there.
     """
     _require_good(c, p)
     return _fp2_count(c, p)
@@ -367,10 +375,16 @@ _FP2_NUMPY_MIN_P = 41
 # per-call overhead no longer dominates, small enough to stay in cache.
 _FP2_BLOCK = 1 << 15
 
-# With A0, A1, A2 and t in [0, p) the unreduced Horner value lies strictly
-# between -p^3 and p^3 + p^2 + p < (p + 1)^3, so it fits int64 whenever
-# p < 2^21.  Enumerating such a p would take about 4 * 10^12 steps, so p at
-# or above the bound is refused rather than reduced once more per step.
+# Below this p the blocks are int32.  A block value A0 + t A1 + (t^2 mod p) A2
+# + (-t^3 mod p) has four terms in [0, p), [0, (p-1)^2], [0, (p-1)^2] and
+# [0, p), so it is at most 2(p-1)^2 + 2(p-1) = 2p(p-1), and 2p(p-1) < 2^31
+# for every p <= 2^15.
+_FP2_INT32_P = 1 << 15
+
+# The largest unreduced product of the enumeration is n z0^2 < p^3, with the
+# non-residue n < p, and p^3 < 2^63 for p < 2^21.  Enumerating such a p would
+# take about 4 * 10^12 steps, so p at or above the bound is refused rather
+# than reduced once more per step.
 _FP2_INT64_P = 1 << 21
 
 
@@ -386,7 +400,7 @@ def _fp2_norm_coefficients(z0, a4: int, a6: int, p: int):
 def _fp2_count(c: CurveQ, p: int) -> int:
     # count_points_fp2_enumeration's body, at a p the caller knows is a good prime
     if p >= _FP2_INT64_P:
-        raise ValueError(f"F_(p^2) enumeration needs p < 2^21 so that its cubic fits int64, got p = {p}")
+        raise ValueError(f"F_(p^2) enumeration needs p < 2^21 so that its products fit int64, got p = {p}")
     n = _smallest_nonresidue(p)
     a4, a6 = c.a4 % p, c.a6 % p
     if p <= _FP2_NUMPY_MIN_P:
@@ -396,26 +410,44 @@ def _fp2_count(c: CurveQ, p: int) -> int:
                  for t in (n * z1 * z1 % p for z1 in range((p + 1) // 2))]
         return 1 + 2 * sum(lines) - lines[0]
 
-    import numpy as np
-
+    np = _import_numpy()
+    dtype = np.int32 if p < _FP2_INT32_P else np.int64
     z0 = np.arange(p, dtype=np.int64)
-    a0, a1, a2 = _fp2_norm_coefficients(z0, a4, a6, p)
+    a0, a1, a2 = (a.astype(dtype) for a in _fp2_norm_coefficients(z0, a4, a6, p))
     roots = np.zeros(p, dtype=np.int8)
     roots[z0 * z0 % p] = 2
     roots[0] = 1
     t = n * z0[: (p + 1) // 2] ** 2 % p
+    t2 = t * t % p
+    lines = [s.astype(dtype)[:, None] for s in (t, t2, -t2 * t % p)]  # t, t^2, -t^3 mod p
     rows = max(1, _FP2_BLOCK // p)
+    v, w = np.empty((rows, p), dtype), np.empty((rows, p), dtype)
     total = 0
     for start in range(0, len(t), rows):
-        tb = t[start:start + rows, None]
-        v = a2 - tb  # Horner in place on the (rows x p) block
-        v *= tb
-        v += a1
-        v *= tb
-        v += a0
-        v %= p
-        total += int(roots.take(v).sum())
+        tb, tb2, tb3 = (s[start:start + rows] for s in lines)
+        vb, wb = v[:len(tb)], w[:len(tb)]
+        np.multiply(tb, a1, out=vb)
+        np.multiply(tb2, a2, out=wb)
+        vb += wb
+        vb += a0
+        vb += tb3
+        vb %= p
+        total += int(roots.take(vb).sum())
     return 1 + 2 * total - int(roots.take(a0).sum())  # line t = 0 is counted once
+
+
+def _import_numpy():
+    # kzero never calls BLAS, and OpenBLAS reads OPENBLAS_NUM_THREADS once, at
+    # load: left unset, starting its thread pool costs about 65 ms of numpy's
+    # import on 2 vCPUs.  A value the caller set is left as it is.
+    caller_set = "OPENBLAS_NUM_THREADS" in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        import numpy
+    finally:
+        if not caller_set:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return numpy
 
 
 def _smallest_nonresidue(p: int) -> int:

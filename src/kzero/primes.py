@@ -11,6 +11,9 @@ p it tests above 10^18.
 
 from __future__ import annotations
 
+from itertools import compress
+from math import isqrt
+
 __all__ = ["sieve", "is_prime"]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -22,10 +25,10 @@ def sieve(limit: int) -> list[int]:
         return []
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
-    for p in range(2, int(limit ** 0.5) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, f in enumerate(flags) if f]
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), flags))
 
 
 def is_prime(n: int) -> bool:

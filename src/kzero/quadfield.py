@@ -116,6 +116,9 @@ class QuadElement(Frozen):
         return QuadElement._of(self.x * o.den - o.x * self.den, self.y * o.den - o.y * self.den,
                                self.den * o.den, self.D)
 
+    def __rsub__(self, other: object) -> "QuadElement":
+        return self._coerce(other) - self
+
     def __neg__(self) -> "QuadElement":
         return QuadElement._of(-self.x, -self.y, self.den, self.D)
 

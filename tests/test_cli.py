@@ -774,6 +774,32 @@ def test_readme_commands_run_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+BLAS_PROBE = """
+import io, json, os, sys
+from kzero import cli
+
+code = cli.run(["count", "--D", "1", "--p", "101", "--r", "2"], stdout=io.StringIO())[1]
+print(json.dumps([code, "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"),
+                  len(os.listdir("/proc/self/task"))]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads")
+@pytest.mark.parametrize("threads", (None, "3"))
+def test_numpy_loads_without_a_blas_thread_pool(tmp_path, threads):
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
+                          cwd=str(tmp_path), env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, after, tasks = json.loads(proc.stdout)
+    assert (code, loaded, after) == (0, True, threads)  # the caller's setting, or none, is left as found
+    if threads is None:
+        assert tasks == 1  # OpenBLAS started no worker thread
+
+
 # -- modules loaded on first use --------------------------------------------------
 
 LIBRARY = {"primes", "quadfield", "contfrac", "coherence", "bratteli", "groupalg", "elliptic",

@@ -32,7 +32,7 @@ from kzero.elliptic import (
     trace_of_frobenius,
     weil_zeta_local,
 )
-from kzero import elliptic
+from kzero import cli, elliptic
 from kzero.primes import is_prime, sieve
 
 CURVE_D1 = CurveQ(-1, 0)  # y^2 = x^3 - x
@@ -505,7 +505,7 @@ def _fp2_meshgrid(c, p):
     return int(roots[f0 + p * f1].sum()) + 1
 
 
-def test_fp2_oracle_agrees_with_the_meshgrid_reference():
+def _fp2_oracle_cases():
     assert 3 < elliptic._FP2_NUMPY_MIN_P < 200  # so both line sums are checked
     for c in ROUTE_CURVES:
         # every sixth good prime in (256, 700]: each sums several blocks of
@@ -513,7 +513,36 @@ def test_fp2_oracle_agrees_with_the_meshgrid_reference():
         large = [p for p in good_primes(c, 700) if p > 256][::6]
         assert all((p + 1) // 2 > elliptic._FP2_BLOCK // p for p in large)
         for p in good_primes(c, 200) + large:
-            assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p), (c, p)
+            yield c, p
+
+
+def test_fp2_oracle_agrees_with_the_meshgrid_reference():
+    for c, p in _fp2_oracle_cases():
+        assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p), (c, p)
+
+
+def test_fp2_blocks_agree_with_the_meshgrid_reference_in_both_dtypes(monkeypatch):
+    import numpy as np
+
+    class BlockSpy:
+        """numpy, recording the dtype of each block buffer the enumeration allocates."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, dtype):
+            seen.add(np.dtype(dtype).name)
+            return np.empty(shape, dtype)
+
+    monkeypatch.setattr(elliptic, "_import_numpy", BlockSpy)
+    # 0 forces int64 at every p; the default keeps int32 at these p
+    for int32_p, dtype in ((elliptic._FP2_INT32_P, "int32"), (0, "int64")):
+        monkeypatch.setattr(elliptic, "_FP2_INT32_P", int32_p)
+        seen = set()
+        for c, p in _fp2_oracle_cases():
+            if p > elliptic._FP2_NUMPY_MIN_P:
+                assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p), (c, p, dtype)
+        assert seen == {dtype}
 
 
 @given(
@@ -540,11 +569,18 @@ def test_fp2_line_sums_agree_on_both_sides_of_the_numpy_switch(monkeypatch, nump
 
 
 def test_fp2_int64_bound_covers_the_unreduced_cubic():
-    # A0, A1, A2 and t lie in [0, p), so the Horner value A0 + t (A1 + t (A2 - t))
-    # lies in [-(p-1)^3, (p-1)^3 + (p-1)^2 + (p-1)]; both ends must fit int64
-    p = elliptic._FP2_INT64_P - 1  # the largest p the enumeration accepts
-    q = p - 1
-    assert -(q ** 3) >= -(2 ** 63) and q ** 3 + q ** 2 + q <= 2 ** 63 - 1
+    # A0, A1, A2, t, t^2 mod p and -t^3 mod p lie in [0, p), so a block value
+    # A0 + t A1 + (t^2 mod p) A2 + (-t^3 mod p) lies in [0, 2(p-1)^2 + 2(p-1)];
+    # the largest p below each switch must fit that dtype, and the largest
+    # unreduced product n z0^2 < p^3 must fit int64
+    def top(p):
+        return 2 * (p - 1) ** 2 + 2 * (p - 1)
+
+    p32 = elliptic._FP2_INT32_P - 1  # the largest p whose blocks are int32
+    p64 = elliptic._FP2_INT64_P - 1  # the largest p the enumeration accepts
+    assert top(p32) <= 2 ** 31 - 1 and top(p64) <= 2 ** 63 - 1 and p64 ** 3 <= 2 ** 63 - 1
+    assert top(elliptic._FP2_INT32_P + 1) > 2 ** 31 - 1  # the int32 switch is tight
+    assert p32 >= cli._LIMITS["F_(p^2) enumeration"][1]  # every p the CLI accepts is int32
 
 
 def test_fp2_enumeration_refuses_p_past_the_int64_bound_before_any_work(monkeypatch):

@@ -343,10 +343,9 @@ def test_arithmetic_matches_the_fraction_pair_reference(d, a1, b1, a2, b2, op):
     x, y = QuadElement(a1, b1, d), QuadElement(a2, b2, d)
     assert_is(x, a1, b1, d)
     check_op(op, d, x, y, (a1, b1), (a2, b2))
-    # a rational operand acts as the element (a2, 0); it may stand on the left of + * and /
+    # a rational operand acts as the element (a2, 0), on either side
     check_op(op, d, x, a2, (a1, b1), (a2, 0))
-    if op != "-":
-        check_op(op, d, a2, x, (a2, 0), (a1, b1))
+    check_op(op, d, a2, x, (a2, 0), (a1, b1))
     assert_is(-x, -a1, -b1, d)
 
 
