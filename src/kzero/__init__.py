@@ -7,13 +7,14 @@ Subpackages by theme:
   units, and the distinguished generator omega of the ring of integers.
 - contfrac: periodic continued fractions of quadratic irrationals.
 - bratteli: stationary 2x2 diagrams of continued fractions, their dimension
-  groups and rank-2 real embeddings, and the UHF p-power chain.
+  groups and unital trace pairs, and the UHF p-power chain.
 - groupalg: representation-degree profiles, cyclic profinite towers, and the
   restricted-product descriptor.
 - elliptic: point counts over F_p and small extensions, Frobenius data, local
   zeta factors, the CM curve table, and norm-form trace computation.
 - lfunction: partial Euler products and the motivic/automorphic comparisons.
-- coherence: finitely generated subgroups of R and the containment checks.
+- coherence: the integer check that the Effros-Shen dimension group of omega
+  is Z + Z*omega as an ordered group.
 - cli: command-line surface over all of the above.
 
 Each module above but cli is loaded on first use.  `import kzero` puts all

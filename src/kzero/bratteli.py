@@ -5,21 +5,21 @@ two matrix blocks each: level k+1's block sizes are B times level k's.
 Here B is always the 2x2 primitive unimodular matrix that `effros_shen`
 folds from a continued fraction, and the seed level's block sizes are the
 convergent denominators (q_c, q_{c-1}).  So the dimension group embeds in R
-as a rank-2 module Z*t1 + Z*t2, and everything about it is decided exactly
-in Q(sqrt(D)).
+as Z*tau_0 + Z*tau_1 for one pair tau of positive traces, and everything
+about it is decided exactly in Q(sqrt(D)).
 
 The trace normalization is the delicate point.  The inductive limit of
 Z^2 --B--> Z^2 --B--> ... maps into R by pairing level-k coordinates with a
 positive left Perron eigenvector v of B, scaled so that the trace is unital:
 at the seed level tau = v / (v . seed) gives the block sizes total trace 1.
-Any other positive rescaling of v (say, last coordinate 1) generates a
-module that can differ from the true one by a non-unit factor, so
-`stationary_k0` embeds the group as the span of tau, read off B and the
-seed sizes alone.  For a diagram folded from theta's continued fraction,
-tau is the trace pair (|q_{c-1}*theta - p_{c-1}|, |q_c*theta - p_c|) of the
-convergents, which spans Z + Z*theta.  The diagram keeps that pair as
-`seed_traces`, and `shift_action_check` ties theta's expansion to the fold
-by the exact eigen-equation xi B = lambda xi on it.
+Any other positive rescaling of v (say, last coordinate 1) spans a group
+that can differ from the true one by a non-unit factor, so `stationary_k0`
+embeds the group by tau, read off B and the seed sizes alone.  For a
+diagram folded from theta's continued fraction, tau is the trace pair
+(|q_{c-1}*theta - p_{c-1}|, |q_c*theta - p_c|) of the convergents, which
+spans Z + Z*theta.  The diagram keeps that pair as `seed_traces`, and
+`shift_action_check` ties theta's expansion to the fold by the exact
+eigen-equation xi B = lambda xi on it.
 
 The UHF p-power chain and the Z[1/p] membership predicate live here too,
 as the rank-1 warm-up case: one block per level, each p times the last.
@@ -27,14 +27,15 @@ as the rank-1 warm-up case: one block per level, each p times the last.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from kzero import Frozen, contfrac
-from kzero.coherence import RealModule
 from kzero.primes import is_prime
 from kzero.quadfield import QuadElement
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -100,16 +101,13 @@ class StationaryDiagram(Frozen):
 
 
 class DimensionGroup(NamedTuple):
-    """K0 data of a stationary diagram.
+    """K0 data of a stationary diagram (Z^2 --B--> Z^2 --B--> ...).
 
-    `rank` and `matrix` present the inductive system (Z^rank --matrix--> ...);
-    `real_embedding` is its image in R, and `eigenvalue` the exact Perron
-    eigenvalue it was built from.
+    `real_embedding` is the unital trace pair tau whose span is the group's
+    image in R, and `eigenvalue` the exact Perron eigenvalue it was built from.
     """
 
-    rank: int
-    matrix: Matrix
-    real_embedding: RealModule
+    real_embedding: tuple[QuadElement, QuadElement]
     eigenvalue: QuadElement
 
 
@@ -130,6 +128,8 @@ def uhf_diagram(p: int, depth: int) -> tuple[int, ...]:
 
 def uhf_k0_membership(p: int, x: Union[int, Fraction]) -> bool:
     """True iff the lowest-terms denominator of x is a power of p."""
+    from fractions import Fraction  # only this predicate reads a rational
+
     if p < 2:
         raise ValueError("p must be >= 2")
     d = Fraction(x).denominator
@@ -227,13 +227,13 @@ def pf_data(s: StationaryDiagram) -> PFData:
 def stationary_k0(s: StationaryDiagram) -> DimensionGroup:
     """Dimension group of a stationary diagram and its real embedding.
 
-    The limit of Z^2 under B lands in R as the rank-2 module spanned by the
-    unital trace tau = v / (v . seed), v the Perron eigenvector of B.
+    The limit of Z^2 under B lands in R as Z*tau_0 + Z*tau_1, tau the unital
+    trace v / (v . seed) and v the Perron eigenvector of B.
     """
     pf = pf_data(s)
     v0, v1 = pf.eigenvector
     total = v0 * s.seed[0] + v1 * s.seed[1]
-    return DimensionGroup(2, s.B, RealModule(v0 / total, v1 / total), pf.eigenvalue)
+    return DimensionGroup((v0 / total, v1 / total), pf.eigenvalue)
 
 
 def shift_action_check(s: StationaryDiagram, group: DimensionGroup) -> bool:

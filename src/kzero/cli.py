@@ -238,7 +238,7 @@ def _cmd_dimgroup(args, box):
         "matrix": [list(r) for r in diagram.B],
         "period": diagram.period_length,
         "lambda": str(group.eigenvalue),
-        "embedding": [str(g) for g in group.real_embedding.generators],
+        "embedding": [str(g) for g in group.real_embedding],
         "shift_check": shift_ok,
     }
     rows = _rows(payload, *payload, embedding=" ; ".join(payload["embedding"]))
@@ -470,7 +470,7 @@ _COMMANDS = {
     "prop3": (_cmd_prop3, "factorization residual of the assembled products", (
         ("--D", _NEEDED), ("--s", _S), ("--bound", _NEEDED),
         ("--tol", {"type": _parse_tol, "default": 1e-10}))),
-    "coherence": (_cmd_coherence, "module coherence checks for one D", (("--D", _NEEDED),)),
+    "coherence": (_cmd_coherence, "ordered K0 and unit checks for one D", (("--D", _NEEDED),)),
     "adelic": (_cmd_adelic, "restricted-product descriptor records", (
         ("--ramified", {"default": ""}), ("--bound", _NEEDED),
         ("--depth", {"type": int, "default": 2}), ("--D", {"type": int, "default": 5}))),

@@ -14,8 +14,9 @@ equality and arithmetic but not order.
 Besides the element type this module provides the distinguished generator
 omega of the ring of integers (``(1+sqrt(D))/2`` when D = 1 mod 4, else
 ``sqrt(D)``), the fundamental unit read off one continued-fraction
-convergent of omega, and the exact check that multiplication by the unit
-maps Z + Z*omega onto itself.
+convergent of omega, the integer coordinates of an element in the basis
+{1, omega}, and the exact check that multiplication by the unit maps
+Z + Z*omega onto itself.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "fundamental_unit",
     "unit_stability_check",
     "stabilizes_order",
+    "order_coordinates",
 ]
 
 
@@ -271,14 +273,6 @@ def fundamental_unit(D: int, cf: Optional[PeriodicCF] = None) -> FundamentalUnit
     return FundamentalUnitResult(eps, unit_norm)
 
 
-def coordinates_in_order(x: QuadElement) -> tuple[Fraction, Fraction]:
-    """Coordinates of x in the basis {1, omega} of its field's integer ring."""
-    if x.D % 4 == 1:
-        # omega = (1+sqrt(D))/2, so b*sqrt(D) = 2b*omega - b
-        return x.a - x.b, 2 * x.b
-    return x.a, x.b
-
-
 def unit_stability_check(D: int) -> bool:
     """True iff eps*(Z + Z*omega) = Z + Z*omega exactly, eps the fundamental unit."""
     return stabilizes_order(fundamental_unit(D).epsilon)
@@ -293,10 +287,19 @@ def stabilizes_order(eps: QuadElement) -> bool:
     """
     if eps.D < 0:
         raise ValueError(f"eps must lie in a real field, got D = {eps.D}")
-    t, n = _omega_poly(eps.D)
-    # eps = (x + y*sqrt(D))/den and sqrt(D) = (1 + t)*omega - t, so den*eps = (x - t*y) + (1 + t)*y*omega
-    x, y = eps.x - t * eps.y, (1 + t) * eps.y
-    if x % eps.den or y % eps.den:
+    coords = order_coordinates(eps)
+    if coords is None:
         return False
-    x, y = x // eps.den, y // eps.den
+    x, y = coords
+    t, n = _omega_poly(eps.D)
     return x * (x + t * y) + n * y * y in (1, -1)
+
+
+def order_coordinates(x: QuadElement) -> Optional[tuple[int, int]]:
+    """Integer coordinates of x in the basis {1, omega}, or None when x is not in Z + Z*omega."""
+    t, _ = _omega_poly(x.D)
+    # x = (x + y*sqrt(D))/den and sqrt(D) = (1 + t)*omega - t, so den*x = (x - t*y) + (1 + t)*y*omega
+    u, v = x.x - t * x.y, (1 + t) * x.y
+    if u % x.den or v % x.den:
+        return None
+    return u // x.den, v // x.den

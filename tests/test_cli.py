@@ -818,9 +818,9 @@ EXECUTED = {
     "prop3": _TRACES | {"lfunction"},
     "tower": {"groupalg", "primes"},
     "sl2": {"groupalg", "primes"},
-    "dimgroup": {"bratteli", "coherence", "primes", "quadfield"},  # and contfrac with --D
+    "dimgroup": {"bratteli", "primes", "quadfield"},  # and contfrac with --D
     "coherence": LIBRARY - {"elliptic", "groupalg", "lfunction"},
-    "adelic": LIBRARY - {"elliptic", "lfunction"},
+    "adelic": LIBRARY - {"coherence", "elliptic", "lfunction"},
 }
 
 # prints the kzero modules whose code has run; a registered, unrun module is a
@@ -851,7 +851,8 @@ def test_a_readme_command_executes_only_the_modules_it_uses(tmp_path, command):
 
 
 # the commands that make no Fraction, and so never load fractions or what it imports
-NO_FRACTIONS = {"ap", "contfrac", "count", "lfun", "match", "prop3", "sl2", "tower", "unit"}
+NO_FRACTIONS = {"ap", "coherence", "contfrac", "count", "dimgroup", "lfun", "match", "prop3", "sl2", "tower",
+                "unit"}
 
 # prints the modules a command loads beyond those of a bare interpreter, which a
 # site may have extended, so only what kzero loads is counted

@@ -15,6 +15,7 @@ from kzero import bratteli, cli, contfrac, elliptic, lfunction
 
 _FOLD = bratteli.period_fold
 _DIAGRAM = bratteli.StationaryDiagram
+_PF = bratteli.pf_data
 
 
 def _unrotated_fold(quotients):
@@ -31,6 +32,12 @@ def _squared_fold(quotients):
     return _FOLD(tuple(quotients) * 2)
 
 
+def _conjugate_pf(s):
+    # the other root of B's characteristic polynomial, m -> -m, and its eigenvector
+    lam, vector = _PF(s)
+    return bratteli.PFData(lam.trace() - lam, tuple(v.trace() - v for v in vector))
+
+
 # (fault, attribute of bratteli it replaces, replacement, argv, exit with the fault)
 FAULTS = (
     ("unrotated fold", "period_fold", _unrotated_fold, ("coherence", "--D", "3"), 1),
@@ -38,6 +45,8 @@ FAULTS = (
     ("swapped seed", "StationaryDiagram", _swapped_seed, ("coherence", "--D", "2"), 1),
     ("B squared", "period_fold", _squared_fold, ("coherence", "--D", "7"), 0),
     ("B squared", "period_fold", _squared_fold, ("dimgroup", "--D", "7"), 0),
+    ("conjugate Perron data", "pf_data", _conjugate_pf, ("coherence", "--D", "2"), 1),
+    ("conjugate Perron data", "pf_data", _conjugate_pf, ("dimgroup", "--D", "7"), 1),
 )
 
 

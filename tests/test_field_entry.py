@@ -11,15 +11,12 @@ import sys
 import pytest
 
 from kzero import cli, quadfield
-from kzero.coherence import RealModule
 from kzero.quadfield import QuadElement, stabilizes_order
 
 
 def test_an_imaginary_field_is_refused_without_omega():
     with pytest.raises(ValueError):
         stabilizes_order(QuadElement(1, 1, -3))
-    with pytest.raises(ValueError):
-        RealModule(QuadElement(0, 1, -3))
 
 
 # coherence calls three public entries: omega_of, effros_shen_coherence and fundamental_unit

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from kzero.quadfield import (
     QuadElement,
-    coordinates_in_order,
     fundamental_unit,
     is_squarefree,
     omega_of,
+    order_coordinates,
     unit_stability_check,
 )
 
@@ -211,15 +211,15 @@ def test_omega_is_an_algebraic_integer(d):
 
 def test_coordinates_in_order():
     # D = 2: basis (1, sqrt 2)
-    assert coordinates_in_order(QuadElement(3, -4, 2)) == (Fraction(3), Fraction(-4))
+    assert order_coordinates(QuadElement(3, -4, 2)) == (3, -4)
     # D = 5: basis (1, (1+sqrt 5)/2); golden ratio itself is (0, 1)
-    assert coordinates_in_order(omega_of(5)) == (Fraction(0), Fraction(1))
-    assert coordinates_in_order(QuadElement(2, 0, 5)) == (Fraction(2), Fraction(0))
+    assert order_coordinates(omega_of(5)) == (0, 1)
+    assert order_coordinates(QuadElement(2, 0, 5)) == (2, 0)
     # (3 + sqrt 13)/2 = 1 + omega_13
-    assert coordinates_in_order(QuadElement(Fraction(3, 2), Fraction(1, 2), 13)) == (
-        Fraction(1),
-        Fraction(1),
-    )
+    assert order_coordinates(QuadElement(Fraction(3, 2), Fraction(1, 2), 13)) == (1, 1)
+    # outside Z + Z*omega: a half-integer of Z[sqrt 2], and sqrt(13)/2 = omega_13 - 1/2
+    assert order_coordinates(QuadElement(Fraction(1, 2), 1, 2)) is None
+    assert order_coordinates(QuadElement(0, Fraction(1, 2), 13)) is None
 
 
 # -- fundamental units -----------------------------------------------------------
@@ -241,8 +241,7 @@ def test_fundamental_unit_properties(d):
     assert eps.norm() == n
     assert eps > 1
     # integral in the ring of integers
-    u, v = coordinates_in_order(eps)
-    assert u.denominator == 1 and v.denominator == 1
+    assert order_coordinates(eps) is not None
 
 
 def test_fundamental_unit_is_first_unit_convergent():

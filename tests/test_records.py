@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from kzero import Frozen, bratteli, coherence, contfrac, elliptic, groupalg, lfunction, quadfield
+from kzero import Frozen, bratteli, contfrac, elliptic, groupalg, lfunction, quadfield
 
 RECORDS = {
     "QuadElement": lambda: quadfield.QuadElement(Fraction(1, 2), 3, 5),
     "PeriodicCF": lambda: contfrac.PeriodicCF((1,), (2, 3)),
     "StationaryDiagram": lambda: bratteli.effros_shen(quadfield.omega_of(7)),
-    "RealModule": lambda: coherence.k0_automorphic(5),
     "CurveQ": lambda: elliptic.CurveQ(-1, 0),
     "RepDegreeProfile": lambda: groupalg.sl2_degree_profile(5),
     "ConnectingMap": lambda: groupalg.ConnectingMap((0, 0, 1), 2),
