@@ -5,7 +5,8 @@ Subpackages by theme:
 - primes: primality and the prime sieve shared by the other modules.
 - quadfield: exact elements (x + y*sqrt(D))/den of a quadratic field, fundamental
   units, and the distinguished generator omega of the ring of integers.
-- contfrac: periodic continued fractions of quadratic irrationals.
+- contfrac: periodic continued fractions of quadratic irrationals, and the one
+  convergent recurrence behind the unit, the seed, the trace pair and B.
 - bratteli: stationary 2x2 diagrams of continued fractions, their dimension
   groups and unital trace pairs, and the UHF p-power chain.
 - groupalg: representation-degree profiles, cyclic profinite towers, and the

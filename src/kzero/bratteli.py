@@ -28,7 +28,7 @@ as the rank-1 warm-up case: one block per level, each p times the last.
 from __future__ import annotations
 
 from math import isqrt
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from kzero import Frozen, contfrac
 from kzero.primes import is_prime
@@ -46,7 +46,6 @@ __all__ = [
     "uhf_diagram",
     "uhf_k0_membership",
     "effros_shen",
-    "period_fold",
     "pf_data",
     "stationary_k0",
     "shift_action_check",
@@ -138,22 +137,6 @@ def uhf_k0_membership(p: int, x: Union[int, Fraction]) -> bool:
     return d == 1
 
 
-def period_fold(quotients: Sequence[int]) -> Matrix:
-    """Product of the elementary blocks [[a,1],[1,0]] over one period.
-
-    The product is taken in dimension-propagation order: the block of the
-    first quotient is applied first, so the result is
-    block(a_L) * ... * block(a_1).
-    """
-    if not quotients or any(a < 1 for a in quotients):
-        raise ValueError("period quotients must be positive")
-    (p, q), (r, s) = (1, 0), (0, 1)
-    for a in quotients:
-        # block(a) @ [[p, q], [r, s]]
-        (p, q), (r, s) = (a * p + r, a * q + s), (p, q)
-    return (p, q), (r, s)
-
-
 def effros_shen(theta: QuadElement, cf: Optional[contfrac.PeriodicCF] = None) -> StationaryDiagram:
     """Stationary diagram of the AF-algebra attached to a quadratic irrational.
 
@@ -161,7 +144,8 @@ def effros_shen(theta: QuadElement, cf: Optional[contfrac.PeriodicCF] = None) ->
     eventually periodic at some index c >= 1 with minimal period length L.
     The preperiod is folded away by seeding the diagram at level c with the
     denominator pair (q_c, q_{c-1}); one application of B then advances the
-    expansion by a full period, so B = block(a_{c+L}) * ... * block(a_{c+1}).
+    expansion by a full period, so B = block(a_{c+L}) * ... * block(a_{c+1}),
+    the last two convergents of the run a_{c+1}, ..., a_{c+L}.
 
     The seed traces are xi_{c-1} = |q_{c-1} theta - p_{c-1}| and
     xi_c = |q_c theta - p_c|.  They pair with the dimension vector to give a
@@ -177,23 +161,19 @@ def effros_shen(theta: QuadElement, cf: Optional[contfrac.PeriodicCF] = None) ->
     cf = contfrac.expand(theta) if cf is None else cf
     c = len(cf.preperiod)
     period = cf.period
-    length = len(period)
-    convs = contfrac.convergents(cf, c + 1)
-    q_c, q_prev = convs[c].q, convs[c - 1].q
-    xi_prev = _xi(theta, convs[c - 1])
-    xi_c = _xi(theta, convs[c])
-    rotated = period[1:] + period[:1]
+    (p_c, q_c), (p_prev, q_prev) = contfrac.last_convergents(contfrac.partial_quotients(cf, c + 1))
+    # q_k theta - p_k is positive for even k and negative for odd k, so negate the odd one
+    xi_prev, xi_c = theta * q_prev - p_prev, theta * q_c - p_c
+    if c % 2:
+        xi_c = -xi_c
+    else:
+        xi_prev = -xi_prev
     return StationaryDiagram(
-        B=period_fold(rotated),
+        B=contfrac.last_convergents(period[1:] + period[:1]),
         seed=(q_c, q_prev),
-        period_length=length,
+        period_length=len(period),
         seed_traces=(xi_prev, xi_c),
     )
-
-
-def _xi(theta: QuadElement, conv: contfrac.Convergent) -> QuadElement:
-    value = theta * conv.q - conv.p
-    return -value if conv.index % 2 == 1 else value
 
 
 class PFData(NamedTuple):

@@ -177,8 +177,10 @@ def _cmd_contfrac(args, box):
     _check_limit("quadratic field", args.D)
     w = quadfield.omega_of(args.D)
     cf = contfrac.expand(w)
-    # |omega - p/q| < 1/q^2, checked exactly in the field as -1 < (q*omega - p)*q < 1
-    ok = all(-1 < (w * c.q - c.p) * c.q < 1 for c in contfrac.convergents(cf, 8))
+    # |omega - p/q| < 1/q^2 for the first 8 convergents p/q, checked exactly in the field
+    # as -1 < (q*omega - p)*q < 1
+    heads = (contfrac.last_convergents(contfrac.partial_quotients(cf, k))[0] for k in range(1, 9))
+    ok = all(-1 < (w * q - p) * q < 1 for p, q in heads)
     payload = {
         "D": args.D,
         "omega": str(w),
@@ -247,14 +249,10 @@ def _cmd_dimgroup(args, box):
 
 def _cmd_tower(args, box):
     _check_limit("tower", args.p, args.depth)
-    tower, similar = groupalg.self_similar_tower(args.p, args.depth, args.window)
-    params = {"p": args.p, "depth": args.depth, "window": args.window}
-    payload = {
-        **params,
-        "level_orders": [lv.order for lv in tower.levels],
-        "self_similar": similar,
-    }
-    return params, ("pass" if similar else "fail"), payload, _rows(payload, *payload)
+    tower = groupalg.cyclic_tower(args.p, args.depth)
+    params = {"p": args.p, "depth": args.depth}
+    payload = {**params, "level_orders": [lv.order for lv in tower.levels]}
+    return params, "pass", payload, _rows(payload, *payload)
 
 
 def _cmd_sl2(args, box):
@@ -452,9 +450,8 @@ _COMMANDS = {
     # --depth: --uhf-p only; 3 when not given
     "dimgroup": (_cmd_dimgroup, "stationary or UHF dimension group",
                  (("--D", _INT), ("--uhf-p", _INT), ("--depth", _INT))),
-    "tower": (_cmd_tower, "cyclic profinite tower self-similarity", (
-        ("--p", _NEEDED), ("--depth", {"type": int, "default": 4}),
-        ("--window", {"type": int, "default": 3}))),
+    "tower": (_cmd_tower, "cyclic profinite tower with column-sum-p connecting maps",
+              (("--p", _NEEDED), ("--depth", {"type": int, "default": 4}))),
     "sl2": (_cmd_sl2, "irreducible degree profile of SL2(F_p)", (("--p", _NEEDED),)),
     "count": (_cmd_count, "point count over F_p or a small extension",
               (*_CURVE, ("--r", {"type": int, "default": 1, "choices": (1, 2, 3)}))),

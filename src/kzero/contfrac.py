@@ -19,18 +19,23 @@ the preperiod, even for purely periodic numbers.  The golden ratio
 (1+sqrt(5))/2 therefore expands to preperiod (1,), period (1,) rather than
 preperiod (), period (1,).  This keeps `preperiod[0]` a uniform way to read
 the integer part.
+
+`last_convergents` runs the convergent recurrence once over any run of
+quotients.  Fed theta's first k + 1 quotients it gives the convergents
+p_k/q_k and p_{k-1}/q_{k-1}; fed one period it gives the period fold, the
+multiplicity matrix of the Effros-Shen diagram.
 """
 
 from __future__ import annotations
 
 from itertools import chain, cycle, islice
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from kzero import Frozen
 from kzero.quadfield import QuadElement
 
-__all__ = ["PeriodicCF", "Convergent", "expand", "convergents", "partial_quotients"]
+__all__ = ["PeriodicCF", "expand", "last_convergents", "partial_quotients"]
 
 
 class PeriodicCF(Frozen):
@@ -51,14 +56,6 @@ class PeriodicCF(Frozen):
             raise ValueError("partial quotients after a_0 must be positive")
         object.__setattr__(self, "preperiod", preperiod)
         object.__setattr__(self, "period", period)
-
-
-class Convergent(NamedTuple):
-    """Convergent p/q at the given index, automatically in lowest terms."""
-
-    index: int
-    p: int
-    q: int
 
 
 def partial_quotients(cf: PeriodicCF, count: int) -> Iterator[int]:
@@ -105,23 +102,17 @@ def expand(x: QuadElement) -> PeriodicCF:
     return PeriodicCF(preperiod, period)
 
 
-def convergents(cf: PeriodicCF, count: int) -> list[Convergent]:
-    """First `count` convergents of cf via the standard recurrence.
+def last_convergents(quotients: Iterable[int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The last two convergents ((p_k, q_k), (p_{k-1}, q_{k-1})) of a_0, ..., a_k.
 
-    p_k = a_k p_{k-1} + p_{k-2}, q_k = a_k q_{k-1} + q_{k-2}, with
-    (p_{-1}, p_{-2}) = (1, 0) and (q_{-1}, q_{-2}) = (0, 1).  Neighboring
-    convergents satisfy p_k q_{k-1} - p_{k-1} q_k = (-1)^(k-1), so each p_k/q_k
-    is automatically in lowest terms.
+    p_k = a_k p_{k-1} + p_{k-2}, q_k = a_k q_{k-1} + q_{k-2}, from
+    (p_{-1}, q_{-1}) = (1, 0) and (p_{-2}, q_{-2}) = (0, 1), which are what an
+    empty run gives.  As a matrix the result is block(a_k) * ... * block(a_0),
+    block(a) = [[a, 1], [1, 0]], so its determinant
+    p_k q_{k-1} - p_{k-1} q_k is (-1)^(k+1) and each p_k/q_k is in lowest
+    terms.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    out: list[Convergent] = []
-    p_prev, p_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
-    for k, a in enumerate(partial_quotients(cf, count)):
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
-        out.append(Convergent(k, p, q))
-        p_prev2, p_prev = p_prev, p
-        q_prev2, q_prev = q_prev, q
-    return out
+    (p, q), (r, s) = (1, 0), (0, 1)
+    for a in quotients:
+        (p, q), (r, s) = (a * p + r, a * q + s), (p, q)
+    return (p, q), (r, s)

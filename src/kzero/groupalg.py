@@ -13,11 +13,12 @@ connecting matrix has row sums 1 and column sums p.  Such a matrix is stored
 sparsely as its parent array; at p = 13 and depth 4 the dense form would
 have 28561 x 2197 entries for no benefit.
 
-Self-similarity is the testable shadow of shift-invariance: the tower shifted
-up by one level is isomorphic, as a sequence of bipartite graphs up to block
-permutation, to p disjoint copies of the unshifted tower.  The isomorphism
-search is done by canonical bottom-up tree codes, which classify these
-row-sum-1 forests completely.
+Those two sums are the whole invariant, and they already give
+self-similarity, the shadow of shift-invariance: the tower shifted up by one
+level is p disjoint copies of the unshifted one.  Row sums 1 make the maps a
+forest and column sums p give every block exactly p children, so each block
+roots a complete p-ary tree, and levels [1, w+1] are p copies of levels
+[0, w] for every w.  No isomorphism search is needed, and none is run.
 
 Note the division of labor: `cyclic_tower` guarantees the column-sum
 invariant, but `ProfiniteTower` itself only checks shapes, so tests can
@@ -41,8 +42,6 @@ __all__ = [
     "sl2_degree_profile",
     "cyclic_tower",
     "validate_tower",
-    "self_similarity_check",
-    "self_similar_tower",
     "assemble_restricted_product",
 ]
 
@@ -118,10 +117,6 @@ class ProfiniteTower(Frozen):
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "connecting", connecting)
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
 
 def cyclic_profile(n: int) -> RepDegreeProfile:
     """All irreducible degrees of an abelian group of order n are 1."""
@@ -180,56 +175,6 @@ def validate_tower(t: ProfiniteTower) -> None:
         sums = cm.column_sums()
         if any(s != t.prime for s in sums):
             raise ValueError(f"connecting map {i} has column sums {sums}, expected all {t.prime}")
-
-
-_LEAF = -1
-
-
-def _segment_root_codes(maps: list[ConnectingMap], intern: dict[tuple, int]) -> list[int]:
-    # canonical codes for the forest spanned by a stack of connecting maps;
-    # returns the codes of the top-level (root) blocks
-    codes = [_LEAF] * maps[-1].rows
-    for cm in reversed(maps):
-        children: list[list[int]] = [[] for _ in range(cm.cols)]
-        for r, c in enumerate(cm.parent):
-            children[c].append(codes[r])
-        codes = [intern.setdefault(tuple(sorted(ch)), len(intern)) for ch in children]
-    return codes
-
-
-def _check_window(depth: int, window: int) -> None:
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if depth < window + 1:
-        raise ValueError(f"tower depth {depth} is too shallow for window {window}")
-
-
-def _shift_similar(t: ProfiniteTower, window: int) -> bool:
-    intern: dict[tuple, int] = {}
-    shifted = _segment_root_codes(list(t.connecting[1 : window + 1]), intern)
-    base = _segment_root_codes(list(t.connecting[0:window]), intern)
-    return sorted(shifted) == sorted(base * t.prime)
-
-
-def self_similarity_check(t: ProfiniteTower, window: int) -> bool:
-    """Shift-by-one self-similarity of the tower over a window of levels.
-
-    True iff levels [1, window+1] form a diagram isomorphic, up to block
-    permutation, to p disjoint copies of levels [0, window].  Isomorphism of
-    these forests is decided by comparing canonical code multisets.
-    """
-    _check_window(t.depth, window)
-    return _shift_similar(t, window)
-
-
-def self_similar_tower(p: int, depth: int, window: int) -> tuple[ProfiniteTower, bool]:
-    """`cyclic_tower(p, depth)` and its `self_similarity_check` over `window`.
-
-    The window is checked against the depth before any level is built.
-    """
-    _check_window(depth, window)
-    tower = cyclic_tower(p, depth)
-    return tower, _shift_similar(tower, window)
 
 
 class RestrictedProductSpec(NamedTuple):

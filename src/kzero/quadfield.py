@@ -4,8 +4,8 @@ Elements are stored as (x + y*sqrt(D))/den with integers x, y and den > 0 in
 lowest terms; D is square-free (positive for real fields, negative for
 imaginary ones).  Arithmetic, order, floors and printing work on that integer
 triple and never on floating point, which keeps the module-membership
-questions downstream decidable.  The coordinates a + b*sqrt(D), the norm and
-the trace are `Fraction` views, and only they load `fractions`.
+questions downstream decidable.  The norm and the trace are `Fraction`
+views, and only they load `fractions`.
 
 The real embedding fixes sqrt(D) as the positive root throughout, so `<, >`
 and `floor` have one coherent meaning for D > 0.  Imaginary elements support
@@ -64,8 +64,7 @@ class QuadElement(Frozen):
     D must be square-free and different from 0 and 1, so sqrt(D) is
     irrational.  With den > 0 and gcd(x, y, den) = 1 the triple is unique, so
     equality and hashing compare it directly.  Elements of different fields
-    never mix in arithmetic.  The rational coordinates a + b*sqrt(D) are
-    read-only `Fraction` views.
+    never mix in arithmetic.  The norm and the trace are `Fraction` views.
     """
 
     __slots__ = ("x", "y", "den", "D")
@@ -79,10 +78,6 @@ class QuadElement(Frozen):
         return cls._of(an * bd, bn * ad, ad * bd, D)
 
     # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def rational(a: int | Fraction, D: int) -> "QuadElement":
-        return QuadElement(a, 0, D)
 
     @classmethod
     def _of(cls, x: int, y: int, den: int, D: int) -> "QuadElement":
@@ -143,15 +138,7 @@ class QuadElement(Frozen):
     def __rtruediv__(self, other: object) -> "QuadElement":
         return self._coerce(other) / self
 
-    # -- rational views: coordinates, norm and trace -------------------------
-
-    @property
-    def a(self) -> Fraction:
-        return _fraction(self.x, self.den)
-
-    @property
-    def b(self) -> Fraction:
-        return _fraction(self.y, self.den)
+    # -- rational views: norm and trace --------------------------------------
 
     def norm(self) -> Fraction:
         return _fraction(self.x * self.x - self.y * self.y * self.D, self.den * self.den)
@@ -261,8 +248,7 @@ def fundamental_unit(D: int, cf: Optional[PeriodicCF] = None) -> FundamentalUnit
     t, n = _omega_poly(D)
     if cf is None:
         cf = contfrac.expand(w)
-    conv = contfrac.convergents(cf, len(cf.period))[-1]
-    p, q = conv.p, conv.q
+    (p, q), _ = contfrac.last_convergents(contfrac.partial_quotients(cf, len(cf.period)))
     unit_norm = p * p - t * p * q + n * q * q
     if unit_norm not in (1, -1):
         raise AssertionError(f"convergent {p}/{q} of omega gives no unit for D={D}")

@@ -21,7 +21,14 @@ from kzero.elliptic import (
     good_primes,
     weil_zeta_local,
 )
-from kzero.groupalg import cyclic_tower, self_similarity_check, sl2_degree_profile
+from kzero.groupalg import (
+    ConnectingMap,
+    ProfiniteTower,
+    cyclic_profile,
+    cyclic_tower,
+    sl2_degree_profile,
+    validate_tower,
+)
 from kzero.lfunction import local_factor_match, proposition3_check, zeta_partial
 from kzero.primes import sieve
 from kzero.quadfield import is_squarefree, unit_stability_check
@@ -119,7 +126,24 @@ def test_criterion_5_dimension_group_coherence():
 
 
 def test_criterion_7_towers_and_uhf_membership():
-    tower_ok = all(self_similarity_check(cyclic_tower(p, 5), 3) for p in (2, 3, 5, 7, 11, 13))
+    # validate_tower's column sums p make every block root a complete p-ary tree, which is
+    # the towers' self-similarity; it must accept the six towers and refuse both controls
+    for p in (2, 3, 5, 7, 11, 13):
+        validate_tower(cyclic_tower(p, 5))
+    base = cyclic_tower(3, 3)
+    parent = list(base.connecting[1].parent)
+    parent[parent.index(1)] = 0  # 4 preimages over one residue and 2 over another
+    rewired = ProfiniteTower(3, base.levels, (base.connecting[0], ConnectingMap(parent, 3), base.connecting[2]))
+    small = cyclic_tower(2, 3)
+    wide = ProfiniteTower(2, small.levels[:-1] + (cyclic_profile(32),),  # a p^3 branching
+                          small.connecting[:-1] + (ConnectingMap([m % 4 for m in range(32)], 4),))
+    refused = 0
+    for control in (rewired, wide):
+        try:
+            validate_tower(control)
+        except ValueError:
+            refused += 1
+    tower_ok = refused == 2
 
     rng = random.Random(SEED)
     agree = 0
@@ -136,9 +160,9 @@ def test_criterion_7_towers_and_uhf_membership():
         agree += uhf_k0_membership(p, x) == (m % d == 0)
     ok = tower_ok and agree == trials
     _report(
-        "criterion 7 tower self-similarity and torus membership",
+        "criterion 7 tower column sums and torus membership",
         ok,
-        f"6 towers window 3, {agree}/{trials} membership agreements",
+        f"6 depth-5 towers accepted, {refused}/2 controls refused, {agree}/{trials} membership agreements",
     )
     assert ok
 

@@ -8,7 +8,6 @@ from kzero.bratteli import (
     StationaryDiagram,
     _is_primitive,
     effros_shen,
-    period_fold,
     pf_data,
     shift_action_check,
     stationary_k0,
@@ -16,6 +15,7 @@ from kzero.bratteli import (
     uhf_k0_membership,
 )
 from kzero import contfrac
+from kzero.contfrac import last_convergents
 from kzero.coherence import is_positive_basis
 from kzero.quadfield import QuadElement, is_squarefree, omega_of
 
@@ -93,20 +93,22 @@ def test_uhf_membership_matches_denominator_factorization(p, x):
 
 
 def test_period_fold_golden():
-    assert period_fold([1]) == GOLDEN_B
-    assert period_fold([2]) == ((2, 1), (1, 0))
-    assert period_fold([1, 1]) == ((2, 1), (1, 1))
+    # the period fold B is the last two convergents of the period's quotients
+    assert last_convergents([1]) == GOLDEN_B
+    assert last_convergents([2]) == ((2, 1), (1, 0))
+    assert last_convergents([1, 1]) == ((2, 1), (1, 1))
     # the rotated word of the sqrt(7) period, as used by the expansion diagram
-    assert period_fold([1, 1, 4, 1]) == ((11, 6), (9, 5))
-    with pytest.raises(ValueError):
-        period_fold([])
-    with pytest.raises(ValueError):
-        period_fold([1, 0])
+    assert last_convergents([1, 1, 4, 1]) == ((11, 6), (9, 5))
+    # no quotients, or a zero one, fold to a matrix that is not primitive
+    traces = golden_diagram().seed_traces
+    for word in ([], [1, 0]):
+        with pytest.raises(ValueError, match="is not primitive"):
+            StationaryDiagram(last_convergents(word), (1, 1), 1, traces)
 
 
 def test_period_fold_composes():
     # later quotients multiply on the left: fold(a, b) = block(b) @ block(a)
-    assert period_fold([2, 1]) == (
+    assert last_convergents([2, 1]) == (
         (1 * 2 + 1 * 1, 1 * 1 + 1 * 0),
         (1 * 2 + 0 * 1, 1 * 1 + 0 * 0),
     )
@@ -153,7 +155,7 @@ def test_effros_shen_from_a_given_expansion():
 
 def test_effros_shen_rejects_rational():
     with pytest.raises(ValueError):
-        effros_shen(QuadElement.rational(Fraction(1, 3), 5))
+        effros_shen(QuadElement(Fraction(1, 3), 0, 5))
 
 
 @pytest.mark.parametrize("d", SQUAREFREE)
@@ -170,7 +172,7 @@ def test_effros_shen_determinant_is_unimodular(d):
 def test_pf_golden_exact():
     lam, vec = pf_data(golden_diagram())
     assert lam == omega_of(5)
-    assert vec == (omega_of(5), QuadElement.rational(1, 5))
+    assert vec == (omega_of(5), QuadElement(1, 0, 5))
 
 
 def test_pf_data_quadratic():
@@ -224,10 +226,10 @@ def square_free_part(n):
 @given(cf_words())
 @settings(max_examples=80)
 def test_pf_eigen_equation_exact_on_folds(word):
-    b = period_fold(word)
+    b = last_convergents(word)
     (b00, b01), (b10, b11) = b
     d = square_free_part((b00 + b11) ** 2 - 4 * (b00 * b11 - b01 * b10))
-    diag = StationaryDiagram(b, (1, 1), len(word), (QuadElement.rational(1, d),) * 2)
+    diag = StationaryDiagram(b, (1, 1), len(word), (QuadElement(1, 0, d),) * 2)
     lam, vec = pf_data(diag)
     for j in range(len(b)):
         lhs = sum((vec[i] * b[i][j] for i in range(len(b))), start=lam * 0)
@@ -256,13 +258,13 @@ def test_stationary_k0_matches_integer_ring(d):
     # the trace read off B is the convergents' trace pair, so dimgroup prints the same embedding
     assert group.real_embedding == diagram.seed_traces
     tau0, tau1 = group.real_embedding
-    assert tau0 * diagram.seed[0] + tau1 * diagram.seed[1] == QuadElement.rational(1, d)  # unital
+    assert tau0 * diagram.seed[0] + tau1 * diagram.seed[1] == QuadElement(1, 0, d)  # unital
 
 
 def test_telescoping_preserves_the_module():
     # three steps of B merged into one: the matrix B^3 over three periods
     s = golden_diagram()
-    cube = StationaryDiagram(period_fold([1] * 3), s.seed, 3 * s.period_length, s.seed_traces)
+    cube = StationaryDiagram(last_convergents([1] * 3), s.seed, 3 * s.period_length, s.seed_traces)
     assert cube.B == ((3, 2), (2, 1))
     assert stationary_k0(cube).real_embedding == stationary_k0(s).real_embedding
 

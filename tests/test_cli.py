@@ -94,9 +94,9 @@ def test_dimgroup_uhf(tmp_path):
 
 
 def test_tower_and_coherence(tmp_path):
-    _, code, out = invoke("tower", "--p", "3", "--depth", "4", "--window", "2")
+    _, code, out = invoke("tower", "--p", "3", "--depth", "2")
     assert code == 0
-    assert "# status pass" in out
+    assert out.splitlines()[2:] == ["p\tdepth\tlevel_orders", "3\t2\t1,3,9", "# status pass"]
 
     _, code, out = invoke("coherence", "--D", "3", "--format", "json",
                           "--cache", str(tmp_path / "c.tsv"))
@@ -265,7 +265,7 @@ FLAGS = {
     "unit": ("--D",),
     "omega": ("--D",),
     "dimgroup": ("--D", "--uhf-p", "--depth"),
-    "tower": ("--p", "--depth", "--window"),
+    "tower": ("--p", "--depth"),
     "sl2": ("--p",),
     "count": (*CURVE, "--r"),
     "ap": CURVE,
@@ -356,7 +356,7 @@ def test_an_unknown_subcommand_is_an_invalid_choice_naming_every_subcommand(caps
 @pytest.mark.parametrize("argv", (
     ("omega", "--D", "5", "--p", "3"),
     ("ap", "--D", "1", "--p", "5", "--which", "zeta"),
-    *((command, *SMALL[command], "--window", "3") for command in SUBCOMMANDS if command != "tower"),
+    *((command, *SMALL[command], "--ramified", "3") for command in SUBCOMMANDS if command != "adelic"),
     ("tower", *SMALL["tower"], "--which", "zeta"),
 ))
 def test_a_flag_of_another_subcommand_is_unrecognized(tmp_path, capsys, argv):
@@ -389,7 +389,7 @@ def test_commands_without_counting_do_not_touch_cache(tmp_path):
     path = tmp_path / "untouched.tsv"
     invoke("contfrac", "--D", "7", "--cache", str(path))
     invoke("sl2", "--p", "7", "--cache", str(path))
-    invoke("tower", "--p", "2", "--depth", "3", "--window", "1", "--cache", str(path))
+    invoke("tower", "--p", "2", "--depth", "3", "--cache", str(path))
     assert not path.exists()
 
 
@@ -965,9 +965,8 @@ def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypa
     (("tower", "--p", "3", "--depth", str(10 ** 9)), f"p^depth = 3^{10 ** 9} is above the tower limit"),
     (("adelic", "--bound", "101"), "bound^(depth+1) = 101^3 is above the restricted product limit"),
     (("dimgroup", "--uhf-p", "2", "--depth", "333"), "p^depth = 2^333 is above the UHF chain limit"),
-    # a window the depth cannot hold is refused before any level is built
-    (("tower", "--p", "997", "--depth", "2"), "tower depth 2 is too shallow for window 3"),
-    (("tower", "--p", "3", "--depth", "4", "--window", "0"), "window must be >= 1"),
+    (("tower", "--p", "2", "--depth", "20"), "p^depth = 2^20 is above the tower limit"),
+    (("adelic", "--bound", "11", "--depth", "5"), "bound^(depth+1) = 11^6 is above the restricted product limit"),
     # 399165290221 * 798330580441, which passes all twelve Miller-Rabin witnesses
     (("dimgroup", "--uhf-p", "318665857834031151167461", "--depth", "1"),
      "p = 318665857834031151167461 is above the UHF prime limit p <= 1000000000000000000"),

@@ -62,8 +62,8 @@ def test_only_the_order_tells_the_trace_from_its_conjugate(d):
 
 def test_zero_module():
     # zero lies in Z + Z*omega, and a pair with a zero entry spans rank one at most
-    assert order_coordinates(QuadElement.rational(0, 5)) == (0, 0)
-    assert not is_positive_basis((QuadElement.rational(0, 2), QuadElement.rational(1, 2)))
+    assert order_coordinates(QuadElement(0, 0, 5)) == (0, 0)
+    assert not is_positive_basis((QuadElement(0, 0, 2), QuadElement(1, 0, 2)))
 
 
 def test_basis_with_denominators():
@@ -79,7 +79,7 @@ def test_rank_one_irrational():
 
 
 def test_index_two_sublattice():
-    one = QuadElement.rational(1, 2)
+    one = QuadElement(1, 0, 2)
     assert is_positive_basis((one, sqrt2()))
     assert not is_positive_basis((2 * one, sqrt2()))  # index 2 inside Z + Z*sqrt 2
 
@@ -87,7 +87,7 @@ def test_index_two_sublattice():
 def test_incomparable_fields_raise():
     # read in their own bases, these two would pass as a basis of Z + Z*sqrt 2
     with pytest.raises(ValueError, match="mixes"):
-        is_positive_basis((QuadElement.rational(1, 3), sqrt2()))
+        is_positive_basis((QuadElement(1, 0, 3), sqrt2()))
 
 
 # -- membership in Z + Z*omega --------------------------------------------------------
@@ -101,8 +101,8 @@ def test_containment_golden():
 def test_rational_modules_compare_with_field_modules():
     # a rational lies in Z + Z*omega iff it is an integer
     for d in (2, 5):
-        assert order_coordinates(QuadElement.rational(-3, d)) == (-3, 0)
-        assert order_coordinates(QuadElement.rational(Fraction(1, 2), d)) is None
+        assert order_coordinates(QuadElement(-3, 0, d)) == (-3, 0)
+        assert order_coordinates(QuadElement(Fraction(1, 2), 0, d)) is None
 
 
 @given(

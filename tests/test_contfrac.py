@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kzero.contfrac import Convergent, PeriodicCF, convergents, expand, partial_quotients
+from kzero.contfrac import PeriodicCF, expand, last_convergents, partial_quotients
 from kzero.quadfield import QuadElement, is_squarefree, omega_of
 
 SQUAREFREE = [d for d in range(2, 80) if is_squarefree(d)]
@@ -83,7 +83,7 @@ def test_expand_negative_value():
 
 def test_expand_rejects_rational():
     with pytest.raises(ValueError):
-        expand(QuadElement.rational(Fraction(3, 2), 2))
+        expand(QuadElement(Fraction(3, 2), 0, 2))
 
 
 def test_expand_period_is_minimal():
@@ -99,52 +99,50 @@ def test_expand_period_is_minimal():
 # -- convergents -----------------------------------------------------------------
 
 
+def convergents(cf, count):
+    """The convergents (k, p_k, q_k) for k < count, each the head of `last_convergents`."""
+    return [(k, *last_convergents(partial_quotients(cf, k + 1))[0]) for k in range(count)]
+
+
 def test_convergents_sqrt2():
     cf = expand(QuadElement(0, 1, 2))
-    got = convergents(cf, 5)
-    assert got == [
-        Convergent(0, 1, 1),
-        Convergent(1, 3, 2),
-        Convergent(2, 7, 5),
-        Convergent(3, 17, 12),
-        Convergent(4, 41, 29),
-    ]
+    assert convergents(cf, 5) == [(0, 1, 1), (1, 3, 2), (2, 7, 5), (3, 17, 12), (4, 41, 29)]
+    # the tail is the convergent before the head
+    assert last_convergents(partial_quotients(cf, 5)) == ((41, 29), (17, 12))
 
 
 def test_convergents_golden():
     cf = expand(omega_of(5))
-    pairs = [(c.p, c.q) for c in convergents(cf, 7)]
+    pairs = [(p, q) for _, p, q in convergents(cf, 7)]
     # Fibonacci ratios
     assert pairs == [(1, 1), (2, 1), (3, 2), (5, 3), (8, 5), (13, 8), (21, 13)]
 
 
 def test_convergent_determinant_alternates():
     cf = expand(QuadElement(0, 1, 7))
-    cs = convergents(cf, 10)
-    for left, right in zip(cs, cs[1:]):
-        det = right.p * left.q - left.p * right.q
-        assert det == (-1) ** left.index
+    for k in range(10):
+        (p, q), (p_prev, q_prev) = last_convergents(partial_quotients(cf, k + 1))
+        assert p * q_prev - p_prev * q == (-1) ** (k + 1)
 
 
 @pytest.mark.parametrize("d", SQUAREFREE[:20])
 def test_convergent_quality(d):
     w = omega_of(d)
     cf = expand(w)
-    for c in convergents(cf, 9):
+    for _, p, q in convergents(cf, 9):
         # |w - p/q| < 1/q^2, checked exactly in the field
-        delta = w - Fraction(c.p, c.q)
+        delta = w - Fraction(p, q)
         if delta.sign() < 0:
             delta = -delta
-        assert delta < Fraction(1, c.q * c.q)
+        assert delta < Fraction(1, q * q)
 
 
 @pytest.mark.parametrize("d", SQUAREFREE[:20])
 def test_convergents_alternate_around_value(d):
     w = omega_of(d)
-    cs = convergents(expand(w), 8)
-    for c in cs:
-        side = (w - Fraction(c.p, c.q)).sign()
-        assert side == (1 if c.index % 2 == 0 else -1)
+    for k, p, q in convergents(expand(w), 8):
+        side = (w - Fraction(p, q)).sign()
+        assert side == (1 if k % 2 == 0 else -1)
 
 
 @given(st.sampled_from(SQUAREFREE), st.integers(min_value=1, max_value=12))
@@ -152,16 +150,17 @@ def test_convergents_alternate_around_value(d):
 def test_denominators_grow(d, n):
     cs = convergents(expand(omega_of(d)), n)
     assert len(cs) == n
-    for left, right in zip(cs, cs[1:]):
-        assert right.q >= left.q
-        assert right.p * left.q != left.p * right.q  # distinct fractions
+    for (_, p0, q0), (_, p1, q1) in zip(cs, cs[1:]):
+        assert q1 >= q0
+        assert p1 * q0 != p0 * q1  # distinct fractions
 
 
 def test_convergents_count_validation():
+    # no quotients leave the recurrence at its start (p_{-1}, q_{-1}) = (1, 0), (p_{-2}, q_{-2}) = (0, 1)
     cf = PeriodicCF((1,), (2,))
-    assert convergents(cf, 0) == []
-    with pytest.raises(ValueError):
-        convergents(cf, -1)
+    assert last_convergents(partial_quotients(cf, 0)) == ((1, 0), (0, 1))
+    assert last_convergents(partial_quotients(cf, -1)) == ((1, 0), (0, 1))
+    assert last_convergents([]) == ((1, 0), (0, 1))
 
 
 # -- expansion consistency: quotients reproduce the value -------------------------

@@ -13,23 +13,30 @@ import pytest
 
 from kzero import bratteli, cli, contfrac, elliptic, lfunction
 
-_FOLD = bratteli.period_fold
+_ES = bratteli.effros_shen
 _DIAGRAM = bratteli.StationaryDiagram
 _PF = bratteli.pf_data
 
 
-def _unrotated_fold(quotients):
-    # effros_shen folds the period rotated by one; undo the rotation
-    return _FOLD(quotients[-1:] + quotients[:-1])
+def _refolded(word):
+    """effros_shen with B folded from word(period) in place of the period rotated by one.
+
+    Only B changes: the seed and the trace pair still come from the shared recurrence."""
+    def effros_shen(theta, cf=None):
+        cf = contfrac.expand(theta) if cf is None else cf
+        s = _ES(theta, cf)
+        return _DIAGRAM(contfrac.last_convergents(word(cf.period)), s.seed, s.period_length, s.seed_traces)
+    return effros_shen
+
+
+# the period unrotated, where effros_shen folds it rotated by one
+_unrotated_fold = _refolded(lambda period: period)
+# two periods per step: B^2, a correct telescoping of the same diagram
+_squared_fold = _refolded(lambda period: (period[1:] + period[:1]) * 2)
 
 
 def _swapped_seed(B, seed, period_length, seed_traces):
     return _DIAGRAM(B, seed[::-1], period_length, seed_traces)
-
-
-def _squared_fold(quotients):
-    # two periods per step: B^2, a correct telescoping of the same diagram
-    return _FOLD(tuple(quotients) * 2)
 
 
 def _conjugate_pf(s):
@@ -40,11 +47,11 @@ def _conjugate_pf(s):
 
 # (fault, attribute of bratteli it replaces, replacement, argv, exit with the fault)
 FAULTS = (
-    ("unrotated fold", "period_fold", _unrotated_fold, ("coherence", "--D", "3"), 1),
-    ("unrotated fold", "period_fold", _unrotated_fold, ("dimgroup", "--D", "7"), 1),
+    ("unrotated fold", "effros_shen", _unrotated_fold, ("coherence", "--D", "3"), 1),
+    ("unrotated fold", "effros_shen", _unrotated_fold, ("dimgroup", "--D", "7"), 1),
     ("swapped seed", "StationaryDiagram", _swapped_seed, ("coherence", "--D", "2"), 1),
-    ("B squared", "period_fold", _squared_fold, ("coherence", "--D", "7"), 0),
-    ("B squared", "period_fold", _squared_fold, ("dimgroup", "--D", "7"), 0),
+    ("B squared", "effros_shen", _squared_fold, ("coherence", "--D", "7"), 0),
+    ("B squared", "effros_shen", _squared_fold, ("dimgroup", "--D", "7"), 0),
     ("conjugate Perron data", "pf_data", _conjugate_pf, ("coherence", "--D", "2"), 1),
     ("conjugate Perron data", "pf_data", _conjugate_pf, ("dimgroup", "--D", "7"), 1),
 )
@@ -63,6 +70,7 @@ def test_a_fault_changes_the_exit(monkeypatch, fault, attr, replacement, argv, c
 
 
 _EXPAND = contfrac.expand
+_LAST = contfrac.last_convergents
 _LOG_SERIES = elliptic.LocalZeta.log_series
 _FP2_COUNT = elliptic._fp2_count
 
@@ -78,6 +86,12 @@ def _bumped_period(x):
     return contfrac.PeriodicCF(cf.preperiod, (cf.period[0] + 1, *cf.period[1:]))
 
 
+def _p_plus_one(quotients):
+    # the shared convergent recurrence with p_k + 1
+    (p, q), tail = _LAST(quotients)
+    return (p + 1, q), tail
+
+
 def _log_t3_off_by_one(zeta, order):
     out = _LOG_SERIES(zeta, order)
     out[3] += 1
@@ -91,6 +105,8 @@ MORE_FAULTS = (
     ("norm-form sign flipped at 13", elliptic, "_norm_form_ap", _flip_at_13(elliptic._norm_form_ap),
      ("ap", "--D", "1", "--p", "13"), 1),
     ("first period quotient + 1", contfrac, "expand", _bumped_period, ("contfrac", "--D", "7"), 1),
+    # fundamental_unit's norm check raises on the unit that p_k + 1 gives
+    ("convergent p_k + 1", contfrac, "last_convergents", _p_plus_one, ("unit", "--D", "2"), 1),
     ("log coefficient of t^3 + 1", elliptic.LocalZeta, "log_series", _log_t3_off_by_one,
      ("zeta-local", "--D", "1", "--p", "5"), 1),
     ("F_(p^2) enumeration + 1", elliptic, "_fp2_count", lambda c, p: _FP2_COUNT(c, p) + 1,

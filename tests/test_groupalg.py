@@ -1,4 +1,6 @@
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,6 @@ from kzero.groupalg import (
     assemble_restricted_product,
     cyclic_profile,
     cyclic_tower,
-    self_similarity_check,
     sl2_degree_profile,
     validate_tower,
 )
@@ -91,7 +92,7 @@ def test_connecting_map():
 def test_cyclic_tower_shape():
     t = cyclic_tower(3, 4)
     assert t.prime == 3
-    assert t.depth == 4
+    assert len(t.connecting) == 4
     assert [lv.order for lv in t.levels] == [1, 3, 9, 27, 81]
     for cm in t.connecting:
         assert set(cm.column_sums()) == {3}
@@ -121,21 +122,48 @@ def test_validate_tower_catches_corruption():
 
 
 # -- self-similarity -----------------------------------------------------------------
+#
+# groupalg runs no isomorphism search: column sums p already make every block the root
+# of a complete p-ary tree, so levels [1, w+1] are p copies of levels [0, w].  The
+# canonical tree codes below are the test's own reference for that claim.
+
+
+def _root_codes(maps, intern):
+    # canonical bottom-up codes of the forest that a stack of connecting maps spans
+    codes = [-1] * maps[-1].rows
+    for cm in reversed(maps):
+        children = [[] for _ in range(cm.cols)]
+        for r, c in enumerate(cm.parent):
+            children[c].append(codes[r])
+        codes = [intern.setdefault(tuple(sorted(ch)), len(intern)) for ch in children]
+    return codes
+
+
+def _shift_similar(t, window):
+    intern = {}
+    shifted = _root_codes(t.connecting[1 : window + 1], intern)
+    base = _root_codes(t.connecting[:window], intern)
+    return sorted(shifted) == sorted(base * t.prime)
+
+
+def _shuffled(t, rng):
+    # the same levels with every parent array permuted: column sums stay p, the maps change
+    maps = []
+    for cm in t.connecting:
+        parent = list(cm.parent)
+        rng.shuffle(parent)
+        maps.append(ConnectingMap(parent, cm.cols))
+    return ProfiniteTower(t.prime, t.levels, maps)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_self_similarity_true(p):
+    rng = random.Random(p)
     t = cyclic_tower(p, 5)
-    for window in (1, 2, 3, 4):
-        assert self_similarity_check(t, window)
-
-
-def test_self_similarity_needs_depth():
-    t = cyclic_tower(3, 3)
-    with pytest.raises(ValueError):
-        self_similarity_check(t, 3)  # needs depth >= window + 1
-    with pytest.raises(ValueError):
-        self_similarity_check(t, 0)
+    for tower in (t, *(_shuffled(t, rng) for _ in range(5))):
+        validate_tower(tower)
+        for window in (1, 2, 3, 4):
+            assert _shift_similar(tower, window)
 
 
 def test_self_similarity_negative_control():
@@ -146,7 +174,9 @@ def test_self_similarity_negative_control():
     corrupt = ProfiniteTower(
         t.prime, t.levels, (t.connecting[0], ConnectingMap(tuple(parent), 3), t.connecting[2])
     )
-    assert not self_similarity_check(corrupt, 2)
+    assert not _shift_similar(corrupt, 2)
+    with pytest.raises(ValueError, match=r"connecting map 1 has column sums \(4, 2, 3\), expected all 3"):
+        validate_tower(corrupt)
 
 
 def test_self_similarity_wrong_branching_control():
@@ -155,7 +185,10 @@ def test_self_similarity_wrong_branching_control():
     wide = ConnectingMap(tuple(m % 4 for m in range(32)), 4)
     levels = t.levels[:-1] + (cyclic_profile(32),)
     corrupt = ProfiniteTower(2, levels, t.connecting[:-1] + (wide,))
-    assert not self_similarity_check(corrupt, 2)
+    assert not _shift_similar(corrupt, 2)
+    # 32 blocks need a level of order at least 32, so the order check refuses it first
+    with pytest.raises(ValueError, match="level 3 has order 32, expected 8"):
+        validate_tower(corrupt)
 
 
 # -- restricted products ---------------------------------------------------------------
@@ -167,12 +200,12 @@ def test_assemble_restricted_product():
     assert sorted(spec.factors) == [5, 7, 11]
     for p, tower in spec.factors.items():
         assert tower.prime == p
-        assert tower.depth == 2
+        assert len(tower.connecting) == 2
 
 
 def test_assemble_depth_override():
     spec = assemble_restricted_product([], 5, depth=4)
-    assert spec.factors[5].depth == 4
+    assert len(spec.factors[5].connecting) == 4
     assert sorted(spec.factors) == [2, 3, 5]
 
 
@@ -190,4 +223,4 @@ def test_assemble_partition_property(ramified, bound):
     for p in spec.factors:
         assert p <= bound
     for t in spec.factors.values():
-        assert self_similarity_check(t, 1)
+        validate_tower(t)

@@ -24,6 +24,11 @@ def elem(d):
     return st.builds(lambda a, b: QuadElement(a, b, d), fractions, fractions)
 
 
+def coords(x):
+    """The rational coordinates (a, b) of x = a + b*sqrt(D), read off its integer triple."""
+    return Fraction(x.x, x.den), Fraction(x.y, x.den)
+
+
 # -- construction ---------------------------------------------------------------
 
 
@@ -42,11 +47,15 @@ def test_rejects_non_squarefree_d(bad):
 
 def test_constructor_coerces_ints():
     x = QuadElement(3, Fraction(1, 2), 5)
-    assert x.a == Fraction(3) and x.b == Fraction(1, 2)
+    assert coords(x) == (Fraction(3), Fraction(1, 2))
+    assert (x.x, x.y, x.den) == (6, 1, 2)
 
 
 def test_helpers():
-    assert QuadElement.rational(Fraction(2, 3), 7) == QuadElement(Fraction(2, 3), 0, 7)
+    # a rational is built with b = 0 and stored as (numerator, 0, denominator)
+    x = QuadElement(Fraction(2, 3), 0, 7)
+    assert (x.x, x.y, x.den, x.D) == (2, 0, 3, 7)
+    assert x == QuadElement(Fraction(4, 6), Fraction(0), 7)
 
 
 # -- field arithmetic ------------------------------------------------------------
@@ -85,7 +94,7 @@ def test_arithmetic_tests_d_only_at_the_public_constructor(monkeypatch):
     assert tested == [5, 5]
     z = (x + y) * (x - y) / -x + 1 - Fraction(1, 2) * y
     assert tested == [5, 5]
-    assert z == QuadElement(z.a, z.b, 5) and tested == [5, 5, 5]
+    assert z == QuadElement(*coords(z), 5) and tested == [5, 5, 5]
 
 
 def test_cross_field_operations_rejected():
@@ -96,12 +105,12 @@ def test_cross_field_operations_rejected():
 
 
 def test_cross_field_strict_even_for_rational_values():
-    # moving a rational value between fields goes through its coordinate a
-    r = QuadElement.rational(3, 2)
+    # moving a rational value between fields goes through its coordinate a = x/den
+    r = QuadElement(3, 0, 2)
     s = QuadElement(0, 1, 3)
     with pytest.raises(ValueError):
         r + s
-    assert r.a + s == QuadElement(3, 1, 3)
+    assert Fraction(r.x, r.den) + s == QuadElement(3, 1, 3)
 
 
 @given(small_d.flatmap(lambda d: st.tuples(elem(d), elem(d))))
@@ -126,9 +135,10 @@ def test_division_roundtrip(pair):
 
 @given(small_d.flatmap(elem))
 def test_conjugation_identities(x):
-    conjugate = QuadElement(x.a, -x.b, x.D)
-    assert x + conjugate == QuadElement.rational(x.trace(), x.D)
-    assert x * conjugate == QuadElement.rational(x.norm(), x.D)
+    a, b = coords(x)
+    conjugate = QuadElement(a, -b, x.D)
+    assert x + conjugate == QuadElement(x.trace(), 0, x.D)
+    assert x * conjugate == QuadElement(x.norm(), 0, x.D)
 
 
 # -- order structure -------------------------------------------------------------
@@ -148,7 +158,8 @@ def test_sign_golden():
 
 @given(small_d.flatmap(elem))
 def test_sign_matches_float(x):
-    approx = float(x.a) + float(x.b) * math.sqrt(x.D)
+    a, b = coords(x)
+    approx = float(a) + float(b) * math.sqrt(x.D)
     if abs(approx) > 1e-6:
         assert x.sign() == (1 if approx > 0 else -1)
 
@@ -159,8 +170,8 @@ def test_floor_golden():
     assert QuadElement(0, 3, 2).floor() == 4  # sqrt(18) = 4.24..
     assert QuadElement(0, -3, 2).floor() == -5
     assert QuadElement(Fraction(1, 2), Fraction(1, 2), 5).floor() == 1
-    assert QuadElement.rational(Fraction(-7, 2), 5).floor() == -4
-    assert QuadElement.rational(3, 5).floor() == 3
+    assert QuadElement(Fraction(-7, 2), 0, 5).floor() == -4
+    assert QuadElement(3, 0, 5).floor() == 3
     # exact integer boundary: 2 + 0*sqrt(2)
     assert QuadElement(2, 0, 2).floor() == 2
 
@@ -168,8 +179,8 @@ def test_floor_golden():
 @given(small_d.flatmap(elem))
 def test_floor_brackets(x):
     n = x.floor()
-    assert not x < QuadElement.rational(n, x.D)
-    assert x < QuadElement.rational(n + 1, x.D)
+    assert not x < QuadElement(n, 0, x.D)
+    assert x < QuadElement(n + 1, 0, x.D)
 
 
 @given(small_d.flatmap(lambda d: st.tuples(elem(d), elem(d))))
@@ -182,7 +193,7 @@ def test_str_forms():
     assert str(QuadElement(1, 1, 2)) == "1 + sqrt(2)"
     assert str(QuadElement(Fraction(1, 2), Fraction(1, 2), 5)) == "1/2 + 1/2*sqrt(5)"
     assert str(QuadElement(0, 3, 7)) == "3*sqrt(7)"
-    assert str(QuadElement.rational(4, 7)) == "4"
+    assert str(QuadElement(4, 0, 7)) == "4"
     assert str(QuadElement(2, -1, 3)) == "2 - sqrt(3)"
 
 
@@ -245,9 +256,9 @@ def test_fundamental_unit_properties(d):
 
 
 def test_fundamental_unit_is_first_unit_convergent():
-    # reference: scan the convergents p/q of omega over one period for the
-    # first whose p - q*conj(omega) has norm +-1
-    from kzero.contfrac import convergents, expand
+    # reference: run the convergent recurrence over omega's quotients here, and take the
+    # first p/q whose p - q*conj(omega) has norm +-1
+    from kzero.contfrac import expand, partial_quotients
 
     for d in range(2, 2000):
         if not is_squarefree(d):
@@ -255,8 +266,9 @@ def test_fundamental_unit_is_first_unit_convergent():
         w = omega_of(d)
         t, n = (1, (1 - d) // 4) if d % 4 == 1 else (0, -d)
         cf = expand(w)
-        for conv in convergents(cf, len(cf.preperiod) + len(cf.period) + 1):
-            p, q = conv.p, conv.q
+        p, q, p_prev, q_prev = 1, 0, 0, 1
+        for a in partial_quotients(cf, len(cf.preperiod) + len(cf.period) + 1):
+            p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
             norm = p * p - t * p * q + n * q * q
             if norm in (1, -1):
                 break
@@ -271,7 +283,8 @@ def test_unit_stability(d):
 
 def test_unit_inverse_is_conjugate_up_to_sign():
     eps, n = fundamental_unit(2)
-    assert eps * QuadElement(eps.a, -eps.b, eps.D) == QuadElement.rational(n, 2)
+    a, b = coords(eps)
+    assert eps * QuadElement(a, -b, eps.D) == QuadElement(n, 0, 2)
 
 
 # -- the integer triple against a test-local Fraction-pair reference ----------------
@@ -324,8 +337,7 @@ OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.tr
 def assert_is(x, a, b, d):
     """x is the reduced triple of a + b*sqrt(d)."""
     assert x.D == d and x.den > 0 and math.gcd(x.x, x.y, x.den) == 1
-    assert (Fraction(x.x, x.den), Fraction(x.y, x.den)) == (a, b)
-    assert (x.a, x.b) == (a, b)
+    assert coords(x) == (a, b)
 
 
 def check_op(op, d, left, right, p, q):
