@@ -43,7 +43,7 @@ _LIMITS = {
     "quadratic field": ("D", 10 ** 7),
     "point count": ("p", 10 ** 18),  # ap, count: 0.8 s, growing as p^(1/4)
     "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 0.6 s, as p^2
-    "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: 19 s at most, 70 MB
+    "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: 13 s at most, 56 MB
     # lfun, prop3: float t ln p errs by |t| ln(10^6) 2^-52 = 3e-10 rad here; a product at t and at the next double
     # of t agrees to 1e-11 (at 10^16, to 0.7)
     "Euler factor phase": ("|Im s|", 10 ** 5),
@@ -345,8 +345,8 @@ def _cmd_lfun(args, box):
         "factor_count": len(approx.factors),
     }
     params = {"which": args.which, **s_params, "bound": args.bound}
-    if args.which != "zeta" and args.D is not None:
-        params["D"] = args.D
+    if args.which != "zeta":  # a motivic curve is named by D or by its coefficients
+        params.update({"D": args.D} if args.D is not None else {"a4": curve.a4, "a6": curve.a6})
     if args.which == "auto":
         params["i"] = i
     rows = _rows(

@@ -12,7 +12,9 @@ sources never share code, which is what gives `local_factor_match` and
 `proposition3_check` their content: the first compares the local data prime
 by prime, the second assembles both sides into the ratio
 L1 / (zeta(s) zeta(s-1)) and measures how far the two assemblies drift
-apart (machine epsilon when every a_p agrees).
+apart: exactly 0 when every a_p agrees, as both sides fold identical factor
+tuples in the same order and the shared zeta(s) zeta(s-1) cancels.  So
+`proposition3_check` can fail only where `local_factor_match` fails.
 
 Evaluation is honest partial products only, restricted to the half-plane of
 absolute convergence; no analytic continuation.
@@ -22,14 +24,12 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from kzero import Frozen
 from kzero.elliptic import ApCache, CurveQ, _good_ap, _norm_form_ap, cm_curve_for, good_primes
-from kzero.primes import is_prime, sieve
+from kzero.primes import sieve
 
 ComplexLike = Union[int, float, complex]
 
 __all__ = [
-    "LocalPolynomial",
     "EulerProductApprox",
     "MatchRow",
     "MatchReport",
@@ -46,67 +46,35 @@ class ConvergenceDomainError(ValueError):
     """Raised when an evaluation point leaves the half-plane of convergence."""
 
 
-class LocalPolynomial(Frozen):
-    """Integer polynomial P with P(0) = 1 and degree <= 2, attached to a prime.
-
-    The local Euler factor at p is P(p^{-s})^{-1}.  The constructor checks
-    that p is prime; the Euler products below build their factors at primes
-    from `sieve` with `_sieved`, which does not test p again.
-    """
-
-    __slots__ = ("p", "coefficients")
-
-    def __init__(self, p: int, coefficients: tuple[int, ...]) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in coefficients))
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self._check_coefficients()
-
-    @classmethod
-    def _sieved(cls, p: int, coefficients: tuple[int, ...]) -> "LocalPolynomial":
-        """The factor at a prime p from `sieve`; p is not tested again, and the
-        coefficients must already be a tuple of ints."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "p", p)
-        object.__setattr__(poly, "coefficients", coefficients)
-        poly._check_coefficients()
-        return poly
-
-    def _check_coefficients(self) -> None:
-        if not self.coefficients or self.coefficients[0] != 1:
-            raise ValueError("constant coefficient must be 1")
-        if len(self.coefficients) > 3:
-            raise ValueError("degree must be <= 2")
-
-    def value_at(self, s: complex) -> complex:
-        x = complex(self.p) ** (-s)
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-
 class EulerProductApprox(NamedTuple):
     """A partial Euler product: evaluation point, factor list, folded value.
 
-    The value is the product of inverse local factors in ascending-p order.
+    Each factor is a pair (p, coefficients) in ascending p: the coefficients
+    of an integer polynomial P with P(0) = 1 and degree <= 2, whose local
+    factor at p is P(p^{-s})^{-1}.  `zeta_partial`, `motivic_l1_partial` and
+    `automorphic_l_partial` emit (p, (1, -1)) or (p, (1, -a_p, p)) at primes
+    from `sieve`.  The value is the product of the inverse local factors in
+    ascending-p order.
     """
 
     s: complex
     prime_bound: int
-    factors: tuple[LocalPolynomial, ...]
+    factors: tuple[tuple[int, tuple[int, ...]], ...]
     value: complex
 
 
-def _fold(factors: tuple[LocalPolynomial, ...], s: complex) -> complex:
+def _fold(factors: tuple[tuple[int, tuple[int, ...]], ...], s: complex) -> complex:
     value = 1 + 0j
     last = 0
-    for poly in factors:
-        if poly.p <= last:  # raised, not asserted: it must survive python -O
+    for p, coefficients in factors:
+        if p <= last:  # raised, not asserted: it must survive python -O
             raise AssertionError("factors must be in ascending prime order")
-        last = poly.p
-        value *= 1 / poly.value_at(s)
+        last = p
+        x = complex(p) ** (-s)
+        acc = 0j
+        for c in reversed(coefficients):
+            acc = acc * x + c
+        value *= 1 / acc
     return value
 
 
@@ -115,7 +83,7 @@ def zeta_partial(s: ComplexLike, P: int) -> EulerProductApprox:
     z = complex(s)
     if not z.real > 1:  # written so that NaN is refused too
         raise ConvergenceDomainError(f"zeta product needs Re s > 1, got {z.real}")
-    factors = tuple(LocalPolynomial._sieved(p, (1, -1)) for p in sieve(P))
+    factors = tuple((p, (1, -1)) for p in sieve(P))
     return EulerProductApprox(z, P, factors, _fold(factors, z))
 
 
@@ -129,9 +97,7 @@ def motivic_l1_partial(
     z = complex(s)
     if not z.real > 1.5:
         raise ConvergenceDomainError(f"motivic L1 needs Re s > 3/2, got {z.real}")
-    factors = tuple(
-        LocalPolynomial._sieved(p, (1, -_good_ap(c, p, cache), p)) for p in good_primes(c, P)
-    )
+    factors = tuple((p, (1, -_good_ap(c, p, cache), p)) for p in good_primes(c, P))
     return EulerProductApprox(z, P, factors, _fold(factors, z))
 
 
@@ -159,7 +125,7 @@ def automorphic_l_partial(D: int, i: int, s: ComplexLike, P: int) -> EulerProduc
         a_p = _norm_form_ap(D, p)
         if a_p * a_p > 4 * p:  # raised, not asserted: it must survive python -O
             raise AssertionError(f"Hasse bound violated by norm-form a_p at {p}")
-        factors.append(LocalPolynomial._sieved(p, (1, -a_p, p)))
+        factors.append((p, (1, -a_p, p)))
     factors = tuple(factors)
     return EulerProductApprox(z, P, factors, _fold(factors, z))
 
@@ -208,8 +174,11 @@ def proposition3_check(
 
     Both sides assemble the same shape ratio L1 / (zeta(s) zeta(s-1)), the
     motivic side from point counts and the automorphic side from the
-    norm-form route; the result is |motivic/automorphic - 1|.  Valid on the
-    common half-plane Re s > 2.
+    norm-form route; the result is |motivic/automorphic - 1|, valid on the
+    common half-plane Re s > 2.  It is exactly 0 when every a_p agrees: both
+    sides fold the same primes in the same order and divide by the same
+    zeta(s) zeta(s-1), so this check can fail only where `local_factor_match`
+    fails.
     """
     z = complex(s)
     if not z.real > 2:

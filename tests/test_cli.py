@@ -590,8 +590,10 @@ def test_unit_computes_the_fundamental_unit_once(tmp_path, monkeypatch):
 
 
 def _count_primality_tests(monkeypatch):
-    counts = [_count_calls(monkeypatch, module, "is_prime") for module in (elliptic, lfunction)]
-    return lambda: sum(c["is_prime"] for c in counts)
+    # lfunction takes its primes from the sieve and has no primality test to count
+    assert not hasattr(lfunction, "is_prime")
+    counts = _count_calls(monkeypatch, elliptic, "is_prime")
+    return lambda: counts["is_prime"]
 
 
 @pytest.mark.parametrize("argv", (
@@ -699,6 +701,19 @@ def test_a_table_curve_and_coefficients_together_are_refused(tmp_path, capsys, a
     named = "/".join(g for g in given if g.startswith("--"))
     assert f"give either --D or {named}, not both" in capsys.readouterr().err
     assert not cache.exists()
+
+
+def test_lfun_motivic_names_a_curve_given_by_its_coefficients(tmp_path):
+    def parameters(fmt, a4, a6):
+        argv = ("lfun", "--which", "motivic", "--a4", a4, "--a6", a6, "--s", "3", "--bound", "10")
+        _, code, out = invoke(*argv, "--format", fmt, "--cache", str(tmp_path / "c.tsv"))
+        assert code == 0
+        return out.splitlines()[1] if fmt == "tsv" else json.loads(out)["parameters"]
+
+    for a4, a6 in (("1", "1"), ("2", "3")):
+        assert parameters("tsv", a4, a6) == f"# a4={a4} a6={a6} bound=10 s=3 which=motivic"
+        named = {"a4": int(a4), "a6": int(a6), "bound": 10, "s": "3", "which": "motivic"}
+        assert parameters("json", a4, a6) == named
 
 
 def test_dimgroup_refuses_a_field_and_a_uhf_prime_together(tmp_path, capsys, monkeypatch):

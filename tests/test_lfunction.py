@@ -15,7 +15,6 @@ from kzero.elliptic import (
 )
 from kzero.lfunction import (
     ConvergenceDomainError,
-    LocalPolynomial,
     automorphic_l_partial,
     local_factor_match,
     motivic_l1_partial,
@@ -27,7 +26,7 @@ from kzero.primes import sieve
 CURVE_D1 = CurveQ(-1, 0)
 
 
-# -- local polynomials -------------------------------------------------------------
+# -- local factors -----------------------------------------------------------------
 
 
 def test_public_entries_still_test_p():
@@ -43,34 +42,17 @@ def test_public_entries_still_test_p():
 
 
 def test_sieved_factors_equal_checked_ones():
-    assert zeta_partial(3, 100).factors == tuple(LocalPolynomial(p, (1, -1)) for p in sieve(100))
+    assert zeta_partial(3, 100).factors == tuple((p, (1, -1)) for p in sieve(100))
     curve = cm_curve_for(1)
-    checked = tuple(
-        LocalPolynomial(p, (1, -trace_of_frobenius(curve, p), p)) for p in good_primes(curve, 100)
-    )
+    checked = tuple((p, (1, -trace_of_frobenius(curve, p), p)) for p in good_primes(curve, 100))
     assert motivic_l1_partial(curve, 3, 100).factors == checked
     assert automorphic_l_partial(1, 1, 3, 100).factors == checked
 
 
-def test_local_polynomial_validation():
-    LocalPolynomial(5, (1,))
-    LocalPolynomial(5, (1, -2))
-    LocalPolynomial(5, (1, -2, 5))
-    with pytest.raises(ValueError):
-        LocalPolynomial(5, ())
-    with pytest.raises(ValueError):
-        LocalPolynomial(5, (2, 1))  # constant term must be 1
-    with pytest.raises(ValueError):
-        LocalPolynomial(5, (1, 1, 1, 1))  # degree > 2
-    with pytest.raises(ValueError):
-        LocalPolynomial(4, (1,))  # composite p
-
-
 def test_local_polynomial_value():
-    poly = LocalPolynomial(5, (1, -2, 5))
     x = 5.0 ** -2
-    assert poly.value_at(2.0) == pytest.approx(1 - 2 * x + 5 * x * x)
-    assert LocalPolynomial(7, (1,)).value_at(3.0) == 1
+    assert lf._fold(((5, (1, -2, 5)),), 2.0) == pytest.approx(1 / (1 - 2 * x + 5 * x * x))
+    assert lf._fold(((7, (1,)),), 3.0) == 1
 
 
 # -- zeta partial products ----------------------------------------------------------
@@ -111,7 +93,7 @@ def test_nan_s_is_outside_every_domain(product):
 
 def test_zeta_partial_includes_exactly_the_primes():
     approx = zeta_partial(2.0, 30)
-    assert [f.p for f in approx.factors] == sieve(30)
+    assert [p for p, _ in approx.factors] == sieve(30)
 
 
 def test_recompute_rejects_shuffled_factors():
@@ -126,9 +108,8 @@ def test_recompute_rejects_shuffled_factors():
 def test_motivic_partial_structure():
     approx = motivic_l1_partial(CURVE_D1, 2.0, 30)
     # good primes only: 2 is missing
-    assert [f.p for f in approx.factors] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
-    f5 = approx.factors[1]
-    assert f5.coefficients == (1, 2, 5)  # a_5 = -2
+    assert [p for p, _ in approx.factors] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert approx.factors[1] == (5, (1, 2, 5))  # a_5 = -2
 
 
 def test_motivic_domain():
@@ -160,7 +141,7 @@ def test_automorphic_matches_motivic_for_table_curves():
         mot = motivic_l1_partial(c, 3.0, 150)
         aut = automorphic_l_partial(d, 1, 3.0, 150)
         assert mot.value == aut.value
-        assert [f.p for f in mot.factors] == [f.p for f in aut.factors]
+        assert [p for p, _ in mot.factors] == [p for p, _ in aut.factors]
 
 
 def test_automorphic_domain_and_validation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kzero import Frozen, bratteli, contfrac, elliptic, groupalg, lfunction, quadfield
+from kzero import Frozen, bratteli, contfrac, elliptic, groupalg, quadfield
 
 RECORDS = {
     "QuadElement": lambda: quadfield.QuadElement(Fraction(1, 2), 3, 5),
@@ -14,7 +14,6 @@ RECORDS = {
     "RepDegreeProfile": lambda: groupalg.sl2_degree_profile(5),
     "ConnectingMap": lambda: groupalg.ConnectingMap((0, 0, 1), 2),
     "ProfiniteTower": lambda: groupalg.cyclic_tower(3, 2),
-    "LocalPolynomial": lambda: lfunction.LocalPolynomial(5, (1, 2, 5)),
 }
 
 
