@@ -20,6 +20,9 @@ sequence of runs leaves a file that lists each key once, in first-seen order.
 The single-prime commands (ap, count, zeta-local) count afresh and never
 open the cache.  A failed invariant exits 1 and names, on stderr, the
 file:line that raised it.
+
+The command table `_COMMANDS` names each flag's `_LIMITS` row and the modes that read
+it; from it one pass refuses an unread flag, two modes or none, and a value past its row.
 """
 
 from __future__ import annotations
@@ -38,9 +41,7 @@ _DEFAULT_CACHE = "./apcache.tsv"
 # What each sized input bounds: (the input, its largest value).  A larger
 # value is refused with exit 2 before any work.  Timed at the limit on 2 vCPUs:
 _LIMITS = {
-    # contfrac, unit, omega, dimgroup, coherence, adelic: 0.3 s at D = 9931639, the longest
-    # period (8952) of the 10^5 D below the limit
-    "quadratic field": ("D", 10 ** 7),
+    "quadratic field": ("D", 10 ** 7),  # 0.3 s at 9931639, the longest period (8952) of the 10^5 D below it
     "point count": ("p", 10 ** 18),  # ap, count: 0.8 s, growing as p^(1/4)
     "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 0.6 s, as p^2
     "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: 13 s at most, 56 MB
@@ -159,22 +160,45 @@ def _check_bound_reaches(bound: int, curve: Optional[elliptic.CurveQ] = None) ->
         raise ValueError(f"bound = {bound} is below {first}, {which}, so no prime would be visited")
 
 
-def _resolve_curve(args: argparse.Namespace) -> elliptic.CurveQ:
-    if args.D is not None:
-        given = [flag for flag, v in (("--a4", args.a4), ("--a6", args.a6)) if v is not None]
-        if given:
-            raise ValueError(f"give either --D or {'/'.join(given)}, not both: they name different curves")
-        return elliptic.cm_curve_for(args.D)
-    if args.a4 is None or args.a6 is None:
-        raise ValueError("give either --D for a table curve or both --a4 and --a6")
-    return elliptic.CurveQ(args.a4, args.a6)
+def _curve(args: argparse.Namespace) -> elliptic.CurveQ:
+    """The curve named by --D or by --a4 and --a6; `_refuse` saw that one mode names it."""
+    return elliptic.cm_curve_for(args.D) if args.D is not None else elliptic.CurveQ(args.a4, args.a6)
+
+
+def _refuse(args: argparse.Namespace) -> None:
+    """Refuse a flag that no selected mode reads, two modes, no mode, and a value past one
+    of its `_LIMITS` rows, in that order.  --which chooses a mode by its value; any other
+    mode is selected by one of its flags and needs all of them, as "--a4/--a6" does."""
+    flags = _COMMANDS[args.command][2]
+    value = {flag: getattr(args, flag[2:].replace("-", "_")) for flag, *_ in flags}
+    given = {flag for flag in value if value[flag] is not None}
+    chosen = [f"--which {args.which}"] if "which" in args else []
+    # the modes selected by flags that the chosen --which mode reads; sorted, so --D comes first
+    modes = sorted({m for _, _, _, ms, *_ in flags if {*chosen} <= {*ms} for m in ms if not m.startswith("--which")})
+    picked = [m for m in modes if given & {*m.split("/")}]
+    unread = [flag for flag, _, _, ms, *_ in flags if flag in given and ms and not {*chosen, *picked} & {*ms}]
+    if unread and chosen + picked:
+        raise ValueError(f"{(chosen + picked)[0]} does not use {'/'.join(unread)}")
+    curve = "--a4/--a6" in modes
+    if len(picked) > 1:
+        named = "/".join(flag for flag in picked[1].split("/") if flag in given)
+        raise ValueError(f"give either {picked[0]} or {named}, not both" + ": they name different curves" * curve)
+    if modes and not (picked and given >= {*picked[0].split("/")}):
+        either = "--D for a table curve or both --a4 and --a6" if curve else " or ".join(modes)
+        raise ValueError(f"{chosen[0]} needs {modes[0]}" if len(modes) == 1 else f"give either {either}")
+    for flag, _, _, _, *default in flags:  # the default of a flag that only some modes read
+        if default and flag not in given:
+            setattr(args, flag[2:], *default)
+    for flag, _, rows, *_ in flags:
+        if flag in given:
+            for row in rows(args) if callable(rows) else rows:  # a p^depth row takes --depth as exponent
+                _check_limit(row, value[flag], args.depth if _LIMITS[row][0].endswith("^depth") else 1)
 
 
 # -- handlers (return parameters, status, payload, TSV rows with header) -------------
 
 
 def _cmd_contfrac(args, box):
-    _check_limit("quadratic field", args.D)
     w = quadfield.omega_of(args.D)
     cf = contfrac.expand(w)
     # |omega - p/q| < 1/q^2 for the first 8 convergents p/q, checked exactly in the field
@@ -192,7 +216,6 @@ def _cmd_contfrac(args, box):
 
 
 def _cmd_unit(args, box):
-    _check_limit("quadratic field", args.D)
     res = quadfield.fundamental_unit(args.D)
     stable = quadfield.stabilizes_order(res.epsilon)
     payload = {
@@ -205,7 +228,6 @@ def _cmd_unit(args, box):
 
 
 def _cmd_omega(args, box):
-    _check_limit("quadratic field", args.D)
     w = quadfield.omega_of(args.D)
     payload = {
         "D": args.D,
@@ -218,19 +240,9 @@ def _cmd_omega(args, box):
 
 def _cmd_dimgroup(args, box):
     if args.uhf_p is not None:
-        if args.D is not None:
-            raise ValueError("give either --D or --uhf-p, not both")
-        depth = 3 if args.depth is None else args.depth
-        _check_limit("UHF chain", args.uhf_p, depth)
-        _check_limit("UHF prime", args.uhf_p)
-        params = {"uhf_p": args.uhf_p, "depth": depth}
-        payload = {**params, "sizes": list(bratteli.uhf_diagram(args.uhf_p, depth))}
+        params = {"uhf_p": args.uhf_p, "depth": args.depth}
+        payload = {**params, "sizes": list(bratteli.uhf_diagram(args.uhf_p, args.depth))}
         return params, "pass", payload, _rows(payload, "p", "depth", "sizes", p=payload["uhf_p"])
-    if args.D is None:
-        raise ValueError("give either --D or --uhf-p")
-    if args.depth is not None:
-        raise ValueError("--D does not use --depth")
-    _check_limit("quadratic field", args.D)
     diagram = bratteli.effros_shen(quadfield.omega_of(args.D))
     group = bratteli.stationary_k0(diagram)
     shift_ok = bratteli.shift_action_check(diagram, group)
@@ -248,7 +260,6 @@ def _cmd_dimgroup(args, box):
 
 
 def _cmd_tower(args, box):
-    _check_limit("tower", args.p, args.depth)
     tower = groupalg.cyclic_tower(args.p, args.depth)
     params = {"p": args.p, "depth": args.depth}
     payload = {**params, "level_orders": [lv.order for lv in tower.levels]}
@@ -256,7 +267,6 @@ def _cmd_tower(args, box):
 
 
 def _cmd_sl2(args, box):
-    _check_limit("SL2 degree list", args.p)
     profile = groupalg.sl2_degree_profile(args.p)
     degrees = list(profile.degrees)
     payload = {
@@ -270,8 +280,7 @@ def _cmd_sl2(args, box):
 
 
 def _cmd_count(args, box):
-    _check_limit("F_(p^2) enumeration" if args.r == 2 else "point count", args.p)
-    curve = _resolve_curve(args)
+    curve = _curve(args)
     if args.r == 1:
         count = args.p + 1 - elliptic.trace_of_frobenius(curve, args.p)
     else:
@@ -282,8 +291,7 @@ def _cmd_count(args, box):
 
 
 def _cmd_ap(args, box):
-    _check_limit("point count", args.p)
-    curve = _resolve_curve(args)
+    curve = _curve(args)
     a_p = elliptic.trace_of_frobenius(curve, args.p)
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p}
     payload = {**params, "ap": a_p}
@@ -298,8 +306,7 @@ def _cmd_ap(args, box):
 
 
 def _cmd_zeta_local(args, box):
-    _check_limit("F_(p^2) enumeration", args.p)
-    curve = _resolve_curve(args)
+    curve = _curve(args)
     zeta = elliptic.weil_zeta_local(curve, args.p)
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p}
     payload = {
@@ -312,30 +319,18 @@ def _cmd_zeta_local(args, box):
 
 
 def _cmd_lfun(args, box):
-    unused = {
-        "zeta": ("--D", "--a4", "--a6", "--i"),
-        "motivic": ("--i",),
-        "auto": ("--a4", "--a6"),
-    }[args.which]
-    given = [flag for flag in unused if getattr(args, flag[2:]) is not None]
-    if given:
-        raise ValueError(f"--which {args.which} does not use {'/'.join(given)}")
-    _check_limit("prime sieve", args.bound)
     s_params, s_cell = _s_parameters(args.s)
     _check_bound_reaches(args.bound)
     if args.which == "zeta":
         approx = lfunction.zeta_partial(args.s, args.bound)
-    elif args.which == "motivic":
-        curve = _resolve_curve(args)
-        _check_bound_reaches(args.bound, curve)
-        approx = lfunction.motivic_l1_partial(curve, args.s, args.bound, box.get())
     else:
-        if args.D is None:
-            raise ValueError("--which auto needs --D")
-        i = 1 if args.i is None else args.i
-        if i == 1:  # i = 0 and 2 are zeta products, which start at 2
-            _check_bound_reaches(args.bound, elliptic.cm_curve_for(args.D))
-        approx = lfunction.automorphic_l_partial(args.D, i, args.s, args.bound)
+        curve = _curve(args)  # auto reads it at every order, so a D outside the table is refused
+        if args.which == "motivic" or args.i == 1:  # auto's i = 0 and 2 are zeta products, from 2
+            _check_bound_reaches(args.bound, curve)
+        if args.which == "motivic":
+            approx = lfunction.motivic_l1_partial(curve, args.s, args.bound, box.get())
+        else:
+            approx = lfunction.automorphic_l_partial(args.D, args.i, args.s, args.bound)
     payload = {
         "which": args.which,
         "s": [args.s.real, args.s.imag],
@@ -348,7 +343,7 @@ def _cmd_lfun(args, box):
     if args.which != "zeta":  # a motivic curve is named by D or by its coefficients
         params.update({"D": args.D} if args.D is not None else {"a4": curve.a4, "a6": curve.a6})
     if args.which == "auto":
-        params["i"] = i
+        params["i"] = args.i
     rows = _rows(
         payload, "which", "s", "bound", "value_re", "value_im", "factors",
         s=s_cell, factors=payload["factor_count"],
@@ -357,7 +352,6 @@ def _cmd_lfun(args, box):
 
 
 def _cmd_match(args, box):
-    _check_limit("prime sieve", args.bound)
     _check_bound_reaches(args.bound, elliptic.cm_curve_for(args.D))
     report = lfunction.local_factor_match(args.D, args.bound, box.get())
     params = {"D": args.D, "bound": args.bound}
@@ -368,7 +362,6 @@ def _cmd_match(args, box):
 
 
 def _cmd_prop3(args, box):
-    _check_limit("prime sieve", args.bound)
     s_params, s_cell = _s_parameters(args.s)
     _check_bound_reaches(args.bound, elliptic.cm_curve_for(args.D))
     residual = lfunction.proposition3_check(args.D, args.s, args.bound, box.get())
@@ -386,7 +379,6 @@ def _cmd_prop3(args, box):
 
 
 def _cmd_coherence(args, box):
-    _check_limit("quadratic field", args.D)
     cf = contfrac.expand(quadfield.omega_of(args.D))  # one expansion serves both checks
     es = coherence.effros_shen_coherence(args.D, cf)
     stable = quadfield.stabilizes_order(quadfield.fundamental_unit(args.D, cf).epsilon)
@@ -395,7 +387,6 @@ def _cmd_coherence(args, box):
 
 
 def _cmd_adelic(args, box):
-    _check_limit("quadratic field", args.D)
     _check_bound_reaches(args.bound)
     _check_limit("restricted product", args.bound, args.depth + 1)
     given = list(filter(str.strip, args.ramified.split(",")))
@@ -439,38 +430,46 @@ def _cmd_adelic(args, box):
 
 _INT = {"type": int}
 _NEEDED = {"type": int, "required": True}
-_CURVE = (("--a4", _INT), ("--a6", _INT), ("--D", _INT), ("--p", _NEEDED))
-_S = {"type": _parse_s, "required": True}
-# Each subcommand once, in the order of `kzero --help`: handler, help line, and
-# its flags as (flag, argparse keywords).  Every one also takes --format and --cache.
+_FIELD = ("--D", _NEEDED, ("quadratic field",), ())
+_BOUND = ("--bound", _NEEDED, ("prime sieve",), ())
+_S = ("--s", {"type": _parse_s, "required": True}, (), ())
+_CURVE = (("--a4", _INT, (), ("--a4/--a6",)), ("--a6", _INT, (), ("--a4/--a6",)), ("--D", _INT, (), ("--D",)))
+# Each subcommand once, in the order of `kzero --help`: handler, help line, and its flags
+# as (flag, argparse keywords, `_LIMITS` rows, modes[, default]): the rows its value falls
+# under (or a function of the parsed flags giving them), the modes that read it (none: all),
+# and its default in those modes.  Every subcommand also takes --format and --cache.
 _COMMANDS = {
-    "contfrac": (_cmd_contfrac, "continued fraction of omega", (("--D", _NEEDED),)),
-    "unit": (_cmd_unit, "fundamental unit and stability check", (("--D", _NEEDED),)),
-    "omega": (_cmd_omega, "integer-ring generator of Q(sqrt(D))", (("--D", _NEEDED),)),
-    # --depth: --uhf-p only; 3 when not given
-    "dimgroup": (_cmd_dimgroup, "stationary or UHF dimension group",
-                 (("--D", _INT), ("--uhf-p", _INT), ("--depth", _INT))),
-    "tower": (_cmd_tower, "cyclic profinite tower with column-sum-p connecting maps",
-              (("--p", _NEEDED), ("--depth", {"type": int, "default": 4}))),
-    "sl2": (_cmd_sl2, "irreducible degree profile of SL2(F_p)", (("--p", _NEEDED),)),
-    "count": (_cmd_count, "point count over F_p or a small extension",
-              (*_CURVE, ("--r", {"type": int, "default": 1, "choices": (1, 2, 3)}))),
-    "ap": (_cmd_ap, "Frobenius trace (and norm-form comparison with --D)", _CURVE),
-    "zeta-local": (_cmd_zeta_local, "local zeta factor with its log identity", _CURVE),
-    # --i: --which auto only; 1 when not given
+    "contfrac": (_cmd_contfrac, "continued fraction of omega", (_FIELD,)),
+    "unit": (_cmd_unit, "fundamental unit and stability check", (_FIELD,)),
+    "omega": (_cmd_omega, "integer-ring generator of Q(sqrt(D))", (_FIELD,)),
+    "dimgroup": (_cmd_dimgroup, "stationary or UHF dimension group", (
+        ("--D", _INT, ("quadratic field",), ("--D",)),
+        ("--uhf-p", _INT, ("UHF chain", "UHF prime"), ("--uhf-p",)),
+        ("--depth", _INT, (), ("--uhf-p",), 3))),
+    "tower": (_cmd_tower, "cyclic profinite tower with column-sum-p connecting maps", (
+        ("--p", _NEEDED, ("tower",), ()), ("--depth", {"type": int, "default": 4}, (), ()))),
+    "sl2": (_cmd_sl2, "irreducible degree profile of SL2(F_p)", (("--p", _NEEDED, ("SL2 degree list",), ()),)),
+    "count": (_cmd_count, "point count over F_p or a small extension", (
+        *_CURVE, ("--p", _NEEDED, lambda args: ("F_(p^2) enumeration" if args.r == 2 else "point count",), ()),
+        ("--r", {"type": int, "default": 1, "choices": (1, 2, 3)}, (), ()))),
+    "ap": (_cmd_ap, "Frobenius trace (and norm-form comparison with --D)",
+           (*_CURVE, ("--p", _NEEDED, ("point count",), ()))),
+    "zeta-local": (_cmd_zeta_local, "local zeta factor with its log identity",
+                   (*_CURVE, ("--p", _NEEDED, ("F_(p^2) enumeration",), ()))),
     "lfun": (_cmd_lfun, "partial Euler product value", (
-        ("--which", {"choices": ("zeta", "motivic", "auto"), "required": True}),
-        ("--s", _S), ("--bound", _NEEDED), ("--D", _INT), ("--a4", _INT), ("--a6", _INT),
-        ("--i", {"type": int, "choices": (0, 1, 2)}))),
-    "match": (_cmd_match, "per-prime motivic vs automorphic traces",
-              (("--D", _NEEDED), ("--bound", _NEEDED))),
+        ("--which", {"choices": ("zeta", "motivic", "auto"), "required": True}, (), ()), _S, _BOUND,
+        ("--D", _INT, (), ("--which motivic", "--which auto", "--D")),
+        ("--a4", _INT, (), ("--which motivic", "--a4/--a6")),
+        ("--a6", _INT, (), ("--which motivic", "--a4/--a6")),
+        ("--i", {"type": int, "choices": (0, 1, 2)}, (), ("--which auto",), 1))),
+    "match": (_cmd_match, "per-prime motivic vs automorphic traces", (("--D", _NEEDED, (), ()), _BOUND)),
     "prop3": (_cmd_prop3, "factorization residual of the assembled products", (
-        ("--D", _NEEDED), ("--s", _S), ("--bound", _NEEDED),
-        ("--tol", {"type": _parse_tol, "default": 1e-10}))),
-    "coherence": (_cmd_coherence, "ordered K0 and unit checks for one D", (("--D", _NEEDED),)),
+        ("--D", _NEEDED, (), ()), _S, _BOUND, ("--tol", {"type": _parse_tol, "default": 1e-10}, (), ()))),
+    "coherence": (_cmd_coherence, "ordered K0 and unit checks for one D", (_FIELD,)),
     "adelic": (_cmd_adelic, "restricted-product descriptor records", (
-        ("--ramified", {"default": ""}), ("--bound", _NEEDED),
-        ("--depth", {"type": int, "default": 2}), ("--D", {"type": int, "default": 5}))),
+        ("--ramified", {"default": ""}, (), ()), ("--bound", _NEEDED, (), ()),
+        ("--depth", {"type": int, "default": 2}, (), ()),
+        ("--D", {"type": int, "default": 5}, ("quadratic field",), ()))),
 }
 _COMMON = (
     ("--format", {"choices": ("json", "tsv"), "default": "tsv",
@@ -487,7 +486,7 @@ def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
     for name, (_, hlp, flags) in _COMMANDS.items():
         named = name == command  # any other is a stub without even -h
         p = sub.add_parser(name, help=hlp, add_help=named)
-        for flag, kwargs in (*_COMMON, *flags) if named else ():
+        for flag, kwargs, *_ in (*_COMMON, *flags) if named else ():
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -531,6 +530,7 @@ def _execute(args: argparse.Namespace, out: TextIO) -> tuple[CommandResult, int]
     box = _CacheBox(args.cache or _DEFAULT_CACHE)
     try:
         try:
+            _refuse(args)
             parameters, status, payload, rows = _COMMANDS[args.command][0](args, box)
         finally:
             box.flush()  # traces counted before a failure are kept too

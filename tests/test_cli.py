@@ -743,6 +743,14 @@ def test_lfun_refuses_a_curve_flag_it_does_not_use(tmp_path, capsys, monkeypatch
     assert err == f"kzero lfun: --which {which} does not use {named}\n"
 
 
+@pytest.mark.parametrize("given", (("--D", "7", "--i", "0"), ("--D", "-5", "--i", "2")))
+def test_lfun_auto_refuses_a_d_outside_the_table_at_every_order(tmp_path, capsys, monkeypatch, given):
+    # i = 0 and 2 are zeta products, but --D still names the curve of the corollary
+    argv = ("lfun", "--which", "auto", *given, "--s", "3", "--bound", "10")
+    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
+    assert err.startswith(f"kzero lfun: unsupported discriminant {given[1]};")
+
+
 @pytest.mark.parametrize("depth", ("9", "3"))
 def test_dimgroup_refuses_a_depth_without_a_uhf_prime(tmp_path, capsys, monkeypatch, depth):
     built = _count_calls(monkeypatch, bratteli, "effros_shen")
