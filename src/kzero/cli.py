@@ -281,10 +281,7 @@ def _cmd_sl2(args, box):
 
 def _cmd_count(args, box):
     curve = _curve(args)
-    if args.r == 1:
-        count = args.p + 1 - elliptic.trace_of_frobenius(curve, args.p)
-    else:
-        count = elliptic.count_points_extension(curve, args.p, args.r)
+    count = elliptic.count_points_extension(curve, args.p, args.r)
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p, "r": args.r}
     payload = {**params, "count": count}
     return params, "pass", payload, _rows(payload, *payload)

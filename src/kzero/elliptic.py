@@ -1,11 +1,8 @@
 """Elliptic curves over Q reduced at good primes: counts, traces, local factors.
 
-`count_points_fp` switches route by p.  Up to `_BSGS_MIN_P` it takes the
-O(p) sum over x of the number of square roots of f(x), in pure integers
-with a cached root table per prime.  Above it, it runs Shanks-Mestre
-baby-step giant-step in pure integers: a deterministic walk of points on
-the curve and on its quadratic twist, O(p^(1/4)) group operations per
-point, until one group order is left in the Hasse interval.  Frobenius
+|E(F_p)| is counted in pure integers, by a root count up to `_BSGS_MIN_P`
+and by Shanks-Mestre baby-step giant-step above it (`_point_count`), and
+`count_points_extension` gives |E(F_{p^r})| for r = 1, 2, 3.  Frobenius
 traces feed the local zeta factor (1 - a_p t + p t^2)/((1-t)(1-p t)), whose
 formal logarithm is expanded with exact rational series arithmetic and
 compared against the extension-field point counts; the F_{p^2} count
@@ -46,19 +43,16 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CurveQ",
-    "FrobeniusMatrices",
     "LocalZeta",
     "ApCache",
     "BadReductionError",
     "discriminant",
     "good_primes",
     "first_good_prime",
-    "count_points_fp",
     "trace_of_frobenius",
     "count_points_extension",
     "count_points_fp2_enumeration",
     "weil_zeta_local",
-    "frobenius_matrices",
     "cm_curve_for",
     "cm_table_discriminants",
     "hecke_ap_cm",
@@ -82,14 +76,6 @@ class CurveQ(Frozen):
         object.__setattr__(self, "cm_discriminant", cm_discriminant)
         if discriminant(self) == 0:
             raise ValueError(f"curve y^2 = x^3 + {a4}x + {a6} is singular")
-
-
-class FrobeniusMatrices(NamedTuple):
-    """Degree-0/1/2 Frobenius actions: [1], the companion of T^2 - a_p T + p, [p]."""
-
-    h0: tuple[tuple[int, ...], ...]
-    h1: tuple[tuple[int, ...], ...]
-    h2: tuple[tuple[int, ...], ...]
 
 
 def discriminant(c: CurveQ) -> int:
@@ -127,19 +113,15 @@ def _require_good(c: CurveQ, p: int) -> None:
         raise BadReductionError(f"p = {p} is a prime of bad reduction for ({c.a4}, {c.a6})")
 
 
-def count_points_fp(c: CurveQ, p: int) -> int:
-    """|E(F_p)| including the point at infinity.
+def _point_count(c: CurveQ, p: int) -> int:
+    """|E(F_p)| including the point at infinity, at a p the caller knows is good.
 
     Up to `_BSGS_MIN_P`, by the root count 1 + sum over x of the number of
-    square roots of f(x) mod p, in pure integers; above it, by Shanks-Mestre
-    baby-step giant-step (`_bsgs_order`), whose cost grows as p^(1/4).
+    square roots of f(x) mod p, with a cached root table per prime; above it,
+    by Shanks-Mestre baby-step giant-step (`_bsgs_order`), a deterministic
+    walk of points on the curve and its quadratic twist whose cost grows as
+    p^(1/4).
     """
-    _require_good(c, p)
-    return _point_count(c, p)
-
-
-def _point_count(c: CurveQ, p: int) -> int:
-    # count_points_fp's body, at a p the caller knows is a good prime
     if p > _BSGS_MIN_P:
         return _bsgs_order(c.a4 % p, c.a6 % p, p)
     roots = _chi_table(p)
@@ -351,11 +333,9 @@ def count_points_fp2_enumeration(c: CurveQ, p: int) -> int:
         A0 + t A1 + (t^2 mod p) A2 + (-t^3 mod p),
 
     with the three scalars computed once per line, so every value lies in
-    [0, 2p^2) before one reduction mod p.  The blocks are int32 below
-    `_FP2_INT32_P`, which covers every p the CLI accepts, and int64 above
-    it, written into two buffers of about `_FP2_BLOCK` elements, so memory
-    stays O(p).  p at or above `_FP2_INT64_P` is refused with ValueError, as
-    an unreduced product could overflow int64 there.
+    [0, 2p^2) before one reduction mod p.  The blocks are int32, written
+    into two buffers of about `_FP2_BLOCK` elements, so memory stays O(p).
+    p at or above `_FP2_INT32_P` is refused with ValueError.
     """
     _require_good(c, p)
     return _fp2_count(c, p)
@@ -375,17 +355,12 @@ _FP2_NUMPY_MIN_P = 41
 # per-call overhead no longer dominates, small enough to stay in cache.
 _FP2_BLOCK = 1 << 15
 
-# Below this p the blocks are int32.  A block value A0 + t A1 + (t^2 mod p) A2
-# + (-t^3 mod p) has four terms in [0, p), [0, (p-1)^2], [0, (p-1)^2] and
-# [0, p), so it is at most 2(p-1)^2 + 2(p-1) = 2p(p-1), and 2p(p-1) < 2^31
-# for every p <= 2^15.
+# The enumeration refuses p at or above this bound, where its int32 blocks
+# could overflow.  A block value A0 + t A1 + (t^2 mod p) A2 + (-t^3 mod p)
+# has four terms in [0, p), [0, (p-1)^2], [0, (p-1)^2] and [0, p), so it is
+# at most 2(p-1)^2 + 2(p-1) = 2p(p-1), and 2p(p-1) < 2^31 for every
+# p <= 2^15, which covers every p the CLI accepts.
 _FP2_INT32_P = 1 << 15
-
-# The largest unreduced product of the enumeration is n z0^2 < p^3, with the
-# non-residue n < p, and p^3 < 2^63 for p < 2^21.  Enumerating such a p would
-# take about 4 * 10^12 steps, so p at or above the bound is refused rather
-# than reduced once more per step.
-_FP2_INT64_P = 1 << 21
 
 
 def _fp2_norm_coefficients(z0, a4: int, a6: int, p: int):
@@ -399,8 +374,8 @@ def _fp2_norm_coefficients(z0, a4: int, a6: int, p: int):
 
 def _fp2_count(c: CurveQ, p: int) -> int:
     # count_points_fp2_enumeration's body, at a p the caller knows is a good prime
-    if p >= _FP2_INT64_P:
-        raise ValueError(f"F_(p^2) enumeration needs p < 2^21 so that its products fit int64, got p = {p}")
+    if p >= _FP2_INT32_P:
+        raise ValueError(f"F_(p^2) enumeration needs p < 2^15 so that its blocks fit int32, got p = {p}")
     n = _smallest_nonresidue(p)
     a4, a6 = c.a4 % p, c.a6 % p
     if p <= _FP2_NUMPY_MIN_P:
@@ -411,17 +386,14 @@ def _fp2_count(c: CurveQ, p: int) -> int:
         return 1 + 2 * sum(lines) - lines[0]
 
     np = _import_numpy()
-    dtype = np.int32 if p < _FP2_INT32_P else np.int64
     z0 = np.arange(p, dtype=np.int64)
-    a0, a1, a2 = (a.astype(dtype) for a in _fp2_norm_coefficients(z0, a4, a6, p))
-    roots = np.zeros(p, dtype=np.int8)
-    roots[z0 * z0 % p] = 2
-    roots[0] = 1
+    a0, a1, a2 = (a.astype(np.int32) for a in _fp2_norm_coefficients(z0, a4, a6, p))
+    roots = np.frombuffer(_chi_table(p), dtype=np.int8)
     t = n * z0[: (p + 1) // 2] ** 2 % p
     t2 = t * t % p
-    lines = [s.astype(dtype)[:, None] for s in (t, t2, -t2 * t % p)]  # t, t^2, -t^3 mod p
+    lines = [s.astype(np.int32)[:, None] for s in (t, t2, -t2 * t % p)]  # t, t^2, -t^3 mod p
     rows = max(1, _FP2_BLOCK // p)
-    v, w = np.empty((rows, p), dtype), np.empty((rows, p), dtype)
+    v, w = np.empty((rows, p), np.int32), np.empty((rows, p), np.int32)
     total = 0
     for start in range(0, len(t), rows):
         tb, tb2, tb3 = (s[start:start + rows] for s in lines)
@@ -529,17 +501,6 @@ def weil_zeta_local(c: CurveQ, p: int) -> LocalZeta:
     return zeta
 
 
-def frobenius_matrices(c: CurveQ, p: int) -> FrobeniusMatrices:
-    """Companion-matrix Frobenius actions at a good prime.
-
-    h1 has trace a_p, so the Lefschetz sum 1 - tr(h1) + p is |E(F_p)| by
-    construction; the count behind a_p is the Hasse-checked one.
-    """
-    _require_good(c, p)
-    a_p = _good_ap(c, p)
-    return FrobeniusMatrices(h0=((1,),), h1=((0, -p), (1, a_p)), h2=((p,),))
-
-
 # -- CM curves and the norm-form route --------------------------------------------
 
 
@@ -642,12 +603,8 @@ def _norm_form_ap(D: int, p: int) -> int:
     if D == 1:
         if a % 2 == 0:
             a, b = b, a
-        # b is even, so exactly one sign of a satisfies the congruence
-        if (a + b) % 4 != 1:
-            a = -a
-        if (a + b) % 4 != 1:  # raised, not asserted: it must survive python -O
-            raise AssertionError(f"no sign of a = {a} gives a + b = 1 mod 4 at p = {p}")
-        return 2 * a
+        # a^2 + b^2 = p is odd, so b is even and exactly one sign of a gives 1 mod 4
+        return 2 * (a if (a + b) % 4 == 1 else -a)
     if D == 3:
         return 2 * (a if a % 3 == 1 else -a)
     u = 1 if a % 8 in (1, 3) else -1

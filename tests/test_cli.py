@@ -473,7 +473,7 @@ def test_single_prime_commands_never_open_the_cache(tmp_path, argv, cell, value)
     assert code == 0 and fresh.payload[cell] == value
     assert not absent.exists()
     p = int(argv[argv.index("--p") + 1])
-    a_p = p + 1 - elliptic.count_points_fp(elliptic.CurveQ(2, 3), p)
+    a_p = p + 1 - elliptic.count_points_extension(elliptic.CurveQ(2, 3), p, 1)
     edited = tmp_path / "edited.tsv"  # a wrong a_p inside the Hasse bound
     edited.write_text(f"a4\ta6\tp\tap\n2\t3\t{p}\t{a_p + 2}\n")
     bad = tmp_path / "bad.tsv"
@@ -934,7 +934,7 @@ def test_ap_near_a_billion_matches_the_norm_form(tmp_path):
 
 # the library entry points behind the limited inputs; none may run past a limit
 WORK = (
-    (elliptic, ("trace_of_frobenius", "count_points_fp", "_fp2_count")),
+    (elliptic, ("trace_of_frobenius", "count_points_extension", "_fp2_count")),
     (lfunction, ("zeta_partial", "local_factor_match", "proposition3_check")),
     (groupalg, ("cyclic_tower", "sl2_degree_profile", "assemble_restricted_product")),
     (bratteli, ("uhf_diagram",)),
@@ -1092,7 +1092,7 @@ def test_fp2_count_runs_at_the_largest_prime_within_the_limit(tmp_path):
     p = max(sieve(cli._LIMITS["F_(p^2) enumeration"][1]))
     result, code, _ = invoke("count", "--D", "1", "--p", str(p), "--r", "2", "--cache", str(tmp_path / "c.tsv"))
     assert code == 0
-    a = p + 1 - elliptic.count_points_fp(elliptic.cm_curve_for(1), p)
+    a = p + 1 - elliptic.count_points_extension(elliptic.cm_curve_for(1), p, 1)
     assert result.payload["count"] == p * p + 1 - (a * a - 2 * p)
 
 

@@ -22,10 +22,8 @@ from kzero.elliptic import (
     cm_table_discriminants,
     cornacchia,
     count_points_extension,
-    count_points_fp,
     count_points_fp2_enumeration,
     discriminant,
-    frobenius_matrices,
     good_primes,
     hecke_ap_cm,
     tonelli,
@@ -61,19 +59,19 @@ def test_good_primes():
 
 def test_bad_prime_raises_on_count():
     with pytest.raises(BadReductionError):
-        count_points_fp(CURVE_D1, 2)
+        count_points_extension(CURVE_D1, 2, 1)
     with pytest.raises(ValueError):
-        count_points_fp(CURVE_D1, 15)
+        count_points_extension(CURVE_D1, 15, 1)
 
 
 # -- point counts -----------------------------------------------------------------
 
 
 def test_counts_golden():
-    assert count_points_fp(CURVE_D1, 3) == 4
-    assert count_points_fp(CURVE_D1, 5) == 8
-    assert count_points_fp(CURVE_D1, 7) == 8
-    assert count_points_fp(CURVE_D1, 13) == 8
+    assert count_points_extension(CURVE_D1, 3, 1) == 4
+    assert count_points_extension(CURVE_D1, 5, 1) == 8
+    assert count_points_extension(CURVE_D1, 7, 1) == 8
+    assert count_points_extension(CURVE_D1, 13, 1) == 8
 
 
 def test_counts_match_naive_loop():
@@ -88,7 +86,7 @@ def test_counts_match_naive_loop():
 
     for c in (CURVE_D1, cm_curve_for(2), cm_curve_for(3), CurveQ(2, 3)):
         for p in good_primes(c, 17):
-            assert count_points_fp(c, p) == naive(c, p)
+            assert count_points_extension(c, p, 1) == naive(c, p)
 
 
 def test_trace_golden():
@@ -172,23 +170,27 @@ def test_local_zeta_str_negative_trace():
     assert "1-6t+13t^2" in str(z)
 
 
-def test_frobenius_matrices():
-    m = frobenius_matrices(CURVE_D1, 5)
-    assert m.h0 == ((1,),)
-    assert m.h2 == ((5,),)
-    assert m.h1 == ((0, -5), (1, -2))
-    # trace of h1 equals a_p
-    assert m.h1[0][0] + m.h1[1][1] == -2
-    # det of h1 equals p
-    assert m.h1[0][0] * m.h1[1][1] - m.h1[0][1] * m.h1[1][0] == 5
-
-
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23))
 def test_lefschetz_fixed_points(p):
-    # |E(F_p)| = 1 - tr(h1) + p for every good prime
-    m = frobenius_matrices(CURVE_D1, p)
-    tr = m.h1[0][0] + m.h1[1][1]
-    assert count_points_fp(CURVE_D1, p) == 1 - tr + p
+    # |E(F_{p^r})| = 1 - tr(Frob^r | H^1) + p^r, with H^1's eigenvalues the roots
+    # of T^2 - a_p T + p read off the zeta numerator; counted here by brute force
+    # over F_p and over F_{p^2} = F_p[u]/(u^2 - n), apart from kzero's counts
+    _, minus_a, det = weil_zeta_local(CURVE_D1, p).numerator
+    traces = {1: -minus_a, 2: minus_a * minus_a - 2 * det}
+    n = min(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
+
+    def mul(x, y):
+        return ((x[0] * y[0] + n * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+    for r, field in ((1, [(x, 0) for x in range(p)]), (2, list(itertools.product(range(p), repeat=2)))):
+        roots = {}
+        for y in field:
+            roots[mul(y, y)] = roots.get(mul(y, y), 0) + 1
+        points = 1
+        for x in field:
+            x3 = mul(mul(x, x), x)
+            points += roots.get(((x3[0] - x[0]) % p, (x3[1] - x[1]) % p), 0)  # y^2 = x^3 - x
+        assert points == 1 - traces[r] + p ** r == count_points_extension(CURVE_D1, p, r)
 
 
 # -- CM table and the norm-form route ----------------------------------------------
@@ -275,12 +277,27 @@ def test_hecke_agrees_with_point_counts(d):
         assert hecke_ap_cm(d, p) == trace_of_frobenius(c, p), f"D={d} p={p}"
 
 
+def test_d1_sign_rule_ignores_the_order_and_signs_of_the_cornacchia_pair(monkeypatch):
+    # the D = 1 rule swaps the odd part to the front and fixes its sign by
+    # a + b = 1 mod 4, so any order and signs of the pair give the same a_p
+    split = [p for p in good_primes(CURVE_D1, 300) if p % 4 == 1]
+    expected = {p: trace_of_frobenius(CURVE_D1, p) for p in split}
+    real = elliptic.cornacchia
+    for swap, sa, sb in itertools.product((False, True), (1, -1), (1, -1)):
+        def variant(d, p, swap=swap, sa=sa, sb=sb):
+            a, b = real(d, p)
+            return (sb * b, sa * a) if swap else (sa * a, sb * b)
+
+        monkeypatch.setattr(elliptic, "cornacchia", variant)
+        assert {p: hecke_ap_cm(1, p) for p in split} == expected, (swap, sa, sb)
+
+
 @pytest.mark.parametrize("d, p", ((2, 11), (3, 7)))
 def test_hecke_route_counts_no_points(monkeypatch, d, p):
     # the norm-form route must not consult the point count it is compared with
     expected = trace_of_frobenius(cm_curve_for(d), p)
     calls = []
-    for name in ("trace_of_frobenius", "count_points_fp"):
+    for name in ("trace_of_frobenius", "count_points_extension", "_point_count"):
         fn = getattr(elliptic, name)
         monkeypatch.setattr(elliptic, name, lambda *a, fn=fn: calls.append(fn.__name__) or fn(*a))
     assert hecke_ap_cm(d, p) == expected
@@ -332,7 +349,7 @@ def _character_sum(c, p):
 def test_bsgs_agrees_with_the_character_sum_up_to_20000():
     cases = [(c, p) for c in ROUTE_CURVES for p in good_primes(c, 20000) if p > elliptic._BSGS_MIN_P]
     before = _chi_table.cache_info().misses
-    bsgs = [count_points_fp(c, p) for c, p in cases]
+    bsgs = [count_points_extension(c, p, 1) for c, p in cases]
     assert _chi_table.cache_info().misses == before  # none of them took the root count
     wrong = [(c.a4, c.a6, p) for (c, p), n in zip(cases, bsgs) if _character_sum(c, p) != n]
     assert wrong == []
@@ -341,13 +358,13 @@ def test_bsgs_agrees_with_the_character_sum_up_to_20000():
 def test_root_count_agrees_with_the_character_sum_up_to_229():
     assert elliptic._BSGS_MIN_P == 229  # Mestre's bound: baby-step giant-step above it
     cases = [(c, p) for c in ROUTE_CURVES for p in good_primes(c, 229)]
-    wrong = [(c.a4, c.a6, p) for c, p in cases if count_points_fp(c, p) != _character_sum(c, p)]
+    wrong = [(c.a4, c.a6, p) for c, p in cases if count_points_extension(c, p, 1) != _character_sum(c, p)]
     assert wrong == []
 
 
 def test_count_above_the_crossover_builds_no_character_table():
     before = _chi_table.cache_info().misses
-    assert count_points_fp(CURVE_D1, 10007) == 10007 + 1 - trace_of_frobenius(CURVE_D1, 10007)
+    assert count_points_extension(CURVE_D1, 10007, 1) == 10007 + 1 - trace_of_frobenius(CURVE_D1, 10007)
     assert _chi_table.cache_info().misses == before
 
 
@@ -358,7 +375,7 @@ def test_bsgs_shares_no_helper_with_the_norm_form_route(monkeypatch):
         monkeypatch.setattr(elliptic, name, lambda *a, fn=fn: calls.append(fn.__name__) or fn(*a))
     for c in ROUTE_CURVES:
         for p in (1009, 10009, 1000033):  # 1000033 = 1 mod 8: Tonelli would walk its tower
-            count_points_fp(c, p)
+            count_points_extension(c, p, 1)
     assert calls == []
     elliptic.hecke_ap_cm(1, 1000033)  # the wrappers do see the norm-form route's calls
     assert calls == ["hecke_ap_cm", "cornacchia", "tonelli", "_smallest_nonresidue"]
@@ -419,7 +436,7 @@ def test_bsgs_orders_annihilate_points_on_the_curve_and_its_twist(e):
     for c in KERNEL_CURVES:
         primes = [p for p in itertools.islice(itertools.count(10 ** e), 2000) if is_prime(p)]
         for p in [p for p in primes if discriminant(c) % p][:3]:
-            a_p = p + 1 - count_points_fp(c, p)
+            a_p = p + 1 - count_points_extension(c, p, 1)
             assert a_p * a_p <= 4 * p
             n = next(n for n in itertools.count(2) if pow(n, (p - 1) // 2, p) == p - 1)
             A, B = c.a4 % p, c.a6 % p
@@ -440,7 +457,7 @@ def test_bsgs_agrees_with_the_character_sum_on_random_curves(a4, a6, p):
     assume(4 * a4 ** 3 + 27 * a6 ** 2 != 0)
     c = CurveQ(a4, a6)
     assume(discriminant(c) % p != 0)
-    assert count_points_fp(c, p) == _character_sum(c, p)
+    assert count_points_extension(c, p, 1) == _character_sum(c, p)
 
 
 def test_bsgs_scalar_multiple_agrees_with_the_textbook_law():
@@ -521,7 +538,7 @@ def test_fp2_oracle_agrees_with_the_meshgrid_reference():
         assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p), (c, p)
 
 
-def test_fp2_blocks_agree_with_the_meshgrid_reference_in_both_dtypes(monkeypatch):
+def test_fp2_blocks_are_int32_and_agree_with_the_meshgrid_reference(monkeypatch):
     import numpy as np
 
     class BlockSpy:
@@ -535,14 +552,11 @@ def test_fp2_blocks_agree_with_the_meshgrid_reference_in_both_dtypes(monkeypatch
             return np.empty(shape, dtype)
 
     monkeypatch.setattr(elliptic, "_import_numpy", BlockSpy)
-    # 0 forces int64 at every p; the default keeps int32 at these p
-    for int32_p, dtype in ((elliptic._FP2_INT32_P, "int32"), (0, "int64")):
-        monkeypatch.setattr(elliptic, "_FP2_INT32_P", int32_p)
-        seen = set()
-        for c, p in _fp2_oracle_cases():
-            if p > elliptic._FP2_NUMPY_MIN_P:
-                assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p), (c, p, dtype)
-        assert seen == {dtype}
+    seen = set()
+    for c, p in _fp2_oracle_cases():
+        if p > elliptic._FP2_NUMPY_MIN_P:
+            assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p), (c, p)
+    assert seen == {"int32"}
 
 
 @given(
@@ -568,27 +582,25 @@ def test_fp2_line_sums_agree_on_both_sides_of_the_numpy_switch(monkeypatch, nump
                 assert count_points_fp2_enumeration(c, p) == _fp2_meshgrid(c, p), (c, p)
 
 
-def test_fp2_int64_bound_covers_the_unreduced_cubic():
+def test_fp2_int32_bound_covers_the_block_values():
     # A0, A1, A2, t, t^2 mod p and -t^3 mod p lie in [0, p), so a block value
     # A0 + t A1 + (t^2 mod p) A2 + (-t^3 mod p) lies in [0, 2(p-1)^2 + 2(p-1)];
-    # the largest p below each switch must fit that dtype, and the largest
-    # unreduced product n z0^2 < p^3 must fit int64
+    # the largest p the enumeration accepts must fit int32
     def top(p):
         return 2 * (p - 1) ** 2 + 2 * (p - 1)
 
-    p32 = elliptic._FP2_INT32_P - 1  # the largest p whose blocks are int32
-    p64 = elliptic._FP2_INT64_P - 1  # the largest p the enumeration accepts
-    assert top(p32) <= 2 ** 31 - 1 and top(p64) <= 2 ** 63 - 1 and p64 ** 3 <= 2 ** 63 - 1
-    assert top(elliptic._FP2_INT32_P + 1) > 2 ** 31 - 1  # the int32 switch is tight
-    assert p32 >= cli._LIMITS["F_(p^2) enumeration"][1]  # every p the CLI accepts is int32
+    p32 = elliptic._FP2_INT32_P - 1  # the largest p the enumeration accepts
+    assert top(p32) <= 2 ** 31 - 1
+    assert top(elliptic._FP2_INT32_P + 1) > 2 ** 31 - 1  # the int32 bound is tight
+    assert p32 >= cli._LIMITS["F_(p^2) enumeration"][1]  # every p the CLI accepts is enumerated
 
 
-def test_fp2_enumeration_refuses_p_past_the_int64_bound_before_any_work(monkeypatch):
-    p = next(q for q in range(elliptic._FP2_INT64_P, 2 * elliptic._FP2_INT64_P) if is_prime(q))
+def test_fp2_enumeration_refuses_p_past_the_int32_bound_before_any_work(monkeypatch):
+    p = next(q for q in range(elliptic._FP2_INT32_P, 2 * elliptic._FP2_INT32_P) if is_prime(q))
     monkeypatch.setattr(elliptic, "_smallest_nonresidue", lambda p: pytest.fail("enumeration started"))
-    with pytest.raises(ValueError, match="2\\^21"):
+    with pytest.raises(ValueError, match="2\\^15"):
         count_points_fp2_enumeration(CURVE_D1, p)
-    with pytest.raises(ValueError, match="2\\^21"):
+    with pytest.raises(ValueError, match="2\\^15"):
         count_points_extension(CURVE_D1, p, 2)
 
 
