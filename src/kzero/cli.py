@@ -21,8 +21,8 @@ The single-prime commands (ap, count, zeta-local) count afresh and never
 open the cache.  A failed invariant exits 1 and names, on stderr, the
 file:line that raised it.
 
-The command table `_COMMANDS` names each flag's `_LIMITS` row and the modes that read
-it; from it one pass refuses an unread flag, two modes or none, and a value past its row.
+The command table `_COMMANDS` names each flag's `_LIMITS` row, least value and the modes that
+read it; from it one pass refuses an unread flag, two modes or none, and a value out of range.
 """
 
 from __future__ import annotations
@@ -131,9 +131,9 @@ def _rows(payload: dict, *columns: str, **cells: object) -> list[tuple]:
 
 
 def _check_limit(what: str, value: int, exp: int = 1) -> None:
-    """Refuse value^exp past the limit of `what`, without computing a larger power."""
+    """Refuse value^exp (exp >= 1) past the limit of `what`, without computing a larger power."""
     name, limit = _LIMITS[what]
-    if exp >= 1 and ((abs(value) > 1 and exp > limit.bit_length()) or value ** exp > limit):
+    if (abs(value) > 1 and exp > limit.bit_length()) or value ** exp > limit:
         shown = value if exp == 1 else f"{value}^{exp}"
         raise ValueError(f"{name} = {shown} is above the {what} limit {name} <= {limit}")
 
@@ -166,9 +166,10 @@ def _curve(args: argparse.Namespace) -> elliptic.CurveQ:
 
 
 def _refuse(args: argparse.Namespace) -> None:
-    """Refuse a flag that no selected mode reads, two modes, no mode, and a value past one
-    of its `_LIMITS` rows, in that order.  --which chooses a mode by its value; any other
-    mode is selected by one of its flags and needs all of them, as "--a4/--a6" does."""
+    """Refuse a flag that no selected mode reads, two modes, no mode, and a value below its
+    least or past one of its `_LIMITS` rows, in that order.  --which chooses a mode by its
+    value; any other mode is selected by one of its flags and needs all of them, as
+    "--a4/--a6" does."""
     flags = _COMMANDS[args.command][2]
     value = {flag: getattr(args, flag[2:].replace("-", "_")) for flag, *_ in flags}
     given = {flag for flag in value if value[flag] is not None}
@@ -186,9 +187,11 @@ def _refuse(args: argparse.Namespace) -> None:
     if modes and not (picked and given >= {*picked[0].split("/")}):
         either = "--D for a table curve or both --a4 and --a6" if curve else " or ".join(modes)
         raise ValueError(f"{chosen[0]} needs {modes[0]}" if len(modes) == 1 else f"give either {either}")
-    for flag, _, _, _, *default in flags:  # the default of a flag that only some modes read
-        if default and flag not in given:
-            setattr(args, flag[2:], *default)
+    for flag, _, _, _, *tail in flags:  # tail: [least value[, default in the modes that read it]]
+        if flag in given and tail and value[flag] < tail[0]:
+            raise ValueError(f"{flag[2:]} must be >= {tail[0]}")
+        if tail[1:] and flag not in given:
+            setattr(args, flag[2:], tail[1])
     for flag, _, rows, *_ in flags:
         if flag in given:
             for row in rows(args) if callable(rows) else rows:  # a p^depth row takes --depth as exponent
@@ -321,13 +324,12 @@ def _cmd_lfun(args, box):
     if args.which == "zeta":
         approx = lfunction.zeta_partial(args.s, args.bound)
     else:
-        curve = _curve(args)  # auto reads it at every order, so a D outside the table is refused
-        if args.which == "motivic" or args.i == 1:  # auto's i = 0 and 2 are zeta products, from 2
-            _check_bound_reaches(args.bound, curve)
+        curve = _curve(args)
+        _check_bound_reaches(args.bound, curve)
         if args.which == "motivic":
             approx = lfunction.motivic_l1_partial(curve, args.s, args.bound, box.get())
         else:
-            approx = lfunction.automorphic_l_partial(args.D, args.i, args.s, args.bound)
+            approx = lfunction.automorphic_l_partial(args.D, args.s, args.bound)
     payload = {
         "which": args.which,
         "s": [args.s.real, args.s.imag],
@@ -339,8 +341,6 @@ def _cmd_lfun(args, box):
     params = {"which": args.which, **s_params, "bound": args.bound}
     if args.which != "zeta":  # a motivic curve is named by D or by its coefficients
         params.update({"D": args.D} if args.D is not None else {"a4": curve.a4, "a6": curve.a6})
-    if args.which == "auto":
-        params["i"] = args.i
     rows = _rows(
         payload, "which", "s", "bound", "value_re", "value_im", "factors",
         s=s_cell, factors=payload["factor_count"],
@@ -432,9 +432,10 @@ _BOUND = ("--bound", _NEEDED, ("prime sieve",), ())
 _S = ("--s", {"type": _parse_s, "required": True}, (), ())
 _CURVE = (("--a4", _INT, (), ("--a4/--a6",)), ("--a6", _INT, (), ("--a4/--a6",)), ("--D", _INT, (), ("--D",)))
 # Each subcommand once, in the order of `kzero --help`: handler, help line, and its flags
-# as (flag, argparse keywords, `_LIMITS` rows, modes[, default]): the rows its value falls
-# under (or a function of the parsed flags giving them), the modes that read it (none: all),
-# and its default in those modes.  Every subcommand also takes --format and --cache.
+# as (flag, argparse keywords, `_LIMITS` rows, modes[, least[, default]]): the rows its value
+# falls under (or a function of the parsed flags giving them), the modes that read it (none:
+# all), the least value it takes, and its default in those modes.  Every subcommand also
+# takes --format and --cache.
 _COMMANDS = {
     "contfrac": (_cmd_contfrac, "continued fraction of omega", (_FIELD,)),
     "unit": (_cmd_unit, "fundamental unit and stability check", (_FIELD,)),
@@ -442,10 +443,10 @@ _COMMANDS = {
     "dimgroup": (_cmd_dimgroup, "stationary or UHF dimension group", (
         ("--D", _INT, ("quadratic field",), ("--D",)),
         ("--uhf-p", _INT, ("UHF chain", "UHF prime"), ("--uhf-p",)),
-        ("--depth", _INT, (), ("--uhf-p",), 3))),
+        ("--depth", _INT, (), ("--uhf-p",), 1, 3))),
     "tower": (_cmd_tower, "cyclic profinite tower with column-sum-p connecting maps", (
-        ("--p", _NEEDED, ("tower",), ()), ("--depth", {"type": int, "default": 4}, (), ()))),
-    "sl2": (_cmd_sl2, "irreducible degree profile of SL2(F_p)", (("--p", _NEEDED, ("SL2 degree list",), ()),)),
+        ("--p", _NEEDED, ("tower",), ()), ("--depth", {"type": int, "default": 4}, (), (), 1))),
+    "sl2": (_cmd_sl2, "irreducible degree profile of SL2(F_p)", (("--p", _NEEDED, ("SL2 degree list",), (), 3),)),
     "count": (_cmd_count, "point count over F_p or a small extension", (
         *_CURVE, ("--p", _NEEDED, lambda args: ("F_(p^2) enumeration" if args.r == 2 else "point count",), ()),
         ("--r", {"type": int, "default": 1, "choices": (1, 2, 3)}, (), ()))),
@@ -457,15 +458,14 @@ _COMMANDS = {
         ("--which", {"choices": ("zeta", "motivic", "auto"), "required": True}, (), ()), _S, _BOUND,
         ("--D", _INT, (), ("--which motivic", "--which auto", "--D")),
         ("--a4", _INT, (), ("--which motivic", "--a4/--a6")),
-        ("--a6", _INT, (), ("--which motivic", "--a4/--a6")),
-        ("--i", {"type": int, "choices": (0, 1, 2)}, (), ("--which auto",), 1))),
+        ("--a6", _INT, (), ("--which motivic", "--a4/--a6")))),
     "match": (_cmd_match, "per-prime motivic vs automorphic traces", (("--D", _NEEDED, (), ()), _BOUND)),
     "prop3": (_cmd_prop3, "factorization residual of the assembled products", (
         ("--D", _NEEDED, (), ()), _S, _BOUND, ("--tol", {"type": _parse_tol, "default": 1e-10}, (), ()))),
     "coherence": (_cmd_coherence, "ordered K0 and unit checks for one D", (_FIELD,)),
     "adelic": (_cmd_adelic, "restricted-product descriptor records", (
         ("--ramified", {"default": ""}, (), ()), ("--bound", _NEEDED, (), ()),
-        ("--depth", {"type": int, "default": 2}, (), ()),
+        ("--depth", {"type": int, "default": 2}, (), (), 1),
         ("--D", {"type": int, "default": 5}, ("quadratic field",), ()))),
 }
 _COMMON = (

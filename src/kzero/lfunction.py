@@ -5,10 +5,11 @@ assembly of complex local factor values, folded over ascending primes in a
 fixed order so every value is reproducible bit for bit; `_fold` refuses
 factors that are not in ascending prime order.
 
-Three product families are exposed: the Riemann zeta partial product, the
-degree-1 motivic product of a curve with a_p from point counting, and the
-automorphic products with a_p from the norm-form route.  The two a_p
-sources never share code, which is what gives `local_factor_match` and
+Three products are exposed: the Riemann zeta partial product, which gives
+the corollary's factors zeta(s) and zeta(s - 1); the degree-1 motivic product
+of a curve with a_p from point counting; and the degree-2 automorphic product
+(the curve's Hecke L-function) with a_p from the norm-form route.  The two
+a_p sources never share code, which is what gives `local_factor_match` and
 `proposition3_check` their content: the first compares the local data prime
 by prime, the second assembles both sides into the ratio
 L1 / (zeta(s) zeta(s-1)) and measures how far the two assemblies drift
@@ -101,24 +102,16 @@ def motivic_l1_partial(
     return EulerProductApprox(z, P, factors, _fold(factors, z))
 
 
-def automorphic_l_partial(D: int, i: int, s: ComplexLike, P: int) -> EulerProductApprox:
-    """Automorphic standard L partial product for i in {0, 1, 2}.
+def automorphic_l_partial(D: int, s: ComplexLike, P: int) -> EulerProductApprox:
+    """Degree-2 automorphic product over good p <= P, valid for Re s > 3/2.
 
-    i = 0 is the zeta product at s, i = 2 the zeta product at s - 1, and
-    i = 1 the degree-2 product over good primes with a_p from the norm-form
-    route (no point counting anywhere on this path).
+    Local factor (1 - a_p p^{-s} + p^{1-2s})^{-1} with a_p from the norm-form
+    route (no point counting anywhere on this path).  The zeta factors of the
+    corollary are `zeta_partial` at s and at s - 1.
     """
     z = complex(s)
-    if i == 0:
-        return zeta_partial(z, P)
-    if i == 2:
-        if not z.real > 2:
-            raise ConvergenceDomainError(f"i=2 needs Re s > 2, got {z.real}")
-        return zeta_partial(z - 1, P)
-    if i != 1:
-        raise ValueError("i must be 0, 1, or 2")
     if not z.real > 1.5:
-        raise ConvergenceDomainError(f"i=1 needs Re s > 3/2, got {z.real}")
+        raise ConvergenceDomainError(f"the automorphic product needs Re s > 3/2, got {z.real}")
     curve = cm_curve_for(D)
     factors = []
     for p in good_primes(curve, P):
@@ -184,9 +177,9 @@ def proposition3_check(
     if not z.real > 2:
         raise ConvergenceDomainError(f"the factorization check needs Re s > 2, got {z.real}")
     curve = cm_curve_for(D)
-    # zeta(s) and zeta(s-1) are the automorphic products for i = 0 and i = 2,
-    # so each is built once and serves both sides
+    # zeta(s) and zeta(s-1) are the corollary's two zeta factors; each is built
+    # once and serves both sides
     zetas = zeta_partial(z, P).value * zeta_partial(z - 1, P).value
     motivic = motivic_l1_partial(curve, z, P, cache).value / zetas
-    automorphic = automorphic_l_partial(D, 1, z, P).value / zetas
+    automorphic = automorphic_l_partial(D, z, P).value / zetas
     return abs(motivic / automorphic - 1)

@@ -1,5 +1,6 @@
-"""Run refused argvs as `python -O -m kzero` children: one past each `_LIMITS` row and one
-flag that each mode does not read, all built from `cli._COMMANDS` by `test_refusals`.
+"""Run refused argvs as `python -O -m kzero` children: one past each `_LIMITS` row, one below
+each flag's least value and one flag that each mode does not read, all built from
+`cli._COMMANDS` by `test_refusals`.
 
 Each child must exit 2, end its stdout with `# status error`, and print no traceback.
 Run from the repository root:
@@ -13,23 +14,24 @@ import sys
 import tempfile
 from pathlib import Path
 
-from test_refusals import DERIVED, row_cases, unread_cases
+from test_refusals import DERIVED, least_cases, row_cases, unread_cases
 
 import kzero
 from kzero import cli
 
 
 def cases() -> list[tuple[str, ...]]:
-    """The first argv past each row, then the first unread flag of each mode."""
+    """The first argv past each row, then below each least value, then the first unread flag of
+    each mode."""
     past = {}
     for argv, _, row, _ in row_cases():
         past.setdefault(row, argv)
-    past.update(DERIVED)
+    past.update((row, argv) for row, (argv, _) in DERIVED.items())
     assert set(past) == set(cli._LIMITS), set(cli._LIMITS) - set(past)
     unread = {}
     for argv, mode in unread_cases():
         unread.setdefault((argv[0], mode), argv)
-    return [*past.values(), *unread.values()]
+    return [*past.values(), *(argv for argv, _, _ in least_cases()), *unread.values()]
 
 
 def main() -> int:

@@ -270,7 +270,7 @@ FLAGS = {
     "count": (*CURVE, "--r"),
     "ap": CURVE,
     "zeta-local": CURVE,
-    "lfun": ("--which", "--s", "--bound", "--D", "--a4", "--a6", "--i"),
+    "lfun": ("--which", "--s", "--bound", "--D", "--a4", "--a6"),
     "match": ("--D", "--bound"),
     "prop3": ("--D", "--s", "--bound", "--tol"),
     "coherence": ("--D",),
@@ -358,6 +358,8 @@ def test_an_unknown_subcommand_is_an_invalid_choice_naming_every_subcommand(caps
     ("ap", "--D", "1", "--p", "5", "--which", "zeta"),
     *((command, *SMALL[command], "--ramified", "3") for command in SUBCOMMANDS if command != "adelic"),
     ("tower", *SMALL["tower"], "--which", "zeta"),
+    # no subcommand has an order flag: lfun --which zeta gives the zeta factors at s and s - 1
+    ("lfun", "--which", "auto", "--D", "1", "--i", "1", "--s", "3", "--bound", "30"),
 ))
 def test_a_flag_of_another_subcommand_is_unrecognized(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -716,6 +718,22 @@ def test_lfun_motivic_names_a_curve_given_by_its_coefficients(tmp_path):
         assert parameters("json", a4, a6) == named
 
 
+@pytest.mark.parametrize("s", ("3", "2.5,7"))
+@pytest.mark.parametrize("D", ("1", "2", "3"))
+def test_lfun_auto_and_motivic_print_the_same_product(tmp_path, D, s):
+    # the norm-form product is the point-count product, factor for factor
+    printed = {}
+    for which in ("auto", "motivic"):
+        argv = ("lfun", "--which", which, "--D", D, "--s", s, "--bound", "200")
+        _, code, out = invoke(*argv, "--cache", str(tmp_path / "c.tsv"))
+        assert code == 0
+        header, row = (line.split("\t") for line in out.splitlines()[2:4])
+        printed[which] = dict(zip(header, row))
+        assert printed[which].pop("which") == which
+    assert printed["auto"] == printed["motivic"]
+    assert int(printed["auto"]["factors"]) > 40
+
+
 def test_dimgroup_refuses_a_field_and_a_uhf_prime_together(tmp_path, capsys, monkeypatch):
     argv = ("dimgroup", "--D", "5", "--uhf-p", "3", "--depth", "2")
     err = _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
@@ -730,12 +748,6 @@ def test_dimgroup_refuses_a_field_and_a_uhf_prime_together(tmp_path, capsys, mon
     ("auto", ("--D", "1", "--a4", "5"), "--a4"),
     ("auto", ("--D", "1", "--a6", "7"), "--a6"),
     ("auto", ("--D", "1", "--a4", "5", "--a6", "7"), "--a4/--a6"),
-    # --i, the order, belongs to auto alone; given, even at its default 1, it is refused
-    ("zeta", ("--i", "2"), "--i"),
-    ("zeta", ("--i", "1"), "--i"),
-    ("zeta", ("--D", "2", "--i", "0"), "--D/--i"),
-    ("motivic", ("--D", "1", "--i", "0"), "--i"),
-    ("motivic", ("--a4", "-1", "--a6", "0", "--i", "1"), "--i"),
 ))
 def test_lfun_refuses_a_curve_flag_it_does_not_use(tmp_path, capsys, monkeypatch, which, given, named):
     argv = ("lfun", "--which", which, *given, "--s", "3", "--bound", "50")
@@ -743,9 +755,8 @@ def test_lfun_refuses_a_curve_flag_it_does_not_use(tmp_path, capsys, monkeypatch
     assert err == f"kzero lfun: --which {which} does not use {named}\n"
 
 
-@pytest.mark.parametrize("given", (("--D", "7", "--i", "0"), ("--D", "-5", "--i", "2")))
-def test_lfun_auto_refuses_a_d_outside_the_table_at_every_order(tmp_path, capsys, monkeypatch, given):
-    # i = 0 and 2 are zeta products, but --D still names the curve of the corollary
+@pytest.mark.parametrize("given", (("--D", "7"), ("--D", "-5")))
+def test_lfun_auto_refuses_a_d_outside_the_table(tmp_path, capsys, monkeypatch, given):
     argv = ("lfun", "--which", "auto", *given, "--s", "3", "--bound", "10")
     err = _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
     assert err.startswith(f"kzero lfun: unsupported discriminant {given[1]};")
@@ -964,8 +975,7 @@ def _refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
     (("match", "--D", "1", "--bound"), "prime sieve", 10 ** 6),
     (("prop3", "--D", "1", "--s", "3", "--bound"), "prime sieve", 10 ** 6),
     (("tower", "--depth", "1", "--p"), "tower", 10 ** 6),
-    (("adelic", "--depth", "0", "--bound"), "restricted product", 10 ** 6),
-    pytest.param(("dimgroup", "--depth", "1", "--uhf-p"), "UHF chain", 10 ** 100, id="argv9-UHF chain-10^100"),
+    pytest.param(("dimgroup", "--depth", "1", "--uhf-p"), "UHF chain", 10 ** 100, id="UHF chain-10^100"),
     (("sl2", "--p"), "SL2 degree list", 10 ** 6),
     (("dimgroup", "--depth", "1", "--uhf-p"), "UHF prime", 10 ** 18),
     (("adelic", "--bound", "7", "--ramified"), "ramified prime", 10 ** 18),
@@ -1002,6 +1012,9 @@ def test_p_above_its_limit_is_refused_before_any_work(tmp_path, capsys, monkeypa
      "|Im s| = 1e+308 is above the Euler factor phase limit |Im s| <= 100000"),
     (("prop3", "--D", "1", "--s", "3,1e308", "--bound", "10"),
      "|Im s| = 1e+308 is above the Euler factor phase limit |Im s| <= 100000"),
+    # depth 1, the least: 1001 is the first bound past the limit, and 1000 is at it (test_refusals.DERIVED)
+    (("adelic", "--bound", "1001", "--depth", "1"),
+     "bound^(depth+1) = 1001^2 is above the restricted product limit bound^(depth+1) <= 1000000"),
 ))
 def test_a_power_above_its_limit_is_refused_unevaluated(tmp_path, capsys, monkeypatch, argv, message):
     assert message in _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)

@@ -44,7 +44,7 @@ def test_sieved_factors_equal_checked_ones():
     curve = cm_curve_for(1)
     checked = tuple((p, (1, -trace_of_frobenius(curve, p), p)) for p in good_primes(curve, 100))
     assert motivic_l1_partial(curve, 3, 100).factors == checked
-    assert automorphic_l_partial(1, 1, 3, 100).factors == checked
+    assert automorphic_l_partial(1, 3, 100).factors == checked
 
 
 def test_local_polynomial_value():
@@ -80,10 +80,9 @@ def test_zeta_partial_domain():
 @pytest.mark.parametrize("product", (
     lambda s: zeta_partial(s, 10),
     lambda s: motivic_l1_partial(CURVE_D1, s, 10),
-    lambda s: automorphic_l_partial(1, 1, s, 10),
-    lambda s: automorphic_l_partial(1, 2, s, 10),
+    lambda s: automorphic_l_partial(1, s, 10),
     lambda s: proposition3_check(1, s, 10),
-), ids=("zeta", "motivic", "auto-1", "auto-2", "prop3"))
+), ids=("zeta", "motivic", "auto", "prop3"))
 def test_nan_s_is_outside_every_domain(product):
     with pytest.raises(ConvergenceDomainError):
         product(float("nan"))
@@ -127,30 +126,20 @@ def test_motivic_uses_cache(tmp_path):
 # -- automorphic products -------------------------------------------------------------
 
 
-def test_automorphic_components():
-    s = 3.0
-    assert automorphic_l_partial(1, 0, s, 100).value == zeta_partial(s, 100).value
-    assert automorphic_l_partial(1, 2, s, 100).value == zeta_partial(s - 1, 100).value
-
-
 def test_automorphic_matches_motivic_for_table_curves():
     for d in (1, 2, 3):
         c = cm_curve_for(d)
         mot = motivic_l1_partial(c, 3.0, 150)
-        aut = automorphic_l_partial(d, 1, 3.0, 150)
+        aut = automorphic_l_partial(d, 3.0, 150)
         assert mot.value == aut.value
         assert [p for p, _ in mot.factors] == [p for p, _ in aut.factors]
 
 
 def test_automorphic_domain_and_validation():
     with pytest.raises(ConvergenceDomainError):
-        automorphic_l_partial(1, 1, 1.5, 10)
-    with pytest.raises(ConvergenceDomainError):
-        automorphic_l_partial(1, 2, 2.0, 10)
+        automorphic_l_partial(1, 1.5, 10)
     with pytest.raises(ValueError):
-        automorphic_l_partial(1, 3, 3.0, 10)
-    with pytest.raises(ValueError):
-        automorphic_l_partial(7, 1, 3.0, 10)  # not a table discriminant
+        automorphic_l_partial(7, 3.0, 10)  # not a table discriminant
 
 
 # -- the prime-by-prime comparison ----------------------------------------------------

@@ -1,5 +1,6 @@
-"""Refusals generated from the command table: every `_LIMITS` row a flag falls under, and
-every flag that a mode does not read, checked for each subcommand in `cli._COMMANDS`.
+"""Refusals generated from the command table: every `_LIMITS` row a flag falls under, every
+flag's least value, and every flag that a mode does not read, checked for each subcommand in
+`cli._COMMANDS`.
 
 Each case runs in-process through `cli.run` and must exit 2 before any library work.
 `refusal_children.py` runs a subset of the same cases as `python -O` children.
@@ -36,13 +37,18 @@ BASE = {
     "adelic": (("--bound", "7"),),
 }
 # a value within every limit for each flag that only some modes read
-SAMPLE = {"--D": "1", "--a4": "2", "--a6": "3", "--uhf-p": "3", "--depth": "2", "--i": "1"}
-# an argv past each row that a handler checks on a value derived from several flags
+SAMPLE = {"--D": "1", "--a4": "2", "--a6": "3", "--uhf-p": "3", "--depth": "2"}
+# for each row that a handler checks on a value derived from several flags: an argv
+# with the first value past the row, and one with the last value at it
 DERIVED = {
-    "Euler factor phase": ("lfun", "--which", "zeta", "--s", "3,100001", "--bound", "30"),
-    "restricted product": ("adelic", "--bound", "1001", "--depth", "1"),
-    "ramified list": ("adelic", "--bound", "7", "--ramified", ",".join(["2"] * 1001)),
-    "ramified prime": ("adelic", "--bound", "7", "--ramified", str(10 ** 18 + 1)),
+    "Euler factor phase": (("lfun", "--which", "zeta", "--s", "3,100001", "--bound", "30"),
+                           ("lfun", "--which", "zeta", "--s", "3,100000", "--bound", "30")),
+    "restricted product": (("adelic", "--bound", "1001", "--depth", "1"),
+                           ("adelic", "--bound", "1000", "--depth", "1")),
+    "ramified list": (("adelic", "--bound", "7", "--ramified", ",".join(["2"] * 1001)),
+                      ("adelic", "--bound", "7", "--ramified", ",".join(["2"] * 1000))),
+    "ramified prime": (("adelic", "--bound", "7", "--ramified", str(10 ** 18 + 1)),
+                       ("adelic", "--bound", "7", "--ramified", str(10 ** 18))),
 }
 
 
@@ -92,6 +98,17 @@ def row_cases():
                     name, limit = cli._LIMITS[row]
                     value = _first_past(limit, args.depth if name.endswith("^depth") else 1)
                     yield (command, *_with(base, flag, str(value))), flag, row, value
+
+
+def least_cases():
+    """(argv, flag, least) for each flag with a least value that a base argv's modes read:
+    the value one below it."""
+    for command, bases in BASE.items():
+        for base in bases:
+            chosen = _selected(command, base)
+            for flag, _, _, modes, *least in cli._COMMANDS[command][2]:
+                if least and (not modes or chosen & set(modes)):
+                    yield (command, *_with(base, flag, str(least[0] - 1))), flag, least[0]
 
 
 def unread_cases():
@@ -147,6 +164,20 @@ def test_the_first_value_past_a_flags_row_is_refused_before_any_work(tmp_path, c
         assert f"the {row} limit" not in str(exc)
 
 
+@pytest.mark.parametrize("case", list(least_cases()), ids=_case_id)
+def test_the_value_below_a_flags_least_is_refused_before_any_work(tmp_path, capsys, monkeypatch, case):
+    argv, flag, least = case
+    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
+    assert err == f"kzero {argv[0]}: {flag[2:]} must be >= {least}\n"
+    cli._refuse(_namespace(argv[0], _with(argv[1:], flag, str(least))))  # the least itself passes
+
+
+def test_every_least_value_is_reached_from_a_base_argv():
+    table = {(command, flag) for command, (_, _, flags) in cli._COMMANDS.items()
+             for flag, _, _, _, *least in flags if least}
+    assert {(argv[0], flag) for argv, flag, _ in least_cases()} == table
+
+
 @pytest.mark.parametrize("case", list(unread_cases()), ids=_case_id)
 def test_a_flag_the_mode_does_not_read_is_refused_naming_the_mode(tmp_path, capsys, monkeypatch, case):
     argv, mode = case
@@ -196,7 +227,23 @@ def test_every_limit_is_reached_by_a_flag_or_by_a_check_its_handler_keeps():
     assert {row for _, _, row, _ in row_cases()} == table
 
 
+class _Passed(Exception):
+    """Raised once a handler's check of one row has passed, so no work follows."""
+
+
 @pytest.mark.parametrize("row", DERIVED)
 def test_a_derived_value_past_its_row_is_refused_before_any_work(tmp_path, capsys, monkeypatch, row):
-    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, DERIVED[row])
+    past, at = DERIVED[row]
+    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, past)
     assert f"is above the {row} limit" in err
+    # the last value at the limit passes `_refuse` and the handler's check of this row
+    check = cli._check_limit
+
+    def stop_once_passed(what, *value):
+        check(what, *value)
+        if what == row:
+            raise _Passed
+
+    monkeypatch.setattr(cli, "_check_limit", stop_once_passed)
+    with pytest.raises(_Passed):
+        invoke(*at, "--cache", str(tmp_path / "c.tsv"))
