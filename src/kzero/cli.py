@@ -13,13 +13,14 @@ cache is byte-identical.
 
 The multi-prime trace commands (lfun --which motivic, match, prop3) keep the
 Frobenius traces they compute in an append-only TSV cache (default
-./apcache.tsv, overridable with --cache).  Every row is checked on load, and
-a bad one is a usage error naming path:line.  A flush appends only the rows
-the run added, so runs sharing a cache keep each other's rows, and a
-sequence of runs leaves a file that lists each key once, in first-seen order.
-The single-prime commands (ap, count, zeta-local) count afresh and never
-open the cache.  A failed invariant exits 1 and names, on stderr, the
-file:line that raised it.
+./apcache.tsv, overridable with --cache).  Only their three handlers open it,
+in a `with` block after their bound checks; leaving the block flushes it, so
+the traces counted before a failed check are kept too.  No other command
+reads or creates the file.  Every row is checked on load, and a bad one is a
+usage error naming path:line.  A flush appends only the rows the run added,
+so runs sharing a cache keep each other's rows, and a sequence of runs
+leaves a file that lists each key once, in first-seen order.  A failed
+invariant exits 1 and names, on stderr, the file:line that raised it.
 
 The command table `_COMMANDS` names each flag's `_LIMITS` row, least value and the modes that
 read it; from it one pass refuses an unread flag, two modes or none, and a value out of range.
@@ -37,9 +38,9 @@ from kzero import bratteli, coherence, contfrac, elliptic, groupalg, lfunction, 
 
 __all__ = ["CommandResult", "run", "main"]
 
-_DEFAULT_CACHE = "./apcache.tsv"
 # What each sized input bounds: (the input, its largest value).  A larger
-# value is refused with exit 2 before any work.  Timed at the limit on 2 vCPUs:
+# value is refused with exit 2 before any work.  Timed at the limit on 2 vCPUs
+# (CI runs the tower, adelic, sl2 and UHF rows there and times each whole run):
 _LIMITS = {
     "quadratic field": ("D", 10 ** 7),  # 0.3 s at 9931639, the longest period (8952) of the 10^5 D below it
     "point count": ("p", 10 ** 18),  # ap, count: 0.8 s, growing as p^(1/4)
@@ -48,14 +49,14 @@ _LIMITS = {
     # lfun, prop3: float t ln p errs by |t| ln(10^6) 2^-52 = 3e-10 rad here; a product at t and at the next double
     # of t agrees to 1e-11 (at 10^16, to 0.7)
     "Euler factor phase": ("|Im s|", 10 ** 5),
-    "tower": ("p^depth", 10 ** 6),  # tower: 0.9 s and 75 MB
-    "restricted product": ("bound^(depth+1)", 10 ** 6),  # adelic: 0.8 s
-    "UHF chain": ("p^depth", 10 ** 100),  # dimgroup --uhf-p: 0.2 s
+    "tower": ("p^depth", 10 ** 6),  # tower: 0.6 s and 40 MB at 999983, 0.8 s and 71 MB at 2^19
+    "restricted product": ("bound^(depth+1)", 10 ** 6),  # adelic: 0.2 s at 1000^2
+    "UHF chain": ("p^depth", 10 ** 100),  # dimgroup --uhf-p: 0.1 s at 2^332
     # dimgroup --uhf-p: 0.01 s; Miller-Rabin is proven below 3.2 * 10^23 only (see primes)
     "UHF prime": ("p", 10 ** 18),
     "ramified prime": ("p", 10 ** 18),  # adelic --ramified: 0.01 s, for the same reason
-    "ramified list": ("length", 1000),  # adelic --ramified: 0.14 s for 1000 primes near 10^18
-    "SL2 degree list": ("p", 10 ** 6),  # sl2: 0.6 s
+    "ramified list": ("length", 1000),  # adelic --ramified: 0.3 s for 1000 primes near 10^18
+    "SL2 degree list": ("p", 10 ** 6),  # sl2: 0.5 s
 }
 # The regulator of Q(sqrt(D)) is below sqrt(Delta)(ln(Delta)/2 + 1) with Delta <= 4D, so
 # within the quadratic field limit no printed integer, at most epsilon^2, has more digits
@@ -70,23 +71,6 @@ class CommandResult(NamedTuple):
     parameters: dict
     status: str
     payload: dict
-
-
-class _CacheBox:
-    """Lazily opened a_p cache; only the multi-prime trace commands open it."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._cache: Optional[elliptic.ApCache] = None
-
-    def get(self) -> elliptic.ApCache:
-        if self._cache is None:
-            self._cache = elliptic.ApCache(self.path)
-        return self._cache
-
-    def flush(self) -> None:
-        if self._cache is not None:
-            self._cache.flush()
 
 
 def _parse_s(text: str) -> complex:
@@ -201,7 +185,7 @@ def _refuse(args: argparse.Namespace) -> None:
 # -- handlers (return parameters, status, payload, TSV rows with header) -------------
 
 
-def _cmd_contfrac(args, box):
+def _cmd_contfrac(args):
     w = quadfield.omega_of(args.D)
     cf = contfrac.expand(w)
     # |omega - p/q| < 1/q^2 for the first 8 convergents p/q, checked exactly in the field
@@ -218,7 +202,7 @@ def _cmd_contfrac(args, box):
     return {"D": args.D}, ("pass" if ok else "fail"), payload, rows
 
 
-def _cmd_unit(args, box):
+def _cmd_unit(args):
     res = quadfield.fundamental_unit(args.D)
     stable = quadfield.stabilizes_order(res.epsilon)
     payload = {
@@ -230,7 +214,7 @@ def _cmd_unit(args, box):
     return {"D": args.D}, ("pass" if stable else "fail"), payload, _rows(payload, *payload)
 
 
-def _cmd_omega(args, box):
+def _cmd_omega(args):
     w = quadfield.omega_of(args.D)
     payload = {
         "D": args.D,
@@ -241,7 +225,7 @@ def _cmd_omega(args, box):
     return {"D": args.D}, "pass", payload, _rows(payload, *payload)
 
 
-def _cmd_dimgroup(args, box):
+def _cmd_dimgroup(args):
     if args.uhf_p is not None:
         params = {"uhf_p": args.uhf_p, "depth": args.depth}
         payload = {**params, "sizes": list(bratteli.uhf_diagram(args.uhf_p, args.depth))}
@@ -262,14 +246,14 @@ def _cmd_dimgroup(args, box):
     return {"D": args.D}, ("pass" if shift_ok else "fail"), payload, rows
 
 
-def _cmd_tower(args, box):
+def _cmd_tower(args):
     tower = groupalg.cyclic_tower(args.p, args.depth)
     params = {"p": args.p, "depth": args.depth}
     payload = {**params, "level_orders": [lv.order for lv in tower.levels]}
     return params, "pass", payload, _rows(payload, *payload)
 
 
-def _cmd_sl2(args, box):
+def _cmd_sl2(args):
     profile = groupalg.sl2_degree_profile(args.p)
     degrees = list(profile.degrees)
     payload = {
@@ -282,7 +266,7 @@ def _cmd_sl2(args, box):
     return {"p": args.p}, "pass", payload, rows
 
 
-def _cmd_count(args, box):
+def _cmd_count(args):
     curve = _curve(args)
     count = elliptic.count_points_extension(curve, args.p, args.r)
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p, "r": args.r}
@@ -290,14 +274,14 @@ def _cmd_count(args, box):
     return params, "pass", payload, _rows(payload, *payload)
 
 
-def _cmd_ap(args, box):
+def _cmd_ap(args):
     curve = _curve(args)
     a_p = elliptic.trace_of_frobenius(curve, args.p)
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p}
     payload = {**params, "ap": a_p}
     if args.D is None:
         return params, "pass", payload, _rows(payload, "p", "ap")
-    other = elliptic.hecke_ap_cm(args.D, args.p)
+    other = elliptic._norm_form_ap(args.D, args.p)  # hecke_ap_cm's body: p is good, checked above
     payload.update({"ap_norm_form": other, "match": other == a_p})
     columns = ("p", "ap_point_count", "ap_norm_form", "match")
     rows = _rows(payload, *columns, ap_point_count=payload["ap"])
@@ -305,7 +289,7 @@ def _cmd_ap(args, box):
     return params, ("pass" if payload["match"] else "fail"), payload, rows
 
 
-def _cmd_zeta_local(args, box):
+def _cmd_zeta_local(args):
     curve = _curve(args)
     zeta = elliptic.weil_zeta_local(curve, args.p)
     params = {"a4": curve.a4, "a6": curve.a6, "p": args.p}
@@ -318,7 +302,7 @@ def _cmd_zeta_local(args, box):
     return params, "pass", payload, _rows(payload, "p", "ap", "numerator", "factor")
 
 
-def _cmd_lfun(args, box):
+def _cmd_lfun(args):
     s_params, s_cell = _s_parameters(args.s)
     _check_bound_reaches(args.bound)
     if args.which == "zeta":
@@ -327,7 +311,8 @@ def _cmd_lfun(args, box):
         curve = _curve(args)
         _check_bound_reaches(args.bound, curve)
         if args.which == "motivic":
-            approx = lfunction.motivic_l1_partial(curve, args.s, args.bound, box.get())
+            with elliptic.ApCache(args.cache) as cache:
+                approx = lfunction.motivic_l1_partial(curve, args.s, args.bound, cache)
         else:
             approx = lfunction.automorphic_l_partial(args.D, args.s, args.bound)
     payload = {
@@ -348,9 +333,10 @@ def _cmd_lfun(args, box):
     return params, "pass", payload, rows
 
 
-def _cmd_match(args, box):
+def _cmd_match(args):
     _check_bound_reaches(args.bound, elliptic.cm_curve_for(args.D))
-    report = lfunction.local_factor_match(args.D, args.bound, box.get())
+    with elliptic.ApCache(args.cache) as cache:
+        report = lfunction.local_factor_match(args.D, args.bound, cache)
     params = {"D": args.D, "bound": args.bound}
     payload = {**params, "primes": len(report.rows), "mismatches": list(report.mismatches)}
     rows = [("p", "ap_motivic", "ap_automorphic", "match")]
@@ -358,10 +344,11 @@ def _cmd_match(args, box):
     return params, ("pass" if not report.mismatches else "fail"), payload, rows
 
 
-def _cmd_prop3(args, box):
+def _cmd_prop3(args):
     s_params, s_cell = _s_parameters(args.s)
     _check_bound_reaches(args.bound, elliptic.cm_curve_for(args.D))
-    residual = lfunction.proposition3_check(args.D, args.s, args.bound, box.get())
+    with elliptic.ApCache(args.cache) as cache:
+        residual = lfunction.proposition3_check(args.D, args.s, args.bound, cache)
     ok = residual < args.tol
     payload = {
         "D": args.D,
@@ -375,7 +362,7 @@ def _cmd_prop3(args, box):
     return params, ("pass" if ok else "fail"), payload, rows
 
 
-def _cmd_coherence(args, box):
+def _cmd_coherence(args):
     cf = contfrac.expand(quadfield.omega_of(args.D))  # one expansion serves both checks
     es = coherence.effros_shen_coherence(args.D, cf)
     stable = quadfield.stabilizes_order(quadfield.fundamental_unit(args.D, cf).epsilon)
@@ -383,7 +370,7 @@ def _cmd_coherence(args, box):
     return {"D": args.D}, ("pass" if es and stable else "fail"), payload, _rows(payload, *payload)
 
 
-def _cmd_adelic(args, box):
+def _cmd_adelic(args):
     _check_bound_reaches(args.bound)
     _check_limit("restricted product", args.bound, args.depth + 1)
     given = list(filter(str.strip, args.ramified.split(",")))
@@ -471,8 +458,8 @@ _COMMANDS = {
 _COMMON = (
     ("--format", {"choices": ("json", "tsv"), "default": "tsv",
                   "help": "output format on stdout (default tsv)"}),
-    ("--cache", {"help": "a_p cache path for lfun --which motivic, match and prop3"
-                         f" (default {_DEFAULT_CACHE})"}),
+    ("--cache", {"default": "./apcache.tsv",
+                 "help": "a_p cache path for lfun --which motivic, match and prop3 (default %(default)s)"}),
 )
 
 
@@ -524,13 +511,9 @@ def run(argv: Sequence[str], stdout: Optional[TextIO] = None) -> tuple[CommandRe
 
 
 def _execute(args: argparse.Namespace, out: TextIO) -> tuple[CommandResult, int]:
-    box = _CacheBox(args.cache or _DEFAULT_CACHE)
     try:
-        try:
-            _refuse(args)
-            parameters, status, payload, rows = _COMMANDS[args.command][0](args, box)
-        finally:
-            box.flush()  # traces counted before a failure are kept too
+        _refuse(args)
+        parameters, status, payload, rows = _COMMANDS[args.command][0](args)
     except AssertionError as exc:
         result = CommandResult(args.command, {}, "fail", {"message": str(exc)})
         _emit(result, (), args.format, out)

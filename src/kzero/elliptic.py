@@ -634,6 +634,11 @@ class ApCache:
     the last one, in one write under an exclusive lock, so runs sharing a
     file keep each other's rows, exactly one of them writes the header, and
     the file of a sequence of runs lists every key once, in first-seen order.
+
+    It is a context manager, and leaving the `with` block flushes, also when
+    the body raised, so traces counted before a failed check are kept.  The
+    CLI handlers of `lfun --which motivic`, `match` and `prop3` open it so,
+    after their bound checks; no other command opens it.
     """
 
     HEADER = "a4\ta6\tp\tap"
@@ -667,6 +672,12 @@ class ApCache:
             )
         # reversed, so the first occurrence of a key is the one that stays
         self._rows = dict(reversed(_KEY_AP.findall(text, len(self.HEADER) + 1)))
+
+    def __enter__(self) -> "ApCache":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.flush()
 
     def lookup(self, a4: int, a6: int, p: int) -> Optional[int]:
         ap = self._rows.get(f"{a4}\t{a6}\t{p}")

@@ -161,9 +161,7 @@ def cyclic_tower(p: int, depth: int) -> ProfiniteTower:
         ConnectingMap(tuple(m % p ** i for m in range(p ** (i + 1))), p ** i)
         for i in range(depth)
     )
-    tower = ProfiniteTower(p, levels, connecting)
-    validate_tower(tower)
-    return tower
+    return ProfiniteTower(p, levels, connecting)
 
 
 def validate_tower(t: ProfiniteTower) -> None:
@@ -189,11 +187,10 @@ def assemble_restricted_product(
     p_bound: int,
     depth: int = 2,
 ) -> RestrictedProductSpec:
-    """Collect validated cyclic towers at every unramified prime up to p_bound.
+    """Collect cyclic towers at every unramified prime up to p_bound.
 
     The ramified set must consist of primes; unramified primes get the
-    generic cyclic tower of the given depth, which `cyclic_tower` has
-    validated.
+    generic cyclic tower of the given depth.
     """
     if depth < 1:  # refused here too, since no tower is built when every prime is ramified
         raise ValueError("depth must be >= 1")

@@ -388,11 +388,18 @@ def test_cache_flag_creates_file(tmp_path):
 
 
 def test_commands_without_counting_do_not_touch_cache(tmp_path):
-    path = tmp_path / "untouched.tsv"
-    invoke("contfrac", "--D", "7", "--cache", str(path))
-    invoke("sl2", "--p", "7", "--cache", str(path))
-    invoke("tower", "--p", "2", "--depth", "3", "--cache", str(path))
-    assert not path.exists()
+    from test_refusals import BASE  # one argv per mode of each command; imported here, as it imports this module
+
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("a4\ta6\tp\tap\n-1\t0\tx\t3\n")
+    argvs = [(command, *base) for command, bases in BASE.items() for base in bases]
+    readers = [argv for argv in argvs if argv[0] in ("match", "prop3") or "motivic" in argv]
+    assert len(readers) == 4  # lfun --which motivic has two modes
+    for argv in (argv for argv in argvs if argv not in readers):
+        for path in (tmp_path, bad):  # a directory at the path, and a file with a bad row
+            assert invoke(*argv, "--cache", str(path))[1] == 0, (argv, path)
+    assert sorted(os.listdir(tmp_path)) == ["bad.tsv"]
+    assert bad.read_text() == "a4\ta6\tp\tap\n-1\t0\tx\t3\n"
 
 
 def test_warm_cache_rerun_is_byte_identical(tmp_path):
@@ -451,6 +458,16 @@ def test_bad_cache_row_exits_2_naming_its_line(tmp_path, capsys, argv):
     assert out.endswith("# status error\n")
     assert f"{cache}:2: bad a_p cache row" in capsys.readouterr().err
     assert cache.read_text() == "a4\ta6\tp\tap\n-1\t0\tx\t3\n"
+
+
+def test_rows_counted_before_a_failed_check_are_flushed(tmp_path, capsys):
+    cache = tmp_path / "c.tsv"
+    cache.write_text("a4\ta6\tp\tap\n-1\t0\t97\t1000\n")  # a hit outside the Hasse bound
+    _, code, _ = invoke("match", "--D", "1", "--bound", "200", "--cache", str(cache))
+    assert code == 1
+    assert "Hasse bound violated at p=97" in capsys.readouterr().err
+    counted = "".join(f"-1\t0\t{p}\t{hecke_ap_cm(1, p)}\n" for p in sieve(96) if p > 2)
+    assert cache.read_text() == "a4\ta6\tp\tap\n-1\t0\t97\t1000\n" + counted
 
 
 def test_unreadable_cache_exits_2(tmp_path, capsys):
@@ -556,13 +573,13 @@ def test_dimgroup_computes_pf_data_once_per_group(tmp_path, monkeypatch):
     assert calls == {"pf_data": 1, "_is_primitive": 1}
 
 
-def test_adelic_validates_each_tower_once(tmp_path, monkeypatch):
+def test_adelic_does_not_revalidate_the_towers_it_builds(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, groupalg, "validate_tower")
     argv = ("adelic", "--ramified", "2,3", "--bound", "7", "--cache", str(tmp_path / "c.tsv"))
     _, code, _ = invoke(*argv)
     assert code == 0
-    # the unramified primes 5 and 7 get one tower each
-    assert calls == {"validate_tower": 2}
+    # `cyclic_tower` builds column sums p, so the towers at 5 and 7 are not checked again
+    assert calls == {"validate_tower": 0}
 
 
 def test_adelic_walks_the_sieve_not_every_integer(tmp_path, monkeypatch):
@@ -612,11 +629,16 @@ def test_sieved_primes_are_not_tested_again(tmp_path, monkeypatch, argv):
     assert primality_tests() == 0
 
 
-def test_ap_tests_its_prime_at_most_twice(tmp_path, monkeypatch):
+def test_ap_checks_its_prime_once(tmp_path, monkeypatch, capsys):
     primality_tests = _count_primality_tests(monkeypatch)
-    _, code, _ = invoke("ap", "--D", "1", "--p", "10009", "--cache", str(tmp_path / "c.tsv"))
+    checks = _count_calls(monkeypatch, elliptic, "_require_good")
+    _, code, _ = invoke("ap", "--D", "1", "--p", "13", "--cache", str(tmp_path / "c.tsv"))
     assert code == 0
-    assert primality_tests() <= 2
+    # the point count checks p; the norm form reads the same table curve at the same p
+    assert (checks, primality_tests()) == ({"_require_good": 1}, 1)
+    _, code, _ = invoke("ap", "--D", "2", "--p", "3", "--cache", str(tmp_path / "c.tsv"))
+    assert code == 2
+    assert "p = 3 is a prime of bad reduction" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", (

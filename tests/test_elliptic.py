@@ -641,6 +641,15 @@ def test_cache_flush_is_idempotent_and_lazy(tmp_path):
     assert os.stat(path).st_mtime_ns == stamp
 
 
+def test_cache_with_block_flushes_when_its_body_raises(tmp_path):
+    path = tmp_path / "cache.tsv"
+    with pytest.raises(RuntimeError):
+        with ApCache(str(path)) as cache:
+            cache.record(-1, 0, 5, -2)
+            raise RuntimeError("a later check failed")
+    assert path.read_text() == "a4\ta6\tp\tap\n-1\t0\t5\t-2\n"
+
+
 def test_cache_rejects_foreign_header(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("something\telse\n1\t2\n")
