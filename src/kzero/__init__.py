@@ -9,14 +9,14 @@ Subpackages by theme:
   convergent recurrence behind the unit, the seed, the trace pair and B.
 - bratteli: stationary 2x2 diagrams of continued fractions, their dimension
   groups and unital trace pairs, and the UHF p-power chain.
-- groupalg: representation-degree profiles, cyclic profinite towers, and the
-  restricted-product descriptor.
+- groupalg: representation-degree profiles and cyclic profinite towers.
 - elliptic: point counts over F_p and small extensions, Frobenius data, local
   zeta factors, the CM curve table, and norm-form trace computation.
 - lfunction: partial Euler products and the motivic/automorphic comparisons.
 - coherence: the integer check that the Effros-Shen dimension group of omega
   is Z + Z*omega as an ordered group.
-- cli: command-line surface over all of the above.
+- cli: command-line surface over all of the above; its `adelic` command
+  assembles the restricted-product descriptor from towers and a diagram.
 
 Each module above but cli is loaded on first use.  `import kzero` puts all
 of them in `sys.modules` and on the package without running them; a

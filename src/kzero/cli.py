@@ -34,7 +34,7 @@ import os
 import sys
 from typing import NamedTuple, Optional, Sequence, TextIO
 
-from kzero import bratteli, coherence, contfrac, elliptic, groupalg, lfunction, quadfield
+from kzero import bratteli, coherence, contfrac, elliptic, groupalg, lfunction, primes, quadfield
 
 __all__ = ["CommandResult", "run", "main"]
 
@@ -44,6 +44,9 @@ __all__ = ["CommandResult", "run", "main"]
 _LIMITS = {
     "quadratic field": ("D", 10 ** 7),  # 0.3 s at 9931639, the longest period (8952) of the 10^5 D below it
     "point count": ("p", 10 ** 18),  # ap, count: 0.8 s, growing as p^(1/4)
+    # --a4, --a6 of count, ap, zeta-local, lfun: every a_p cache row holds both, so lfun --which motivic
+    # --bound 10^6 at a4 = a6 = -10^7 takes 8.1 s and 55.8 MB (50.0 MB for --D 1)
+    "curve coefficient": ("|a|", 10 ** 7),
     "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 0.6 s, as p^2
     "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: 13 s at most, 56 MB
     # lfun, prop3: float t ln p errs by |t| ln(10^6) 2^-52 = 3e-10 rad here; a product at t and at the next double
@@ -115,8 +118,10 @@ def _rows(payload: dict, *columns: str, **cells: object) -> list[tuple]:
 
 
 def _check_limit(what: str, value: int, exp: int = 1) -> None:
-    """Refuse value^exp (exp >= 1) past the limit of `what`, without computing a larger power."""
+    """Refuse value^exp (exp >= 1) past the limit of `what`, without computing a larger power.
+    A row on an absolute value |x| compares |value|, so -10^k is refused as 10^k is."""
     name, limit = _LIMITS[what]
+    value = abs(value) if name.startswith("|") else value
     if (abs(value) > 1 and exp > limit.bit_length()) or value ** exp > limit:
         shown = value if exp == 1 else f"{value}^{exp}"
         raise ValueError(f"{name} = {shown} is above the {what} limit {name} <= {limit}")
@@ -125,7 +130,7 @@ def _check_limit(what: str, value: int, exp: int = 1) -> None:
 def _s_parameters(s: complex) -> tuple[dict, str]:
     """Refuse |Im s| past its limit; the parameters s and, for Im s != 0, s_im,
     and the TSV cell "re" or "re,im" of s."""
-    _check_limit("Euler factor phase", abs(s.imag))
+    _check_limit("Euler factor phase", s.imag)
     params = {"s": _fmt(s.real), **({"s_im": _fmt(s.imag)} if s.imag else {})}
     return params, ",".join(params.values())
 
@@ -375,21 +380,22 @@ def _cmd_adelic(args):
     _check_limit("restricted product", args.bound, args.depth + 1)
     given = list(filter(str.strip, args.ramified.split(",")))
     _check_limit("ramified list", len(given))
-    ramified = []
+    ramified = set()
     for x in given:
         try:
-            ramified.append(int(x))
+            p = int(x)
         except ValueError:
             raise ValueError(f"ramified prime {x.strip()!r} is not an integer") from None
-        _check_limit("ramified prime", ramified[-1])
+        _check_limit("ramified prime", p)
+        ramified.add(p)
+    for p in sorted(ramified):  # each prime tested once, before any work
+        if not primes.is_prime(p):
+            raise ValueError(f"ramified set contains non-prime {p}")
     seed = bratteli.effros_shen(quadfield.omega_of(args.D))
-    spec = groupalg.assemble_restricted_product(ramified, args.bound, args.depth)
+    towers = [groupalg.cyclic_tower(p, args.depth) for p in primes.sieve(args.bound) if p not in ramified]
     payload = {
-        "ramified": sorted(spec.ramified),
-        "factors": [
-            {"p": p, "levels": [lv.order for lv in t.levels]}
-            for p, t in sorted(spec.factors.items())
-        ],
+        "ramified": sorted(ramified),
+        "factors": [{"p": t.prime, "levels": [lv.order for lv in t.levels]} for t in towers],
         "infinite": {
             "seed": list(seed.seed),
             "matrix": [list(r) for r in seed.B],
@@ -397,7 +403,7 @@ def _cmd_adelic(args):
         },
     }
     params = {
-        "ramified": ",".join(map(str, sorted(spec.ramified))) or "-",
+        "ramified": ",".join(map(str, payload["ramified"])) or "-",
         "bound": args.bound,
         "depth": args.depth,
         "D": args.D,
@@ -417,7 +423,9 @@ _NEEDED = {"type": int, "required": True}
 _FIELD = ("--D", _NEEDED, ("quadratic field",), ())
 _BOUND = ("--bound", _NEEDED, ("prime sieve",), ())
 _S = ("--s", {"type": _parse_s, "required": True}, (), ())
-_CURVE = (("--a4", _INT, (), ("--a4/--a6",)), ("--a6", _INT, (), ("--a4/--a6",)), ("--D", _INT, (), ("--D",)))
+_COEFFICIENT = ("curve coefficient",)
+_CURVE = (("--a4", _INT, _COEFFICIENT, ("--a4/--a6",)), ("--a6", _INT, _COEFFICIENT, ("--a4/--a6",)),
+          ("--D", _INT, (), ("--D",)))
 # Each subcommand once, in the order of `kzero --help`: handler, help line, and its flags
 # as (flag, argparse keywords, `_LIMITS` rows, modes[, least[, default]]): the rows its value
 # falls under (or a function of the parsed flags giving them), the modes that read it (none:
@@ -444,8 +452,8 @@ _COMMANDS = {
     "lfun": (_cmd_lfun, "partial Euler product value", (
         ("--which", {"choices": ("zeta", "motivic", "auto"), "required": True}, (), ()), _S, _BOUND,
         ("--D", _INT, (), ("--which motivic", "--which auto", "--D")),
-        ("--a4", _INT, (), ("--which motivic", "--a4/--a6")),
-        ("--a6", _INT, (), ("--which motivic", "--a4/--a6")))),
+        ("--a4", _INT, _COEFFICIENT, ("--which motivic", "--a4/--a6")),
+        ("--a6", _INT, _COEFFICIENT, ("--which motivic", "--a4/--a6")))),
     "match": (_cmd_match, "per-prime motivic vs automorphic traces", (("--D", _NEEDED, (), ()), _BOUND)),
     "prop3": (_cmd_prop3, "factorization residual of the assembled products", (
         ("--D", _NEEDED, (), ()), _S, _BOUND, ("--tol", {"type": _parse_tol, "default": 1e-10}, (), ()))),

@@ -28,21 +28,19 @@ re-checks the full invariant for data from elsewhere.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from kzero import Frozen
-from kzero.primes import is_prime, sieve
+from kzero.primes import is_prime
 
 __all__ = [
     "RepDegreeProfile",
     "ConnectingMap",
     "ProfiniteTower",
-    "RestrictedProductSpec",
     "cyclic_profile",
     "sl2_degree_profile",
     "cyclic_tower",
     "validate_tower",
-    "assemble_restricted_product",
 ]
 
 
@@ -106,8 +104,6 @@ class ProfiniteTower(Frozen):
     def __init__(self, prime: int, levels: Iterable[RepDegreeProfile],
                  connecting: Iterable[ConnectingMap]) -> None:
         levels, connecting = tuple(levels), tuple(connecting)
-        if not is_prime(prime):
-            raise ValueError(f"{prime} is not prime")
         if len(connecting) != len(levels) - 1:
             raise ValueError("need one connecting map per consecutive level pair")
         for i, cm in enumerate(connecting):
@@ -165,7 +161,9 @@ def cyclic_tower(p: int, depth: int) -> ProfiniteTower:
 
 
 def validate_tower(t: ProfiniteTower) -> None:
-    """Check the cyclic-model invariant: level i has order p^i, column sums p."""
+    """Check the cyclic-model invariant: p is prime, level i has order p^i, column sums p."""
+    if not is_prime(t.prime):
+        raise ValueError(f"{t.prime} is not prime")
     for i, lv in enumerate(t.levels):
         if lv.order != t.prime ** i:
             raise ValueError(f"level {i} has order {lv.order}, expected {t.prime ** i}")
@@ -173,30 +171,3 @@ def validate_tower(t: ProfiniteTower) -> None:
         sums = cm.column_sums()
         if any(s != t.prime for s in sums):
             raise ValueError(f"connecting map {i} has column sums {sums}, expected all {t.prime}")
-
-
-class RestrictedProductSpec(NamedTuple):
-    """Per-prime factor descriptors of a restricted product, keyed by prime."""
-
-    ramified: frozenset[int]
-    factors: dict[int, ProfiniteTower]
-
-
-def assemble_restricted_product(
-    ramified: Iterable[int],
-    p_bound: int,
-    depth: int = 2,
-) -> RestrictedProductSpec:
-    """Collect cyclic towers at every unramified prime up to p_bound.
-
-    The ramified set must consist of primes; unramified primes get the
-    generic cyclic tower of the given depth.
-    """
-    if depth < 1:  # refused here too, since no tower is built when every prime is ramified
-        raise ValueError("depth must be >= 1")
-    ram = frozenset(int(p) for p in ramified)
-    for p in sorted(ram):
-        if not is_prime(p):
-            raise ValueError(f"ramified set contains non-prime {p}")
-    factors = {p: cyclic_tower(p, depth) for p in sieve(p_bound) if p not in ram}
-    return RestrictedProductSpec(ram, factors)

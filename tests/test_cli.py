@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import kzero
-from kzero import bratteli, cli, contfrac, elliptic, groupalg, lfunction, quadfield
+from kzero import bratteli, cli, contfrac, elliptic, groupalg, lfunction, primes, quadfield
 from kzero.cli import CommandResult, main, run
 from kzero.elliptic import hecke_ap_cm
 from kzero.primes import is_prime, sieve
@@ -583,13 +583,14 @@ def test_adelic_does_not_revalidate_the_towers_it_builds(tmp_path, monkeypatch):
 
 
 def test_adelic_walks_the_sieve_not_every_integer(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, groupalg, "is_prime")
+    in_cli = _count_calls(monkeypatch, primes, "is_prime")
+    in_groupalg = _count_calls(monkeypatch, groupalg, "is_prime")
     argv = ("adelic", "--ramified", "2,3", "--bound", "7", "--D", "5", "--cache", str(tmp_path / "c.tsv"))
     _, code, _ = invoke(*argv)
     assert code == 0
-    # the ramified 2 and 3 once each; the towers at 5 and 7 twice each
-    # (`cyclic_tower` and the `ProfiniteTower` it builds); none for 4 or 6
-    assert calls == {"is_prime": 6}
+    # 4 in all: the ramified 2 and 3 once each in the handler, the towers at 5 and 7
+    # once each in `cyclic_tower`; none for 4 or 6
+    assert (in_cli, in_groupalg) == ({"is_prime": 2}, {"is_prime": 2})
 
 
 @pytest.mark.parametrize("d", (2, 3, 7))
@@ -652,11 +653,11 @@ def test_fp2_commands_test_their_prime_once(tmp_path, monkeypatch, argv):
     assert primality_tests() == 1
 
 
-def test_a_composite_ramified_prime_within_the_limit_is_refused(tmp_path, capsys):
-    _, code, out = invoke("adelic", "--ramified", "15", "--bound", "7", "--cache", str(tmp_path / "c.tsv"))
-    assert code == 2
-    assert out.endswith("# status error\n")
-    assert "ramified set contains non-prime 15" in capsys.readouterr().err
+def test_a_composite_ramified_prime_within_the_limit_is_refused(tmp_path, capsys, monkeypatch):
+    built = _count_calls(monkeypatch, bratteli, "effros_shen")
+    err = _refused_before_any_work(tmp_path, capsys, monkeypatch, ("adelic", "--ramified", "15", "--bound", "7"))
+    assert err == "kzero adelic: ramified set contains non-prime 15\n"
+    assert built == {"effros_shen": 0}
 
 
 def test_a_ramified_prime_that_is_not_an_integer_is_refused(tmp_path, capsys):
@@ -969,7 +970,7 @@ def test_ap_near_a_billion_matches_the_norm_form(tmp_path):
 WORK = (
     (elliptic, ("trace_of_frobenius", "count_points_extension", "_fp2_count")),
     (lfunction, ("zeta_partial", "local_factor_match", "proposition3_check")),
-    (groupalg, ("cyclic_tower", "sl2_degree_profile", "assemble_restricted_product")),
+    (groupalg, ("cyclic_tower", "sl2_degree_profile")),
     (bratteli, ("uhf_diagram",)),
     (quadfield, ("omega_of", "fundamental_unit")),
     (contfrac, ("expand",)),

@@ -2,14 +2,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from kzero.groupalg import (
     ConnectingMap,
     ProfiniteTower,
     RepDegreeProfile,
-    RestrictedProductSpec,
-    assemble_restricted_product,
     cyclic_profile,
     cyclic_tower,
     sl2_degree_profile,
@@ -113,6 +110,16 @@ def test_cyclic_tower_validation():
         cyclic_tower(3, 0)
 
 
+def test_a_tower_over_a_composite_builds_and_is_refused_by_validate_tower():
+    # construction checks shapes only; the primality of p is validate_tower's to check
+    levels = tuple(cyclic_profile(4 ** i) for i in range(3))
+    maps = tuple(ConnectingMap(tuple(m % 4 ** i for m in range(4 ** (i + 1))), 4 ** i) for i in range(2))
+    t = ProfiniteTower(4, levels, maps)
+    assert [cm.column_sums() for cm in t.connecting] == [(4,), (4,) * 4]  # the other checks would pass
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        validate_tower(t)
+
+
 def test_validate_tower_catches_corruption():
     t = cyclic_tower(3, 3)
     bad_map = ConnectingMap((0,) * 27, 9)  # all mass on residue 0
@@ -189,38 +196,3 @@ def test_self_similarity_wrong_branching_control():
     # 32 blocks need a level of order at least 32, so the order check refuses it first
     with pytest.raises(ValueError, match="level 3 has order 32, expected 8"):
         validate_tower(corrupt)
-
-
-# -- restricted products ---------------------------------------------------------------
-
-
-def test_assemble_restricted_product():
-    spec = assemble_restricted_product([2, 3], 11)
-    assert spec.ramified == frozenset({2, 3})
-    assert sorted(spec.factors) == [5, 7, 11]
-    for p, tower in spec.factors.items():
-        assert tower.prime == p
-        assert len(tower.connecting) == 2
-
-
-def test_assemble_depth_override():
-    spec = assemble_restricted_product([], 5, depth=4)
-    assert len(spec.factors[5].connecting) == 4
-    assert sorted(spec.factors) == [2, 3, 5]
-
-
-def test_assemble_rejects_bad_ramified():
-    with pytest.raises(ValueError):
-        assemble_restricted_product([6], 11)
-
-
-@given(st.sets(st.sampled_from(ODD_PRIMES), max_size=3), st.sampled_from([3, 5, 7, 11]))
-@settings(max_examples=30, deadline=None)
-def test_assemble_partition_property(ramified, bound):
-    spec = assemble_restricted_product(sorted(ramified), bound)
-    # unramified factor primes and ramified primes never overlap
-    assert not (set(spec.factors) & spec.ramified)
-    for p in spec.factors:
-        assert p <= bound
-    for t in spec.factors.values():
-        validate_tower(t)

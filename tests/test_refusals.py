@@ -87,12 +87,14 @@ def _first_past(limit, exp):
 
 def row_cases():
     """(argv, flag, row, value) for each row of each flag that a base argv's modes read:
-    the first value past that row's limit."""
+    the first value past that row's limit.  A flag whose modes are of both kinds, such as
+    lfun's --a4 (--which motivic, --a4/--a6), is read only when one of each kind is chosen."""
     for command, bases in BASE.items():
         for base in bases:
             chosen, args = _selected(command, base), _namespace(command, base)
             for flag, _, rows, modes, *_ in cli._COMMANDS[command][2]:
-                if modes and not chosen & set(modes):
+                kinds = ({m for m in modes if _is_which(m) == which} for which in (True, False))
+                if not all(chosen & kind for kind in kinds if kind):
                     continue
                 for row in rows(args) if callable(rows) else rows:
                     name, limit = cli._LIMITS[row]
@@ -216,6 +218,18 @@ def test_a_field_past_its_limit_is_refused_by_every_field_command(tmp_path, caps
         argv = (command, *_with(BASE[command][0], "--D", "1000000007"))
         err = _refused_before_any_work(tmp_path, capsys, monkeypatch, argv)
         assert err == f"kzero {command}: D = 1000000007 is above the quadratic field limit D <= 10000000\n"
+
+
+@pytest.mark.parametrize("sign", ("", "-"))
+def test_a_curve_coefficient_past_its_limit_is_refused_whatever_its_sign(tmp_path, capsys, monkeypatch, sign):
+    name, limit = cli._LIMITS["curve coefficient"]
+    message = f"{name} = {limit + 1} is above the curve coefficient limit {name} <= {limit}"
+    for command, base in (("count", BASE["count"][1]), ("lfun", BASE["lfun"][2])):
+        for flag in ("--a4", "--a6"):
+            argv = (command, *_with(base, flag, f"{sign}{limit + 1}"))
+            assert _refused_before_any_work(tmp_path, capsys, monkeypatch, argv) == f"kzero {command}: {message}\n"
+        # both coefficients at the limit pass
+        cli._refuse(_namespace(command, _with(_with(base, "--a4", f"{sign}{limit}"), "--a6", f"{sign}{limit}")))
 
 
 def test_every_limit_is_reached_by_a_flag_or_by_a_check_its_handler_keeps():
