@@ -14,13 +14,14 @@ cache is byte-identical.
 The multi-prime trace commands (lfun --which motivic, match, prop3) keep the
 Frobenius traces they compute in an append-only TSV cache (default
 ./apcache.tsv, overridable with --cache).  Only their three handlers open it,
-in a `with` block after their bound checks; leaving the block flushes it, so
-the traces counted before a failed check are kept too.  No other command
-reads or creates the file.  Every row is checked on load, and a bad one is a
-usage error naming path:line.  A flush appends only the rows the run added,
-so runs sharing a cache keep each other's rows, and a sequence of runs
-leaves a file that lists each key once, in first-seen order.  A failed
-invariant exits 1 and names, on stderr, the file:line that raised it.
+for the run's one curve, in a `with` block after their bound checks; leaving
+the block flushes it, so the traces counted before a failed check are kept
+too.  No other command reads or creates the file.  Every row of every curve
+is checked on load, and a bad one is a usage error naming path:line.  A flush
+appends only the rows the run added, so runs sharing a cache keep each
+other's rows, and a sequence of runs leaves a file that lists each
+(a4, a6, p) once, in first-seen order.  A failed invariant exits 1 and
+names, on stderr, the file:line that raised it.
 
 The command table `_COMMANDS` names each flag's `_LIMITS` row, least value and the modes that
 read it; from it one pass refuses an unread flag, two modes or none, and a value out of range.
@@ -39,13 +40,13 @@ from kzero import bratteli, coherence, contfrac, elliptic, groupalg, lfunction, 
 __all__ = ["CommandResult", "run", "main"]
 
 # What each sized input bounds: (the input, its largest value).  A larger
-# value is refused with exit 2 before any work.  Timed at the limit on 2 vCPUs
-# (CI runs the tower, adelic, sl2 and UHF rows there and times each whole run):
+# value is refused with exit 2 before any work.  Timed at the limit on 2 vCPUs (CI runs
+# the tower, adelic, sl2, UHF and curve coefficient rows there and times each whole run):
 _LIMITS = {
     "quadratic field": ("D", 10 ** 7),  # 0.3 s at 9931639, the longest period (8952) of the 10^5 D below it
     "point count": ("p", 10 ** 18),  # ap, count: 0.8 s, growing as p^(1/4)
-    # --a4, --a6 of count, ap, zeta-local, lfun: every a_p cache row holds both, so lfun --which motivic
-    # --bound 10^6 at a4 = a6 = -10^7 takes 8.1 s and 55.8 MB (50.0 MB for --D 1)
+    # --a4, --a6 of count, ap, zeta-local, lfun: good_primes reduces the discriminant once per prime, so
+    # lfun --which motivic --bound 10^6 at a4 = a6 = -10^7 takes 8.4-11.1 s and 44.8 MB (40.3 MB for --D 1)
     "curve coefficient": ("|a|", 10 ** 7),
     "F_(p^2) enumeration": ("p", 10 ** 4),  # count --r 2, zeta-local: 0.6 s, as p^2
     "prime sieve": ("bound", 10 ** 6),  # lfun, match, prop3: 13 s at most, 56 MB
@@ -316,7 +317,7 @@ def _cmd_lfun(args):
         curve = _curve(args)
         _check_bound_reaches(args.bound, curve)
         if args.which == "motivic":
-            with elliptic.ApCache(args.cache) as cache:
+            with elliptic.ApCache(args.cache, curve) as cache:
                 approx = lfunction.motivic_l1_partial(curve, args.s, args.bound, cache)
         else:
             approx = lfunction.automorphic_l_partial(args.D, args.s, args.bound)
@@ -339,8 +340,9 @@ def _cmd_lfun(args):
 
 
 def _cmd_match(args):
-    _check_bound_reaches(args.bound, elliptic.cm_curve_for(args.D))
-    with elliptic.ApCache(args.cache) as cache:
+    curve = elliptic.cm_curve_for(args.D)
+    _check_bound_reaches(args.bound, curve)
+    with elliptic.ApCache(args.cache, curve) as cache:
         report = lfunction.local_factor_match(args.D, args.bound, cache)
     params = {"D": args.D, "bound": args.bound}
     payload = {**params, "primes": len(report.rows), "mismatches": list(report.mismatches)}
@@ -351,8 +353,9 @@ def _cmd_match(args):
 
 def _cmd_prop3(args):
     s_params, s_cell = _s_parameters(args.s)
-    _check_bound_reaches(args.bound, elliptic.cm_curve_for(args.D))
-    with elliptic.ApCache(args.cache) as cache:
+    curve = elliptic.cm_curve_for(args.D)
+    _check_bound_reaches(args.bound, curve)
+    with elliptic.ApCache(args.cache, curve) as cache:
         residual = lfunction.proposition3_check(args.D, args.s, args.bound, cache)
     ok = residual < args.tol
     payload = {

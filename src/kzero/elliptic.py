@@ -19,12 +19,13 @@ ambiguity of the representation is resolved by a closed-form congruence
 rule for each D (see `hecke_ap_cm`), so the two routes share no code.  p = 2
 is always excluded, and every prime dividing the discriminant is bad.
 
-A small append-only text cache maps (a4, a6, p) to a_p so that `lfunction`'s
-multi-prime Euler products and trace match are cheap on a rerun; the
-single-prime entries here take no cache and always count.  numpy is
-imported only by the F_{p^2} enumeration above `_FP2_NUMPY_MIN_P`, where it
-evaluates the blocks of lines; everything else runs without it.  It loads
-with one BLAS thread unless the caller set OPENBLAS_NUM_THREADS.
+A small append-only text file, shared by all curves, caches a_p by (a4, a6, p);
+an `ApCache` holds one curve's rows by p, so that `lfunction`'s multi-prime
+Euler products and trace match are cheap on a rerun.  The single-prime
+entries here take no cache and always count.  numpy is imported only by the
+F_{p^2} enumeration above `_FP2_NUMPY_MIN_P`, where it evaluates the blocks
+of lines; everything else runs without it.  It loads with one BLAS thread
+unless the caller set OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import os
 import re
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -263,14 +265,18 @@ def _good_ap(c: CurveQ, p: int, cache: Optional["ApCache"] = None) -> int:
     before calling; `lfunction`'s Euler products and trace match take it from
     `good_primes`, which only yields good primes.  The Hasse bound is checked
     on a hit and on a miss, so a cached a_p outside it is caught; a wrong one
-    inside it is not.
+    inside it is not.  A cache opened for another curve is refused before
+    anything is looked up or counted.
     """
-    hit = cache.lookup(c.a4, c.a6, p) if cache is not None else None
+    if cache is not None and (cache.curve.a4, cache.curve.a6) != (c.a4, c.a6):
+        held = cache.curve
+        raise ValueError(f"the a_p cache holds the traces of ({held.a4}, {held.a6}), not of ({c.a4}, {c.a6})")
+    hit = cache.lookup(p) if cache is not None else None
     a_p = hit if hit is not None else p + 1 - _point_count(c, p)
     if a_p * a_p > 4 * p:  # raised, not asserted: a hit comes from a file
         raise AssertionError(f"Hasse bound violated at p={p}")
     if hit is None and cache is not None:
-        cache.record(c.a4, c.a6, p, a_p)
+        cache.record(p, a_p)
     return a_p
 
 
@@ -618,22 +624,22 @@ def _norm_form_ap(D: int, p: int) -> int:
 _INT = "(?:0|-?[1-9][0-9]*)"
 # rows of four canonical integers a4, a6, p >= 1, a_p, each ending in a newline
 _ROWS = re.compile(rf"(?:{_INT}\t{_INT}\t[1-9][0-9]*\t{_INT}\n)*")
-# a valid row split into its key text 'a4<TAB>a6<TAB>p' and its a_p text
-_KEY_AP = re.compile(r"(.*)\t(.*)\n")
 
 
 class ApCache:
-    """Append-only TSV cache of Frobenius traces keyed by (a4, a6, p).
+    """One curve's Frobenius traces in an append-only TSV file shared by all curves.
 
     `lfunction`'s multi-prime Euler products and trace match read and fill
     it; the single-prime entries never do.  The file starts with the header
     line 'a4<TAB>a6<TAB>p<TAB>ap'.  Loading reads the file once, checks every
-    row (four integers in canonical form with p >= 1, else a ValueError
-    naming path:line) and indexes the rows by key.  Duplicate keys resolve
-    to the first occurrence.  A flush appends only the rows recorded since
-    the last one, in one write under an exclusive lock, so runs sharing a
-    file keep each other's rows, exactly one of them writes the header, and
-    the file of a sequence of runs lists every key once, in first-seen order.
+    row of every curve (four integers in canonical form with p >= 1, else a
+    ValueError naming path:line) and indexes this curve's rows by p.
+    Duplicate rows resolve to the first occurrence.  A flush appends only
+    the rows recorded since the last one, in one write under an exclusive
+    lock, so runs sharing a file keep each other's rows, exactly one of them
+    writes the header, and the file of a sequence of runs lists every
+    (a4, a6, p) once, in first-seen order.  `_good_ap` refuses a cache
+    opened for another curve.
 
     It is a context manager, and leaving the `with` block flushes, also when
     the body raised, so traces counted before a failed check are kept.  The
@@ -643,12 +649,12 @@ class ApCache:
 
     HEADER = "a4\ta6\tp\tap"
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, curve: CurveQ):
         self.path = path
-        # key text 'a4<TAB>a6<TAB>p' -> a_p text, loaded and recorded rows alike
-        self._rows: dict[str, str] = {}
-        self._new: list[str] = []
+        self.curve = curve
+        self._rows: dict[int, int] = {}  # p -> a_p: the loaded rows, then the recorded ones
         self._load()
+        self._flushed = len(self._rows)
 
     def _load(self) -> None:
         try:
@@ -670,8 +676,9 @@ class ApCache:
                 f"{self.path}:{line}: bad a_p cache row {row!r}"
                 " (want four integers a4, a6, p >= 1, a_p and a newline)"
             )
-        # reversed, so the first occurrence of a key is the one that stays
-        self._rows = dict(reversed(_KEY_AP.findall(text, len(self.HEADER) + 1)))
+        # this curve's rows, each after a newline; reversed, so the first occurrence of a p stays
+        mine = re.compile(rf"\n{self.curve.a4}\t{self.curve.a6}\t(.*)\t(.*)")
+        self._rows = {int(p): int(ap) for p, ap in reversed(mine.findall(text, len(self.HEADER)))}
 
     def __enter__(self) -> "ApCache":
         return self
@@ -679,23 +686,20 @@ class ApCache:
     def __exit__(self, *exc: object) -> None:
         self.flush()
 
-    def lookup(self, a4: int, a6: int, p: int) -> Optional[int]:
-        ap = self._rows.get(f"{a4}\t{a6}\t{p}")
-        return None if ap is None else int(ap)
+    def lookup(self, p: int) -> Optional[int]:
+        return self._rows.get(p)
 
-    def record(self, a4: int, a6: int, p: int, ap: int) -> None:
-        key = f"{a4}\t{a6}\t{p}"
-        if key not in self._rows:
-            self._rows[key] = str(ap)
-            self._new.append(f"{key}\t{ap}\n")
+    def record(self, p: int, ap: int) -> None:
+        self._rows.setdefault(p, ap)
 
     def flush(self) -> None:
         """Append the rows recorded since the last flush with one O_APPEND write."""
-        if not self._new:
+        if len(self._rows) == self._flushed:
             return
         import fcntl  # POSIX only, so imported where it is used
 
-        data = "".join(self._new)
+        prefix = f"{self.curve.a4}\t{self.curve.a6}\t"
+        data = "".join(f"{prefix}{p}\t{ap}\n" for p, ap in islice(self._rows.items(), self._flushed, None))
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             # held until close: two runs creating the file at once write one header
@@ -705,4 +709,4 @@ class ApCache:
             os.write(fd, data.encode("ascii"))
         finally:
             os.close(fd)
-        self._new.clear()
+        self._flushed = len(self._rows)

@@ -112,14 +112,7 @@ def automorphic_l_partial(D: int, s: ComplexLike, P: int) -> EulerProductApprox:
     z = complex(s)
     if not z.real > 1.5:
         raise ConvergenceDomainError(f"the automorphic product needs Re s > 3/2, got {z.real}")
-    curve = cm_curve_for(D)
-    factors = []
-    for p in good_primes(curve, P):
-        a_p = _norm_form_ap(D, p)
-        if a_p * a_p > 4 * p:  # raised, not asserted: it must survive python -O
-            raise AssertionError(f"Hasse bound violated by norm-form a_p at {p}")
-        factors.append((p, (1, -a_p, p)))
-    factors = tuple(factors)
+    factors = tuple((p, (1, -_norm_form_ap(D, p), p)) for p in good_primes(cm_curve_for(D), P))
     return EulerProductApprox(z, P, factors, _fold(factors, z))
 
 

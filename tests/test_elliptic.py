@@ -606,35 +606,38 @@ def test_fp2_enumeration_refuses_p_past_the_int32_bound_before_any_work(monkeypa
 
 # -- the a_p cache ------------------------------------------------------------------
 
+CURVE_D3 = CurveQ(0, 1)  # y^2 = x^3 + 1
+
 
 def test_cache_roundtrip(tmp_path):
     path = tmp_path / "cache.tsv"
-    cache = ApCache(str(path))
-    assert cache.lookup(-1, 0, 5) is None
-    cache.record(-1, 0, 5, -2)
-    cache.record(0, 1, 7, -4)
-    assert cache.lookup(-1, 0, 5) == -2
+    cache, other = ApCache(str(path), CURVE_D1), ApCache(str(path), CURVE_D3)
+    assert cache.lookup(5) is None
+    cache.record(5, -2)
+    other.record(7, -4)
+    assert cache.lookup(5) == -2
     cache.flush()
+    other.flush()
     text = path.read_text()
     assert text == "a4\ta6\tp\tap\n-1\t0\t5\t-2\n0\t1\t7\t-4\n"
-    again = ApCache(str(path))
-    assert again.lookup(0, 1, 7) == -4
+    again = ApCache(str(path), CURVE_D3)
+    assert again.lookup(7) == -4
 
 
 def test_cache_first_record_wins(tmp_path):
     path = tmp_path / "cache.tsv"
-    cache = ApCache(str(path))
-    cache.record(-1, 0, 5, -2)
-    cache.record(-1, 0, 5, 99)
-    assert cache.lookup(-1, 0, 5) == -2
+    cache = ApCache(str(path), CURVE_D1)
+    cache.record(5, -2)
+    cache.record(5, 99)
+    assert cache.lookup(5) == -2
     cache.flush()
     assert "99" not in path.read_text()
 
 
 def test_cache_flush_is_idempotent_and_lazy(tmp_path):
     path = tmp_path / "cache.tsv"
-    cache = ApCache(str(path))
-    cache.record(-1, 0, 5, -2)
+    cache = ApCache(str(path), CURVE_D1)
+    cache.record(5, -2)
     cache.flush()
     stamp = os.stat(path).st_mtime_ns
     cache.flush()  # clean: must not rewrite
@@ -644,8 +647,8 @@ def test_cache_flush_is_idempotent_and_lazy(tmp_path):
 def test_cache_with_block_flushes_when_its_body_raises(tmp_path):
     path = tmp_path / "cache.tsv"
     with pytest.raises(RuntimeError):
-        with ApCache(str(path)) as cache:
-            cache.record(-1, 0, 5, -2)
+        with ApCache(str(path), CURVE_D1) as cache:
+            cache.record(5, -2)
             raise RuntimeError("a later check failed")
     assert path.read_text() == "a4\ta6\tp\tap\n-1\t0\t5\t-2\n"
 
@@ -654,22 +657,22 @@ def test_cache_rejects_foreign_header(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("something\telse\n1\t2\n")
     with pytest.raises(ValueError):
-        ApCache(str(path))
+        ApCache(str(path), CURVE_D1)
 
 
 def test_cache_missing_file_is_empty(tmp_path):
-    cache = ApCache(str(tmp_path / "absent.tsv"))
-    assert cache.lookup(1, 1, 5) is None
+    cache = ApCache(str(tmp_path / "absent.tsv"), CurveQ(1, 1))
+    assert cache.lookup(5) is None
 
 
 def test_cache_used_by_trace(tmp_path):
     path = tmp_path / "cache.tsv"
-    cache = ApCache(str(path))
+    cache = ApCache(str(path), CURVE_D1)
     assert elliptic._good_ap(CURVE_D1, 13, cache) == 6
-    assert cache.lookup(-1, 0, 13) == 6
+    assert cache.lookup(13) == 6
     # poison the cache to prove lookups short-circuit counting
-    poisoned = ApCache(str(path))
-    poisoned.record(-1, 0, 97, 1)
+    poisoned = ApCache(str(path), CURVE_D1)
+    poisoned.record(97, 1)
     assert elliptic._good_ap(CURVE_D1, 97, poisoned) == 1
 
 
@@ -677,37 +680,64 @@ def test_cache_hit_outside_hasse_bound_is_caught(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("a4\ta6\tp\tap\n-1\t0\t97\t1000\n")
     with pytest.raises(AssertionError, match="Hasse"):
-        elliptic._good_ap(CURVE_D1, 97, ApCache(str(path)))
+        elliptic._good_ap(CURVE_D1, 97, ApCache(str(path), CURVE_D1))
+
+
+def test_cache_opened_for_another_curve_is_refused_before_any_count(tmp_path, monkeypatch):
+    from kzero import lfunction
+
+    monkeypatch.setattr(elliptic, "_point_count", lambda c, p: pytest.fail("a prime was counted"))
+    cache = ApCache(str(tmp_path / "cache.tsv"), CURVE_D1)
+    with pytest.raises(ValueError, match=re.escape("holds the traces of (-1, 0), not of (0, 1)")):
+        lfunction.motivic_l1_partial(CURVE_D3, 3, 100, cache)
+    with pytest.raises(ValueError, match=re.escape("not of (0, 1)")):
+        lfunction.local_factor_match(3, 100, cache)
+    assert cache._rows == {}
+    cache.flush()
+    assert not (tmp_path / "cache.tsv").exists()
 
 
 def test_cache_two_writers_keep_both_rows(tmp_path):
     # both load the file before either flushes, as two concurrent runs do
     path = tmp_path / "cache.tsv"
-    first, second = ApCache(str(path)), ApCache(str(path))
-    first.record(-1, 0, 5, -2)
-    second.record(0, 1, 7, -4)
+    first, second = ApCache(str(path), CURVE_D1), ApCache(str(path), CURVE_D3)
+    first.record(5, -2)
+    second.record(7, -4)
     first.flush()
     second.flush()
-    again = ApCache(str(path))
-    assert again.lookup(-1, 0, 5) == -2
-    assert again.lookup(0, 1, 7) == -4
+    assert ApCache(str(path), CURVE_D1).lookup(5) == -2
+    assert ApCache(str(path), CURVE_D3).lookup(7) == -4
     assert path.read_text().count(ApCache.HEADER) == 1
+
+
+def test_cache_curves_sharing_a_file_see_only_their_own_rows(tmp_path):
+    path = tmp_path / "cache.tsv"
+    # near-miss coefficients: the row text of (1, 1) lies inside those of (11, 1) and (-1, 1), and begins (1, 10)'s
+    curves = (CurveQ(1, 1), CurveQ(11, 1), CurveQ(1, 10), CurveQ(-1, 1))
+    path.write_text("a4\ta6\tp\tap\n" + "".join(f"{c.a4}\t{c.a6}\t5\t{k}\n" for k, c in enumerate(curves)))
+    caches = [ApCache(str(path), c) for c in curves]
+    assert [cache._rows for cache in caches] == [{5: k} for k in range(4)]
+    caches[0].record(7, 1)
+    caches[0].flush()
+    assert path.read_text().endswith("\t3\n1\t1\t7\t1\n")  # appended after the other curves' rows
+    for k, c in enumerate(curves):
+        assert ApCache(str(path), c)._rows == ({5: 0, 7: 1} if k == 0 else {5: k})
 
 
 def test_cache_flush_appends_only_new_rows(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("a4\ta6\tp\tap\n-1\t0\t5\t-2\n")
-    cache = ApCache(str(path))
-    cache.record(-1, 0, 5, -2)
-    cache.record(0, 1, 7, -4)
+    cache = ApCache(str(path), CURVE_D1)
+    cache.record(5, -2)
+    cache.record(7, 0)
     cache.flush()
-    assert path.read_text() == "a4\ta6\tp\tap\n-1\t0\t5\t-2\n0\t1\t7\t-4\n"
+    assert path.read_text() == "a4\ta6\tp\tap\n-1\t0\t5\t-2\n-1\t0\t7\t0\n"
 
 
 def test_cache_duplicate_rows_resolve_to_first(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("a4\ta6\tp\tap\n-1\t0\t5\t-2\n0\t1\t7\t-4\n-1\t0\t5\t2\n")
-    assert ApCache(str(path)).lookup(-1, 0, 5) == -2
+    assert ApCache(str(path), CURVE_D1).lookup(5) == -2
 
 
 # near-miss keys: one key is a prefix, suffix or sign flip of another
@@ -728,10 +758,11 @@ def test_cache_lookup_returns_each_keys_first_occurrence(rows):
         path = os.path.join(tmp, "cache.tsv")
         with open(path, "w") as fh:
             fh.write("a4\ta6\tp\tap\n" + body)
-        cache = ApCache(path)
-        for a4, a6, p in itertools.product(_A4S, _A6S, _PS):
-            key = (int(a4), int(a6), int(p))
-            assert cache.lookup(*key) == first_seen.get(key)
+        for a4, a6 in itertools.product(_A4S, _A6S):
+            curve = CurveQ(int(a4), int(a6))
+            cache = ApCache(path, curve)
+            for p in _PS:
+                assert cache.lookup(int(p)) == first_seen.get((curve.a4, curve.a6, int(p)))
 
 
 def test_cache_writers_creating_one_file_at_once_write_one_header(tmp_path):
@@ -739,9 +770,9 @@ def test_cache_writers_creating_one_file_at_once_write_one_header(tmp_path):
     path = tmp_path / "cache.tsv"
     script = (
         "import sys\n"
-        "from kzero.elliptic import ApCache\n"
-        "cache = ApCache(sys.argv[1])\n"
-        "for p in range(1, 41): cache.record(int(sys.argv[2]), 0, p, 0)\n"
+        "from kzero.elliptic import ApCache, CurveQ\n"
+        "cache = ApCache(sys.argv[1], CurveQ(int(sys.argv[2]), 1))\n"
+        "for p in range(1, 41): cache.record(p, 0)\n"
         "print('ready', flush=True)\n"
         "sys.stdin.read()\n"
         "cache.flush()\n"
@@ -770,14 +801,14 @@ def test_cache_writers_creating_one_file_at_once_write_one_header(tmp_path):
             child.stdout.close()
     lines = path.read_text().splitlines()
     assert lines.count(ApCache.HEADER) == 1 and lines[0] == ApCache.HEADER
-    assert sorted(lines[1:]) == sorted(f"{k}\t0\t{p}\t0" for k in range(6) for p in range(1, 41))
+    assert sorted(lines[1:]) == sorted(f"{k}\t1\t{p}\t0" for k in range(6) for p in range(1, 41))
 
 
 def test_cache_file_left_empty_gets_header(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("")
-    cache = ApCache(str(path))
-    cache.record(-1, 0, 5, -2)
+    cache = ApCache(str(path), CURVE_D1)
+    cache.record(5, -2)
     cache.flush()
     assert path.read_text() == "a4\ta6\tp\tap\n-1\t0\t5\t-2\n"
 
@@ -799,5 +830,6 @@ def test_cache_file_left_empty_gets_header(tmp_path):
 def test_cache_bad_row_names_its_line(tmp_path, body, line):
     path = tmp_path / "cache.tsv"
     path.write_text("a4\ta6\tp\tap\n" + body, encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: bad a_p cache row")):
-        ApCache(str(path))
+    for curve in (CURVE_D1, CurveQ(2, 3)):  # the rows' own curve, and one that holds none of them
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: bad a_p cache row")):
+            ApCache(str(path), curve)

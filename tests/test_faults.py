@@ -104,6 +104,10 @@ MORE_FAULTS = (
      ("match", "--D", "1", "--bound", "200"), 1),
     ("norm-form sign flipped at 13", elliptic, "_norm_form_ap", _flip_at_13(elliptic._norm_form_ap),
      ("ap", "--D", "1", "--p", "13"), 1),
+    # prop3's automorphic side is the norm-form Euler product patched here, until the Hecke lattice
+    # sum of ROADMAP item 4 replaces it
+    ("norm-form sign flipped at 13", lfunction, "_norm_form_ap", _flip_at_13(elliptic._norm_form_ap),
+     ("prop3", "--D", "1", "--s", "3", "--bound", "200"), 1),
     ("first period quotient + 1", contfrac, "expand", _bumped_period, ("contfrac", "--D", "7"), 1),
     # fundamental_unit's norm check raises on the unit that p_k + 1 gives
     ("convergent p_k + 1", contfrac, "last_convergents", _p_plus_one, ("unit", "--D", "2"), 1),

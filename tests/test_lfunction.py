@@ -118,9 +118,9 @@ def test_motivic_domain():
 def test_motivic_uses_cache(tmp_path):
     from kzero.elliptic import ApCache
 
-    cache = ApCache(str(tmp_path / "c.tsv"))
+    cache = ApCache(str(tmp_path / "c.tsv"), CURVE_D1)
     motivic_l1_partial(CURVE_D1, 3.0, 50, cache)
-    assert cache.lookup(-1, 0, 47) is not None
+    assert cache.lookup(47) is not None
 
 
 # -- automorphic products -------------------------------------------------------------
@@ -174,10 +174,10 @@ def test_match_uses_cache(tmp_path):
     from kzero.elliptic import ApCache
 
     path = tmp_path / "c.tsv"
-    cache = ApCache(str(path))
+    cache = ApCache(str(path), cm_curve_for(1))
     first = local_factor_match(1, 100, cache)
     cache.flush()
-    warm = ApCache(str(path))
+    warm = ApCache(str(path), CURVE_D1)  # the table curve's coefficients typed alone: the same rows
     second = local_factor_match(1, 100, warm)
     assert first == second
 
